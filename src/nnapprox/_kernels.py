@@ -1,23 +1,19 @@
-"""Hot numeric kernels: batched network evaluation and greedy covering.
+"""Hot numeric kernels: block-layer chain evaluation and greedy covering.
 
-Both kernels exist twice, as numba @njit functions and as pure-numpy
-fallbacks.  The active backend is chosen by the NNAPPROX_BACKEND environment
+eval_chain is numpy only.  It walks block-diagonal layers (network.BlockDiagonal)
+with feature-major activations of shape (width, n_points), so each block
+multiplies a contiguous row range of the previous activations into a
+contiguous row range of the next ones.
+
+greedy_cover exists twice, as a numba @njit function and as a pure-numpy
+fallback.  The cover backend is chosen by the NNAPPROX_BACKEND environment
 variable ("numba", "numpy", or "auto"; default auto picks numba when it
-imports).  benchmarks/bench_kernels.py compares the two paths.
-
-Layers are passed in a packed block-diagonal form (see network.Network):
-    layer_ptr[l]  : first block of layer l in the block table
-    block_meta[b] : (row_offset, col_offset, rows, cols) of block b
-    block_ptr[b]  : start of block b's row-major data in block_data
+imports); NNAPPROX_THREADS caps numba's threads.
 """
 
 import os
 
 import numpy as np
-
-ACT_IDENTITY = 0
-ACT_RELU = 1
-ACT_ABS = 2
 
 _ENV = os.environ.get("NNAPPROX_BACKEND", "auto").strip().lower()
 if _ENV not in ("auto", "numba", "numpy"):
@@ -43,99 +39,33 @@ if _threads and HAVE_NUMBA:
 
 
 def backend_name():
+    """Backend of greedy_cover: "numba" or "numpy"."""
     return "numba" if USE_NUMBA else "numpy"
 
 
 # ---------------------------------------------------------------------------
-# batched chain evaluation
+# chain evaluation
 
 
-def _eval_chain_np(layer_ptr, block_meta, block_ptr, block_data, widths, x, act):
-    n_layers = len(layer_ptr) - 1
-    cur = x
-    for l in range(n_layers):
-        rows = widths[l + 1]
-        out = np.zeros((x.shape[0], rows))
-        for b in range(layer_ptr[l], layer_ptr[l + 1]):
-            ro, co, r, c = block_meta[b]
-            blk = block_data[block_ptr[b] : block_ptr[b + 1]].reshape(r, c)
-            out[:, ro : ro + r] = cur[:, co : co + c] @ blk.T
-        if l < n_layers - 1:
-            if act == ACT_ABS:
-                np.abs(out, out=out)
-            elif act == ACT_RELU:
-                np.maximum(out, 0.0, out=out)
-        cur = out
+def eval_chain(layers, cur, act=None, absolute=False):
+    """Run block-diagonal layers on feature-major activations cur of shape (p0, n).
+
+    act maps each hidden pre-activation array to its activation and may work
+    in place; it is never applied after the last layer, and None means a
+    linear chain.  absolute=True multiplies by |W| instead of W.  Returns
+    the output of shape (p_{L+1}, n).
+    """
+    last = len(layers) - 1
+    for i, lay in enumerate(layers):
+        out = np.empty((lay.shape[0], cur.shape[1]))
+        ro = co = 0
+        for b in lay.blocks:
+            r, c = b.shape
+            np.matmul(np.abs(b) if absolute else b, cur[co : co + c], out=out[ro : ro + r])
+            ro += r
+            co += c
+        cur = out if act is None or i == last else act(out)
     return cur
-
-
-if HAVE_NUMBA:
-
-    _TILE = 256
-
-    @njit(cache=True)
-    def _eval_chain_nb(layer_ptr, block_meta, block_ptr, block_data, widths, x, act):
-        n_points = x.shape[0]
-        n_layers = len(layer_ptr) - 1
-        max_w = 0
-        for w in widths:
-            max_w = max(max_w, w)
-        out = np.empty((n_points, widths[n_layers]))
-        cur = np.empty((max_w, _TILE))
-        nxt = np.empty((max_w, _TILE))
-        for start in range(0, n_points, _TILE):
-            tile = min(_TILE, n_points - start)
-            for c in range(widths[0]):
-                for t in range(tile):
-                    cur[c, t] = x[start + t, c]
-            for l in range(n_layers):
-                rows = widths[l + 1]
-                for r_ in range(rows):
-                    for t in range(tile):
-                        nxt[r_, t] = 0.0
-                for b in range(layer_ptr[l], layer_ptr[l + 1]):
-                    ro = block_meta[b, 0]
-                    co = block_meta[b, 1]
-                    r = block_meta[b, 2]
-                    c = block_meta[b, 3]
-                    base = block_ptr[b]
-                    for rr in range(r):
-                        off = base + rr * c
-                        for cc in range(c):
-                            w = block_data[off + cc]
-                            if w != 0.0:
-                                for t in range(tile):
-                                    nxt[ro + rr, t] += w * cur[co + cc, t]
-                if l < n_layers - 1:
-                    if act == ACT_ABS:
-                        for r_ in range(rows):
-                            for t in range(tile):
-                                nxt[r_, t] = abs(nxt[r_, t])
-                    elif act == ACT_RELU:
-                        for r_ in range(rows):
-                            for t in range(tile):
-                                if nxt[r_, t] < 0.0:
-                                    nxt[r_, t] = 0.0
-                tmp = cur
-                cur = nxt
-                nxt = tmp
-            for c in range(widths[n_layers]):
-                for t in range(tile):
-                    out[start + t, c] = cur[c, t]
-        return out
-
-
-def eval_chain(packed, x, act_code, backend=None):
-    """Evaluate a packed layer chain on a batch x of shape (n_points, p0)."""
-    layer_ptr, block_meta, block_ptr, block_data, widths = packed
-    use = USE_NUMBA if backend is None else backend == "numba"
-    if use and HAVE_NUMBA:
-        return _eval_chain_nb(
-            layer_ptr, block_meta, block_ptr, block_data, widths, x, act_code
-        )
-    return _eval_chain_np(
-        layer_ptr, block_meta, block_ptr, block_data, widths, x, act_code
-    )
 
 
 # ---------------------------------------------------------------------------

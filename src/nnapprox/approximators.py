@@ -232,11 +232,17 @@ def build_cheb_net(target, eps, variant, measure_grid=513):
 
 
 def l1_param_budget(net):
-    """Parameter counts and l1 mass, compared against (L+1) * max_width^2."""
+    """Parameter counts and l1 mass, compared against (L+1) * max_width^2.
+
+    param_count counts dense entries (structural zeros included),
+    stored_entries the entries of the layer blocks and nnz their nonzeros."""
     count = net.param_count()
     bound = (net.depth + 1) * net.max_width**2
+    blocks = [b for lay in net.layers for b in lay.blocks]
     return {
         "param_count": count,
+        "stored_entries": sum(b.size for b in blocks),
+        "nnz": sum(int(np.count_nonzero(b)) for b in blocks),
         "l1_total": float(sum(lay.l1() for lay in net.layers)),
         "depth": net.depth,
         "max_width": net.max_width,

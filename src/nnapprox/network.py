@@ -7,11 +7,14 @@ construction that needs a constant feeds it as an input coordinate.  W_i has
 shape (p_{i+1}, p_i) and acts by left multiplication on column vectors, so
 the width vector is p = (p_0, ..., p_{L+1}) and depth L counts activations.
 
-Layers are stored internally in block-diagonal form (a plain matrix is a
-single block).  The parallel() combinator produces genuinely block-diagonal
-layers, which keeps the wide monomial networks evaluable without
-materializing their mostly-zero dense form.  The dense view of any layer is
-available through Network.weights.
+Every layer is a BlockDiagonal: its diagonal blocks, in order (a plain
+matrix is a single block).  The parallel() combinator produces genuinely
+block-diagonal layers, the paper's parallel stacking, which keeps the wide
+monomial networks evaluable without materializing their mostly-zero dense
+form.  Evaluation and the path matrix run on the blocks through
+_kernels.eval_chain, and the JSON wire format (version 2) stores the blocks
+of each layer, so a decoded network is the same chain of blocks.  The dense
+view of any layer is available through Network.weights.
 """
 
 from __future__ import annotations
@@ -43,41 +46,41 @@ class Activation:
     """Element-wise map alpha(x) = s(x) * x for a sign selector s into {-1,0,+1}.
 
     s identically +1 gives the identity, s = 1{x >= 0} gives ReLU and
-    s = sign with s(0) = +1 gives the absolute value.  Arbitrary selectors
-    (possibly discontinuous) are supported for entropy experiments but have
-    no compiled kernel and cannot be serialized.
+    s = sign with s(0) = +1 gives the absolute value.  These three carry
+    `inplace`, the same map written into its float64 array argument.
+    Arbitrary selectors (possibly discontinuous) are supported for entropy
+    experiments; they have no in-place form and cannot be serialized.
     """
 
-    __slots__ = ("name", "selector", "kernel_code")
+    __slots__ = ("name", "selector", "inplace")
 
-    def __init__(self, name, selector, kernel_code=None):
+    def __init__(self, name, selector, inplace=None):
         self.name = name
         self.selector = selector
-        self.kernel_code = kernel_code
+        self.inplace = inplace
 
     def apply(self, x):
-        if self.kernel_code == _kernels.ACT_IDENTITY:
-            return x
-        if self.kernel_code == _kernels.ACT_RELU:
-            return np.maximum(x, 0.0)
-        if self.kernel_code == _kernels.ACT_ABS:
-            return np.abs(x)
-        return self.selector(np.asarray(x, dtype=np.float64)) * x
+        x = np.asarray(x, dtype=np.float64)
+        if self.inplace is not None:
+            return self.inplace(x.copy())
+        return self.selector(x) * x
 
     def __repr__(self):
         return f"Activation({self.name})"
 
 
-IDENTITY = Activation("identity", lambda x: np.ones_like(x), _kernels.ACT_IDENTITY)
-RELU = Activation("relu", lambda x: np.where(x >= 0, 1.0, 0.0), _kernels.ACT_RELU)
-ABS = Activation("abs", lambda x: np.where(x >= 0, 1.0, -1.0), _kernels.ACT_ABS)
+IDENTITY = Activation("identity", lambda x: np.ones_like(x), lambda x: x)
+RELU = Activation(
+    "relu", lambda x: np.where(x >= 0, 1.0, 0.0), lambda x: np.maximum(x, 0.0, out=x)
+)
+ABS = Activation("abs", lambda x: np.where(x >= 0, 1.0, -1.0), lambda x: np.abs(x, out=x))
 
 ACTIVATIONS = {a.name: a for a in (IDENTITY, RELU, ABS)}
 
 
 def general_activation(selector, name="general"):
     """Activation from an arbitrary vectorized sign selector (values in {-1,0,1})."""
-    return Activation(name, selector, kernel_code=None)
+    return Activation(name, selector)
 
 
 # ---------------------------------------------------------------------------
@@ -116,26 +119,6 @@ class BlockDiagonal:
             co += b.shape[1]
         return out
 
-    def matmul_batch(self, x):
-        """x of shape (n, cols) -> (n, rows)."""
-        out = np.zeros((x.shape[0], self.shape[0]))
-        ro = co = 0
-        for b in self.blocks:
-            out[:, ro : ro + b.shape[0]] = x[:, co : co + b.shape[1]] @ b.T
-            ro += b.shape[0]
-            co += b.shape[1]
-        return out
-
-    def abs_matmul_left(self, p):
-        """p @ |self| for p of shape (k, rows) -> (k, cols)."""
-        out = np.zeros((p.shape[0], self.shape[1]))
-        ro = co = 0
-        for b in self.blocks:
-            out[:, co : co + b.shape[1]] = p[:, ro : ro + b.shape[0]] @ np.abs(b)
-            ro += b.shape[0]
-            co += b.shape[1]
-        return out
-
     def l1(self):
         return float(sum(np.sum(np.abs(b)) for b in self.blocks))
 
@@ -162,7 +145,7 @@ class Network:
     network was constructed (name, m, gamma, d, variant, ...).
     """
 
-    __slots__ = ("activation", "layers", "meta", "_packed")
+    __slots__ = ("activation", "layers", "meta")
 
     def __init__(self, activation, weights, meta=None):
         if not isinstance(activation, Activation):
@@ -179,7 +162,6 @@ class Network:
         self.activation = activation
         self.layers = layers
         self.meta = dict(meta) if meta else {}
-        self._packed = None
 
     # -- structure ---------------------------------------------------------
 
@@ -219,33 +201,11 @@ class Network:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _pack(self):
-        if self._packed is None:
-            metas, ptrs, datas = [], [0], []
-            layer_ptr = [0]
-            for lay in self.layers:
-                ro = co = 0
-                for b in lay.blocks:
-                    metas.append((ro, co, b.shape[0], b.shape[1]))
-                    datas.append(b.ravel())
-                    ptrs.append(ptrs[-1] + b.size)
-                    ro += b.shape[0]
-                    co += b.shape[1]
-                layer_ptr.append(len(metas))
-            self._packed = (
-                np.asarray(layer_ptr, dtype=np.int64),
-                np.asarray(metas, dtype=np.int64).reshape(len(metas), 4),
-                np.asarray(ptrs, dtype=np.int64),
-                np.concatenate(datas),
-                np.asarray(self.widths, dtype=np.int64),
-            )
-        return self._packed
-
-    def __call__(self, x, backend=None):
-        return evaluate(self, x, backend=backend)
+    def __call__(self, x):
+        return evaluate(self, x)
 
 
-def evaluate(net, x, backend=None):
+def evaluate(net, x):
     """Evaluate net on a vector of length p0 or a batch of shape (n, p0)."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
@@ -258,19 +218,9 @@ def evaluate(net, x, backend=None):
         )
     if not np.all(np.isfinite(batch)):
         raise NetworkError("input has non-finite entries")
-    code = net.activation.kernel_code
-    if code is None:
-        cur = batch
-        last = len(net.layers) - 1
-        for i, lay in enumerate(net.layers):
-            cur = lay.matmul_batch(cur)
-            if i < last:
-                cur = net.activation.apply(cur)
-        out = cur
-    else:
-        batch = np.ascontiguousarray(batch)
-        out = _kernels.eval_chain(net._pack(), batch, code, backend=backend)
-    return out[0] if single else out
+    act = net.activation
+    out = _kernels.eval_chain(net.layers, batch.T, act.inplace or act.apply)
+    return out[:, 0] if single else out.T
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +228,11 @@ def evaluate(net, x, backend=None):
 
 
 def path_matrix(net):
-    """|WL| @ |W_{L-1}| @ ... @ |W0|, dense, of shape (p_{L+1}, p_0)."""
-    p = np.abs(net.layers[-1].to_dense())
-    for lay in reversed(net.layers[:-1]):
-        p = lay.abs_matmul_left(p)
-    return p
+    """|WL| @ |W_{L-1}| @ ... @ |W0|, dense, of shape (p_{L+1}, p_0).
+
+    One forward pass of the |W| chain on the identity (Gonon et al., ICLR
+    2024), block by block."""
+    return _kernels.eval_chain(net.layers, np.eye(net.in_dim), absolute=True)
 
 
 def path_norm(net):
@@ -304,9 +254,9 @@ def l1_param_norm(net):
 
 
 def _check_same_activation(a, b):
-    if a.name != b.name or a.kernel_code != b.kernel_code:
+    if a.name != b.name or a.inplace is not b.inplace:
         raise ActivationMismatchError(f"activations differ: {a.name} vs {b.name}")
-    if a.kernel_code is None and a is not b:
+    if a.inplace is None and a is not b:
         raise ActivationMismatchError("general activations must be the same object")
 
 
@@ -371,14 +321,19 @@ def identity_chain(dim, n_matrices, activation=ABS):
 
 # ---------------------------------------------------------------------------
 # JSON wire format
+#
+# Version 2: {"format": 2, "activation", "layers": [[block, ...], ...], "meta"},
+# one list of row-major dense blocks per layer.  Version 1 (no "format" key)
+# held one dense matrix per layer under "weights"; it is still read.
 
 
 def network_to_dict(net):
     if net.activation.name not in ACTIVATIONS:
         raise NetworkError("only abs/relu/identity networks serialize to JSON")
     return {
+        "format": 2,
         "activation": net.activation.name,
-        "weights": [w.tolist() for w in net.weights],
+        "layers": [[b.tolist() for b in lay.blocks] for lay in net.layers],
         "meta": net.meta,
     }
 
@@ -386,10 +341,18 @@ def network_to_dict(net):
 def network_from_dict(d):
     try:
         act = ACTIVATIONS[d["activation"]]
-        weights = [np.asarray(w, dtype=np.float64) for w in d["weights"]]
-    except (KeyError, TypeError) as e:
+        fmt = d.get("format", 1)
+        if fmt == 1:
+            layers = [np.asarray(w, dtype=np.float64) for w in d["weights"]]
+        elif fmt == 2:
+            layers = [BlockDiagonal(blocks) for blocks in d["layers"]]
+        else:
+            raise NetworkError(f"unknown network format {fmt!r}")
+        return Network(act, layers, meta=d.get("meta"))
+    except NetworkError:
+        raise
+    except (KeyError, TypeError, ValueError) as e:
         raise NetworkError(f"malformed network dict: {e}") from e
-    return Network(act, weights, meta=d.get("meta"))
 
 
 def network_to_json(net, indent=None):

@@ -9,13 +9,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernels():
-    """Trigger JIT compilation once so timed acceptance tests measure compute."""
-    from nnapprox import build_mult, evaluate
+    """Compile the numba greedy cover (when numba is present) once so timed
+    acceptance tests measure compute."""
     from nnapprox import _kernels
 
-    net = build_mult(1, "rescaled")
-    x = np.array([[1.0, 0.2, 0.3]])
-    evaluate(net, x)
     _kernels.greedy_cover(np.zeros((3, 2)), 0.5)
 
 

@@ -146,13 +146,19 @@ def test_certificate_claims_match_builder_formulas():
 
 
 def test_l1_param_budget():
-    from nnapprox import Network, ABS
+    from nnapprox import Network, ABS, parallel
 
     net = Network(ABS, [np.ones((2, 3))])
     rep = l1_param_budget(net)
     assert rep["param_count"] == 6
+    assert rep["stored_entries"] == 6
+    assert rep["nnz"] == 6
     assert rep["l1_total"] == 6.0
     assert rep["within_bound"]
+
+    half = Network(ABS, [np.array([[1.0, 0.0]])])
+    rep = l1_param_budget(parallel([half, half]))
+    assert (rep["param_count"], rep["stored_entries"], rep["nnz"]) == (8, 4, 2)
 
 
 def test_mult_parameters_in_minus_two_two():

@@ -1,37 +1,79 @@
 import numpy as np
 import pytest
 
-from nnapprox import ABS, RELU, IDENTITY, build_mon, build_multr, evaluate
+from nnapprox import (
+    ABS,
+    IDENTITY,
+    RELU,
+    build_mon,
+    build_multr,
+    evaluate,
+    general_activation,
+    parallel,
+    path_matrix,
+)
 from nnapprox import _kernels
 from conftest import random_dense_net
 
 needs_numba = pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
 
+DEAD_ZONE = general_activation(lambda x: np.where(np.abs(x) < 0.1, 0.0, np.sign(x)))
+ACTIVATIONS = (ABS, RELU, IDENTITY, DEAD_ZONE)
 
-@needs_numba
-def test_backends_agree_on_dense_nets(rng):
-    for act in (ABS, RELU, IDENTITY):
+
+def dense_chain(net, x):
+    """Oracle: the plain matrix chain over net.weights, activation s(x) * x."""
+    cur = np.asarray(x, dtype=np.float64)
+    ws = net.weights
+    for i, w in enumerate(ws):
+        cur = cur @ w.T
+        if i < len(ws) - 1:
+            cur = net.activation.selector(cur) * cur
+    return cur
+
+
+def dense_path_matrix(net):
+    p = np.eye(net.in_dim)
+    for w in net.weights:
+        p = np.abs(w) @ p
+    return p
+
+
+def block_nets(rng):
+    """Block-diagonal nets: product tree, all-monomials, unequal-depth stacks."""
+    nets = [
+        (build_multr(3, 5, "rescaled"), np.column_stack([np.ones(200), rng.uniform(0, 1, (200, 5))])),
+        (build_mon(4, 3, 2, "literal"), np.column_stack([np.ones(100), rng.uniform(0, 0.5, (100, 2))])),
+    ]
+    for act in ACTIVATIONS:
+        parts = [random_dense_net(rng, act, n_layers=k) for k in (1, 3, 2, 4)]
+        par = parallel(parts)
+        assert max(len(lay.blocks) for lay in par.layers) == len(parts)
+        nets.append((par, rng.normal(size=(50, par.in_dim))))
+    return nets
+
+
+def test_evaluate_matches_dense_chain_on_random_nets(rng):
+    for act in ACTIVATIONS:
         for _ in range(10):
             net = random_dense_net(rng, act)
             x = rng.normal(size=(33, net.in_dim))
-            a = evaluate(net, x, backend="numba")
-            b = evaluate(net, x, backend="numpy")
-            assert np.allclose(a, b, rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose(evaluate(net, x), dense_chain(net, x), rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose(evaluate(net, x[0]), dense_chain(net, x[0]), rtol=1e-13, atol=1e-13)
 
 
-@needs_numba
-def test_backends_agree_on_block_diagonal_nets(rng):
-    net = build_multr(3, 5, "rescaled")
-    x = np.column_stack([np.ones(200), rng.uniform(0, 1, (200, 5))])
-    a = evaluate(net, x, backend="numba")
-    b = evaluate(net, x, backend="numpy")
-    assert np.allclose(a, b, rtol=1e-13, atol=1e-14)
+def test_evaluate_matches_dense_chain_on_block_nets(rng):
+    for net, x in block_nets(rng):
+        np.testing.assert_allclose(evaluate(net, x), dense_chain(net, x), rtol=1e-13, atol=1e-13)
 
-    net = build_mon(4, 3, 2, "literal")
-    x = np.column_stack([np.ones(100), rng.uniform(0, 0.5, (100, 2))])
-    assert np.allclose(
-        evaluate(net, x, backend="numba"), evaluate(net, x, backend="numpy")
-    )
+
+def test_path_matrix_matches_product_of_dense_abs(rng):
+    nets = [random_dense_net(rng, act) for act in ACTIVATIONS for _ in range(5)]
+    nets += [net for net, _ in block_nets(rng)]
+    for net in nets:
+        got = path_matrix(net)
+        assert got.shape == (net.out_dim, net.in_dim)
+        np.testing.assert_allclose(got, dense_path_matrix(net), rtol=1e-13, atol=1e-13)
 
 
 @needs_numba

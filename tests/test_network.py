@@ -14,12 +14,16 @@ from nnapprox import (
     NetworkError,
     ShapeMismatchError,
     append_layer,
+    build_cheb_net,
+    build_mon,
     build_mult,
+    build_multr,
     compose,
     evaluate,
     general_activation,
     identity_chain,
     l1_param_norm,
+    network_from_dict,
     network_from_json,
     network_to_json,
     parallel,
@@ -27,6 +31,7 @@ from nnapprox import (
     path_norm,
     per_layer_l1,
     prepend_layer,
+    target_exp_sum,
 )
 from conftest import random_dense_net
 
@@ -214,6 +219,51 @@ def test_json_round_trip_bit_exact(rng):
         assert np.array_equal(evaluate(net, xs), evaluate(back, xs))
         for w1, w2 in zip(net.weights, back.weights):
             assert np.array_equal(w1, w2)
+
+
+@pytest.mark.parametrize(
+    "make, d",
+    [
+        (lambda: build_multr(3, 5, "rescaled"), 5),
+        (lambda: build_mon(4, 3, 2, "rescaled"), 2),
+        (lambda: build_cheb_net(target_exp_sum(2), 2**-3, "rescaled")[0], 2),
+    ],
+    ids=["multr", "mon", "cheb_d2"],
+)
+def test_json_round_trip_keeps_blocks(make, d, rng):
+    net = make()
+    back = network_from_json(network_to_json(net))
+    assert [[b.shape for b in lay.blocks] for lay in back.layers] == [
+        [b.shape for b in lay.blocks] for lay in net.layers
+    ]
+    x = np.column_stack([np.ones(300), rng.uniform(0, 1, (300, d))])
+    assert np.array_equal(evaluate(back, x), evaluate(net, x))
+
+
+def test_json_reads_format_1():
+    net = network_from_dict(
+        {"activation": "abs", "weights": [[[1.0, -1.0]], [[0.5]]], "meta": {"m": 1}}
+    )
+    assert net.widths == (2, 1, 1)
+    assert net.meta == {"m": 1}
+    assert evaluate(net, [0.25, 1.0])[0] == 0.375
+
+
+@pytest.mark.parametrize(
+    "wire",
+    [
+        '{"activation": "abs", "weights": [[[1.0, 2.0], [3.0]]]}',
+        '{"activation": "abs", "weights": [[[Infinity]]]}',
+        '{"format": 2, "activation": "abs", "layers": [[[[1.0, 2.0], [3.0]]]]}',
+        '{"format": 2, "activation": "abs", "layers": [[[[NaN]]]]}',
+        '{"format": 2, "activation": "abs", "layers": [[[1.0, 2.0]]]}',
+        '{"format": 3, "activation": "abs", "layers": [[[[1.0]]]]}',
+    ],
+    ids=["v1-ragged", "v1-inf", "v2-ragged", "v2-nan", "v2-vector-block", "unknown-format"],
+)
+def test_json_malformed_raises_network_error(wire):
+    with pytest.raises(NetworkError):
+        network_from_json(wire)
 
 
 def test_json_keeps_meta():
