@@ -5,10 +5,14 @@ with feature-major activations of shape (width, n_points), so each block
 multiplies a contiguous row range of the previous activations into a
 contiguous row range of the next ones.
 
-greedy_cover exists twice, as a numba @njit function and as a pure-numpy
-fallback.  The cover backend is chosen by the NNAPPROX_BACKEND environment
-variable ("numba", "numpy", or "auto"; default auto picks numba when it
-imports); NNAPPROX_THREADS caps numba's threads.
+greedy_cover exists twice, as a numba @njit function and as a numpy
+fallback.  The numpy cover makes one pass over the rows and compares each
+row with all centers found so far at once, by direct differences against a
+growing center matrix; it becomes a center when none is closer than eps.
+(The |a|^2 + |b|^2 - 2ab matmul expansion is avoided: its cancellation could
+flip the strict-< decisions.)  The cover backend is chosen by the
+NNAPPROX_BACKEND environment variable ("numba", "numpy", or "auto"; default
+auto picks numba when it imports); NNAPPROX_THREADS caps numba's threads.
 """
 
 import os
@@ -73,17 +77,16 @@ def eval_chain(layers, cur, act=None, absolute=False):
 
 
 def _greedy_cover_np(v, eps2_sum):
-    centers = []
-    for i in range(v.shape[0]):
-        covered = False
-        for j in centers:
-            d = v[i] - v[j]
-            if d @ d < eps2_sum:
-                covered = True
-                break
-        if not covered:
-            centers.append(i)
-    return np.asarray(centers, dtype=np.int64)
+    cent = np.empty_like(v)
+    idx = np.empty(v.shape[0], dtype=np.int64)
+    k = 0
+    for i, row in enumerate(v):
+        d = cent[:k] - row
+        if not (np.einsum("ij,ij->i", d, d) < eps2_sum).any():
+            cent[k] = row
+            idx[k] = i
+            k += 1
+    return idx[:k]
 
 
 if HAVE_NUMBA:

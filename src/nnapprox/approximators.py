@@ -43,8 +43,7 @@ class AnalyticTarget:
 
     fn maps an (n, d) array to an (n,) array.  F bounds either sup|f| or the
     l1 norm of the power-series coefficients depending on the route; rho is
-    the declared ellipse parameter and is carried as metadata only.  Set
-    concurrent_safe=False for evaluators that must be called serially.
+    the declared ellipse parameter and is carried as metadata only.
     """
 
     name: str
@@ -52,7 +51,6 @@ class AnalyticTarget:
     fn: callable
     F: float = None
     rho: float = None
-    concurrent_safe: bool = True
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=np.float64)

@@ -197,7 +197,7 @@ def entropy_bound_cmd(eps, l_, p, b_, r, n, out):
 
 @entropy_group.command("empirical")
 @click.option("--spec", "spec_path", type=click.Path(exists=True), required=True)
-@click.option("--trials", type=int, default=5000, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=5000, show_default=True)
 @click.option("--seed", type=int, default=0)
 @click.option("--out", type=click.Path(), default=None)
 def entropy_empirical_cmd(spec_path, trials, seed, out):
@@ -224,6 +224,7 @@ def entropy_empirical_cmd(spec_path, trials, seed, out):
             "cover_size": cover.size,
             "log2_cover_size": cover.log2_size,
             "network_bound": bound,
+            "margin_bits": bound - cover.log2_size,
             "consistent": cover.log2_size <= bound,
         },
         out,

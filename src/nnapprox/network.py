@@ -142,10 +142,12 @@ class Network:
 
     Evaluation, the path norm and all combinators treat the network purely
     as its list of matrices; metadata is a free-form dict recording how the
-    network was constructed (name, m, gamma, d, variant, ...).
+    network was constructed (name, m, gamma, d, variant, ...).  The layers
+    are set only here and their blocks are read-only, so path_norm caches
+    its value in _path_norm; every combinator builds a new network.
     """
 
-    __slots__ = ("activation", "layers", "meta")
+    __slots__ = ("activation", "layers", "meta", "_path_norm")
 
     def __init__(self, activation, weights, meta=None):
         if not isinstance(activation, Activation):
@@ -162,6 +164,7 @@ class Network:
         self.activation = activation
         self.layers = layers
         self.meta = dict(meta) if meta else {}
+        self._path_norm = None
 
     # -- structure ---------------------------------------------------------
 
@@ -237,8 +240,12 @@ def path_matrix(net):
 
 def path_norm(net):
     """Sum of the entries of the path matrix (the l1 norm of the p0-vector
-    for scalar outputs, summed over output coordinates otherwise)."""
-    return float(np.sum(path_matrix(net)))
+    for scalar outputs, summed over output coordinates otherwise).
+
+    Computed on the first call and cached on the immutable network."""
+    if net._path_norm is None:
+        net._path_norm = float(np.sum(path_matrix(net)))
+    return net._path_norm
 
 
 def per_layer_l1(net):

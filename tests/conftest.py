@@ -33,3 +33,11 @@ def random_dense_net(rng, activation, n_layers=None, max_width=5, scale=1.0):
         for i in range(n_layers)
     ]
     return Network(activation, ws)
+
+
+def dense_path_matrix(net):
+    """Oracle: the product of the dense |W| matrices."""
+    p = np.eye(net.in_dim)
+    for w in net.weights:
+        p = np.abs(w) @ p
+    return p

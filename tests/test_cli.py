@@ -75,6 +75,11 @@ def test_entropy_empirical(runner, tmp_path):
     assert res.exit_code == 0, res.output
     out = json.loads(res.output)
     assert out["consistent"] is True
+    assert out["margin_bits"] == out["network_bound"] - out["log2_cover_size"]
+    assert out["margin_bits"] >= 0
+    # no samples would give a cover of size 0 and an infinite margin
+    res = runner.invoke(main, ["entropy", "empirical", "--spec", str(spec_path), "--trials", "0"])
+    assert res.exit_code == 2
 
 
 def test_approx_power_series(runner):

@@ -13,7 +13,7 @@ from nnapprox import (
     path_matrix,
 )
 from nnapprox import _kernels
-from conftest import random_dense_net
+from conftest import dense_path_matrix, random_dense_net
 
 needs_numba = pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
 
@@ -30,13 +30,6 @@ def dense_chain(net, x):
         if i < len(ws) - 1:
             cur = net.activation.selector(cur) * cur
     return cur
-
-
-def dense_path_matrix(net):
-    p = np.eye(net.in_dim)
-    for w in net.weights:
-        p = np.abs(w) @ p
-    return p
 
 
 def block_nets(rng):
@@ -91,6 +84,59 @@ def test_greedy_cover_strict_inequality():
     assert len(got) == 2
     got = _kernels.greedy_cover(v, 1.0000001, backend="numpy")
     assert len(got) == 1
+
+
+def loop_cover(v, eps):
+    """The row-by-center double loop the numpy cover replaced, as an oracle."""
+    v = np.asarray(v, dtype=np.float64)
+    eps2_sum = eps * eps * v.shape[1]
+    centers = []
+    for i in range(v.shape[0]):
+        covered = False
+        for j in centers:
+            d = v[i] - v[j]
+            if d @ d < eps2_sum:
+                covered = True
+                break
+        if not covered:
+            centers.append(i)
+    return np.asarray(centers, dtype=np.int64)
+
+
+def edge_covers():
+    """(name, rows, eps, cover size) cases for the numpy cover."""
+    r = np.random.default_rng(7)
+    base = r.normal(size=(40, 6))
+    # rows k * step in every coordinate: neighbours at distance exactly step
+    ladder = lambda rows, step: np.arange(rows)[:, None] * np.full((rows, 4), step)
+    return [
+        ("empty", np.zeros((0, 5)), 0.5, 0),
+        ("one row", r.normal(size=(1, 5)), 0.5, 1),
+        ("duplicates", np.repeat(base[:10], 4, axis=0), 1e-9, 10),
+        ("exactly eps apart", ladder(6, 0.5), 0.5, 6),  # strict <: distance eps is not covered
+        ("half eps apart", ladder(12, 0.25), 0.5, 6),
+        ("huge eps", base, 1e6, 1),
+        ("tiny eps", base, 1e-12, 40),
+        ("zero vectors", np.zeros((30, 3)), 0.1, 1),
+    ]
+
+
+@pytest.mark.parametrize("name,v,eps,size", [pytest.param(*c, id=c[0]) for c in edge_covers()])
+def test_greedy_cover_numpy_matches_loop_on_edge_cases(name, v, eps, size):
+    got = _kernels.greedy_cover(v, eps, backend="numpy")
+    assert got.dtype == np.int64
+    assert len(got) == size
+    assert np.array_equal(got, loop_cover(v, eps))
+
+
+@pytest.mark.parametrize(
+    "shape,eps", [((200, 1), 0.05), ((1000, 8), 1.0), ((2000, 4), 0.5), ((5000, 32), 1.2)]
+)
+def test_greedy_cover_numpy_matches_loop_on_random_rows(shape, eps):
+    v = np.random.default_rng(shape[0] + shape[1]).normal(size=shape)
+    got = _kernels.greedy_cover(v, eps, backend="numpy")
+    assert len(got) > 1
+    assert np.array_equal(got, loop_cover(v, eps))
 
 
 def test_greedy_cover_monotone_in_eps(rng):

@@ -33,7 +33,8 @@ from nnapprox import (
     prepend_layer,
     target_exp_sum,
 )
-from conftest import random_dense_net
+from nnapprox import _kernels
+from conftest import dense_path_matrix, random_dense_net
 
 
 def test_eval_single_linear_layer():
@@ -90,6 +91,36 @@ def test_path_matrix_single_layer():
 
 def test_path_norm_trivial():
     assert path_norm(Network(ABS, [np.array([[1.0, -1.0]])])) == 2.0
+
+
+def test_path_norm_cached_on_network(rng, monkeypatch):
+    net = random_dense_net(rng, ABS, n_layers=3)
+    chain, calls = _kernels.eval_chain, []
+    monkeypatch.setattr(_kernels, "eval_chain", lambda *a, **k: calls.append(1) or chain(*a, **k))
+    first = path_norm(net)
+    assert path_norm(net) is first
+    assert len(calls) == 1
+    assert first == pytest.approx(np.sum(dense_path_matrix(net)), rel=1e-13)
+
+
+def test_derived_networks_report_their_own_path_norm(rng):
+    a = Network(ABS, [rng.uniform(-1, 1, (3, 2)), rng.uniform(-1, 1, (1, 3))])
+    b = Network(ABS, [rng.uniform(-1, 1, (2, 1)), rng.uniform(-1, 1, (1, 2))])
+    pa, pb = path_norm(a), path_norm(b)  # cache both before deriving
+    derived = {
+        "compose": compose(a, b),
+        "parallel": parallel([a, a]),
+        "rescaled": Network(ABS, [0.5 * w for w in a.weights]),
+        "prepend": prepend_layer(a, 3.0 * np.eye(2)),
+        "append": append_layer(a, np.array([[-4.0]])),
+    }
+    for name, net in derived.items():
+        assert path_norm(net) == pytest.approx(np.sum(dense_path_matrix(net)), rel=1e-13), name
+    assert path_norm(derived["parallel"]) == pytest.approx(2 * pa, rel=1e-13)
+    assert path_norm(derived["rescaled"]) == pytest.approx(0.25 * pa, rel=1e-13)
+    assert path_norm(derived["prepend"]) == pytest.approx(3 * pa, rel=1e-13)
+    assert path_norm(derived["append"]) == pytest.approx(4 * pa, rel=1e-13)
+    assert (path_norm(a), path_norm(b)) == (pa, pb)
 
 
 def test_l1_norms():
