@@ -22,10 +22,11 @@ from .approximators import (
 )
 from .chebyshev import cheb_fit, cheb_poly_coeffs
 from .network import (
+    ACTIVATIONS,
     NetworkError,
     evaluate,
     l1_param_norm,
-    network_from_json,
+    network_from_dict,
     network_to_dict,
     path_matrix,
     path_norm,
@@ -42,17 +43,38 @@ def _emit(payload, out):
         click.echo(text)
 
 
-def _load_net(path):
+def _read_json(path):
+    """Parsed JSON file; a file that is not JSON is a usage error."""
     with open(path) as fh:
-        return network_from_json(fh.read())
+        try:
+            return json.load(fh)
+        except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+            raise click.UsageError(f"{path} is not valid JSON: {e}")
 
 
-def _parse_floats(s):
-    return [float(v) for v in s.split(",") if v.strip()]
+def _load_net(path):
+    try:
+        return network_from_dict(_read_json(path))
+    except NetworkError as e:
+        raise click.UsageError(f"{path} is not a network: {e}")
 
 
-def _parse_ints(s):
-    return [int(v) for v in s.split(",") if v.strip()]
+def _parse_csv(s, kind):
+    """Comma-separated values of type kind; a bad entry is a usage error."""
+    try:
+        return [kind(v) for v in s.split(",") if v.strip()]
+    except ValueError:
+        raise click.BadParameter(f"{s!r} is not a comma-separated list of {kind.__name__}s")
+
+
+def _entropy_spec(raw, source):
+    """EntropyBoundSpec from a dict with eps/L/p/B/r/n; bad values are usage errors."""
+    try:
+        return ent.EntropyBoundSpec(
+            eps=raw["eps"], L=raw["L"], p=tuple(raw["p"]), B=raw["B"], r=raw["r"], n=raw["n"]
+        )
+    except (KeyError, TypeError, ValueError) as e:
+        raise click.UsageError(f"bad {source}: {e!r}")
 
 
 @click.group()
@@ -113,7 +135,7 @@ def build_mon_cmd(m, gamma, d, variant, out):
 @click.option("--out", type=click.Path(), default=None)
 def eval_cmd(net_json, input_, out):
     net = _load_net(net_json)
-    x = np.asarray(_parse_floats(input_))
+    x = np.asarray(_parse_csv(input_, float))
     try:
         y = evaluate(net, x)
     except NetworkError as e:
@@ -191,7 +213,7 @@ def entropy_group():
 @click.option("--n", type=int, required=True)
 @click.option("--out", type=click.Path(), default=None)
 def entropy_bound_cmd(eps, l_, p, b_, r, n, out):
-    spec = ent.EntropyBoundSpec(eps=eps, L=l_, p=tuple(_parse_ints(p)), B=b_, r=r, n=n)
+    spec = _entropy_spec(dict(eps=eps, L=l_, p=_parse_csv(p, int), B=b_, r=r, n=n), "entropy spec")
     _emit({"spec": spec.to_dict(), "network_bound": ent.network_bound(spec)}, out)
 
 
@@ -202,16 +224,11 @@ def entropy_bound_cmd(eps, l_, p, b_, r, n, out):
 @click.option("--out", type=click.Path(), default=None)
 def entropy_empirical_cmd(spec_path, trials, seed, out):
     """Greedy-cover a sampled class; spec JSON holds eps/L/p/B/r/n[/activation]."""
-    with open(spec_path) as fh:
-        raw = json.load(fh)
-    act_name = raw.pop("activation", "abs")
-    from .network import ACTIVATIONS
-
+    raw = _read_json(spec_path)
+    spec = _entropy_spec(raw, f"spec file {spec_path}")
+    act_name = raw.get("activation", "abs")
     if act_name not in ACTIVATIONS:
         raise click.UsageError(f"unknown activation {act_name!r}")
-    spec = ent.EntropyBoundSpec(
-        eps=raw["eps"], L=raw["L"], p=tuple(raw["p"]), B=raw["B"], r=raw["r"], n=raw["n"]
-    )
     cover, bound, _ = ent.empirical_vs_bound(
         spec, activation=ACTIVATIONS[act_name], trials=trials, seed=seed
     )
@@ -244,8 +261,7 @@ def _load_polynomial(path):
     """MonomialPolynomial from JSON {"d": d, "terms": [[[k...], coeff], ...]}."""
     from .chebyshev import MonomialPolynomial
 
-    with open(path) as fh:
-        raw = json.load(fh)
+    raw = _read_json(path)
     try:
         terms = {tuple(k): float(c) for k, c in raw["terms"]}
         return MonomialPolynomial(int(raw["d"]), terms)
@@ -365,19 +381,22 @@ def cheb_fit_cmd(target_name, d, degree, out):
 @click.option("--out", type=click.Path(), default=None)
 def regress_cmd(target_name, d, n, noise, arch, lam, lambda_scale, epochs, seed, net_out, out):
     """Fit a penalized least-squares network to synthetic data."""
-    target = builtin_target(target_name, d)
-    lam_val = "auto" if lam == "auto" else float(lam)
-    cfg = reg.RegressionConfig(
-        n=n,
-        d=target.d,
-        target=target,
-        noise_sd=noise,
-        widths=tuple(_parse_ints(arch)),
-        lam=lam_val,
-        lambda_scale=lambda_scale,
-        max_epochs=epochs,
-        seed=seed,
-    )
+    try:
+        target = builtin_target(target_name, d)
+        lam_val = "auto" if lam == "auto" else float(lam)
+        cfg = reg.RegressionConfig(
+            n=n,
+            d=target.d,
+            target=target,
+            noise_sd=noise,
+            widths=tuple(_parse_csv(arch, int)),
+            lam=lam_val,
+            lambda_scale=lambda_scale,
+            max_epochs=epochs,
+            seed=seed,
+        )
+    except ValueError as e:
+        raise click.UsageError(str(e))
     dataset = reg.generate_data(cfg)
     net, report = reg.fit(cfg, dataset)
     if net_out:

@@ -183,16 +183,6 @@ def build_sq(m):
 # multiplication network
 
 
-def _block3(mat):
-    out = np.zeros((3 * mat.shape[0], 3 * mat.shape[1]))
-    for i in range(3):
-        out[
-            i * mat.shape[0] : (i + 1) * mat.shape[0],
-            i * mat.shape[1] : (i + 1) * mat.shape[1],
-        ] = mat
-    return out
-
-
 def _mult_matrices(m, variant):
     lit = variant is LITERAL
     c = np.zeros((6, 3))
@@ -203,7 +193,8 @@ def _mult_matrices(m, variant):
     c[4, 0] = 1.0
     c[5, 1] = c[5, 2] = 1.0 if lit else 0.5
     out = np.array([[-0.5, -0.5, 0.5 if lit else 2.0]])
-    return [c] + [_block3(mat) for mat in _sq_matrices(m)] + [out]
+    sq = [BlockDiagonal([mat] * 3) for mat in _sq_matrices(m)]
+    return [BlockDiagonal([c])] + sq + [BlockDiagonal([out])]
 
 
 def build_mult(m, variant=RESCALED):
@@ -242,9 +233,10 @@ def build_mult(m, variant=RESCALED):
 def _pairing_matrices(m, n_factors, variant):
     """One tree level: (1, x_1..x_j) -> (1, x1x2, x3x4, ..., [carried x_j]).
 
-    Even-indexed factors are multiplied pairwise by parallel Mult networks;
-    when j is odd the last factor rides through on identity rows (values in
-    [0,1] survive the abs activation unchanged).
+    Even-indexed factors are multiplied pairwise by parallel Mult networks,
+    whose blocks follow the constant's 1x1 block in every later layer; when
+    j is odd the last factor rides through on a 1x1 identity block (values
+    in [0,1] survive the abs activation unchanged).
     """
     pairs = n_factors // 2
     odd = n_factors % 2
@@ -258,20 +250,11 @@ def _pairing_matrices(m, n_factors, variant):
         r += 3
     if odd:
         t[r, n_factors] = 1.0
-    layers = [t]
-    for mat in _mult_matrices(m, variant):
-        blocks = [np.eye(1)] + [mat] * pairs
-        if odd:
-            blocks.append(np.eye(1))
-        layers.append(blocks)
-    return layers
-
-
-def _layers_to_network(layers, meta):
-    built = [
-        lay if isinstance(lay, np.ndarray) else BlockDiagonal(lay) for lay in layers
+    one = [np.eye(1)]
+    return [t] + [
+        BlockDiagonal(one + list(lay.blocks) * pairs + one * odd)
+        for lay in _mult_matrices(m, variant)
     ]
-    return Network(ABS, built, meta=meta)
 
 
 def build_pairing_layer(m, k, variant=RESCALED):
@@ -279,7 +262,8 @@ def build_pairing_layer(m, k, variant=RESCALED):
     if m < 1 or k < 1:
         raise ValueError("m and k must be positive integers")
     variant = MultVariant.parse(variant)
-    net = _layers_to_network(
+    net = Network(
+        ABS,
         _pairing_matrices(m, 2 * k, variant),
         meta={
             "construction": "pairing",
@@ -316,7 +300,8 @@ def build_multr(m, r, variant=RESCALED):
     layers.append(np.array([[0.0, 1.0]]))
     q = math.ceil(math.log2(r))
     assert levels == q
-    net = _layers_to_network(
+    net = Network(
+        ABS,
         layers,
         meta={
             "construction": "multr",

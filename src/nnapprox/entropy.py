@@ -110,7 +110,7 @@ class CoverResult(NamedTuple):
     log2_size: float
 
 
-def empirical_covering(sampler, points, eps, trials, path_norm_cap=None, backend=None):
+def empirical_covering(sampler, points, eps, trials, path_norm_cap=None):
     """Greedy eps-net size over `trials` sampled networks evaluated on `points`.
 
     sampler() must return a Network whose input dimension matches the point
@@ -131,17 +131,15 @@ def empirical_covering(sampler, points, eps, trials, path_norm_cap=None, backend
                 )
         out = evaluate(net, points)
         vectors[t] = out[:, 0] if out.ndim == 2 else out
-    centers = _kernels.greedy_cover(vectors, eps, backend=backend)
+    centers = _kernels.greedy_cover(vectors, eps)
     size = int(len(centers))
     return CoverResult(size, math.log2(size) if size else float("-inf"))
 
 
-def empirical_vs_bound(spec, activation=ABS, trials=5000, seed=0, backend=None):
+def empirical_vs_bound(spec, activation=ABS, trials=5000, seed=0):
     """Run the oracle for one spec; returns (CoverResult, bound, points)."""
     rng = np.random.default_rng(seed)
     points = rng.uniform(-spec.r, spec.r, size=(spec.n, spec.d))
     sampler = lambda: sample_network(spec.p, spec.B, activation, rng)
-    cover = empirical_covering(
-        sampler, points, spec.eps, trials, path_norm_cap=spec.B, backend=backend
-    )
+    cover = empirical_covering(sampler, points, spec.eps, trials, path_norm_cap=spec.B)
     return cover, network_bound(spec), points

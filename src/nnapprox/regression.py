@@ -42,6 +42,10 @@ class RegressionConfig:
     holdout_points: int = 10000
     oracle_mc_points: int = 4096
 
+    def __post_init__(self):
+        if any(w < 1 for w in self.widths):
+            raise ValueError(f"hidden widths must be positive, got {tuple(self.widths)}")
+
     @property
     def architecture(self):
         """Full width vector including the augmented input and scalar output."""
@@ -123,6 +127,14 @@ def _risk_grads(weights, xa, y):
     return risk, grads
 
 
+def _path_norm_prefix(absw):
+    """(path norm, prefix products v_i = |W_{i-1}|...|W_0| 1) of the |W| chain."""
+    v = [np.ones(absw[0].shape[1])]
+    for a in absw[:-1]:
+        v.append(a @ v[-1])
+    return float(np.sum(absw[-1] @ v[-1])), v
+
+
 def path_norm_grads(weights):
     """(path norm, gradients) via the product structure of |W_L|...|W_0|.
 
@@ -130,13 +142,10 @@ def path_norm_grads(weights):
     v_i the prefix absolute products applied to all-ones vectors; the
     subgradient at an exactly zero entry is 0."""
     absw = [np.abs(w) for w in weights]
-    v = [np.ones(weights[0].shape[1])]
-    for a in absw[:-1]:
-        v.append(a @ v[-1])
+    pn, v = _path_norm_prefix(absw)
     u = [np.ones(weights[-1].shape[0])]
     for a in reversed(absw[1:]):
         u.insert(0, a.T @ u[0])
-    pn = float(np.sum(absw[-1] @ v[-1]))
     grads = [np.sign(w) * np.outer(u[i], v[i]) for i, w in enumerate(weights)]
     return pn, grads
 
@@ -145,7 +154,7 @@ def _objective(weights, xa, y, lam):
     _, _, out = _forward(weights, xa)
     res = out - y
     risk = float(res @ res / len(y))
-    pn, _ = path_norm_grads(weights)
+    pn, _ = _path_norm_prefix([np.abs(w) for w in weights])
     return risk + lam * pn, risk, pn
 
 

@@ -7,15 +7,6 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Compile the numba greedy cover (when numba is present) once so timed
-    acceptance tests measure compute."""
-    from nnapprox import _kernels
-
-    _kernels.greedy_cover(np.zeros((3, 2)), 0.5)
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -125,6 +125,38 @@ def test_regress_smoke(runner):
     assert rep["objective"] == pytest.approx(rep["risk"] + rep["penalty"])
 
 
+BAD_INPUTS = [
+    ("eval non-numeric input", ["eval", "{net}", "--input", "1,abc"]),
+    ("eval network the reader rejects", ["eval", "{ragged_net}", "--input", "1,0.5"]),
+    ("eval network file not JSON", ["eval", "{not_json}", "--input", "1,0.5"]),
+    ("entropy bound non-integer width",
+     ["entropy", "bound", "--eps", "1", "--l", "0", "--p", "1,x", "--b", "1", "--r", "1", "--n", "8"]),
+    ("entropy empirical spec without n", ["entropy", "empirical", "--spec", "{spec_no_n}"]),
+    ("entropy empirical p of wrong length", ["entropy", "empirical", "--spec", "{spec_short_p}"]),
+    ("regress zero hidden width", ["regress", "--arch", "8,0", "--n", "16", "--epochs", "1"]),
+]
+
+
+@pytest.mark.parametrize("args", [pytest.param(a, id=name) for name, a in BAD_INPUTS])
+def test_bad_input_is_usage_error(runner, tmp_path, args):
+    spec = {"eps": 0.5, "L": 1, "p": [1, 2, 1], "B": 1.0, "r": 1.0, "n": 8}
+    files = {
+        "net": tmp_path / "net.json",
+        "ragged_net": tmp_path / "ragged.json",
+        "not_json": tmp_path / "not.json",
+        "spec_no_n": tmp_path / "spec_no_n.json",
+        "spec_short_p": tmp_path / "spec_short_p.json",
+    }
+    runner.invoke(main, ["build", "sq", "--m", "1", "--out", str(files["net"])])
+    files["ragged_net"].write_text(json.dumps({"format": 2, "activation": "abs", "layers": [[[[1.0, 0.0], [1.0]]]]}))
+    files["not_json"].write_text("{not json")
+    files["spec_no_n"].write_text(json.dumps({k: v for k, v in spec.items() if k != "n"}))
+    files["spec_short_p"].write_text(json.dumps(dict(spec, p=[1, 2])))
+    res = runner.invoke(main, [a.format(**files) for a in args])
+    assert res.exit_code == 2, res.output
+    assert "Traceback" not in res.output
+
+
 def test_unknown_flag_exits_2(runner):
     res = runner.invoke(main, ["build", "sq", "--m", "1", "--bogus"])
     assert res.exit_code == 2

@@ -27,7 +27,9 @@ from nnapprox import (
     tent,
     tent_iter,
 )
+from nnapprox import constructions as ctor
 from nnapprox.constructions import monomial_values
+from nnapprox.network import BlockDiagonal
 
 
 def _aug(x):
@@ -171,6 +173,49 @@ def test_mult_error_propagation_inequality(rng=np.random.default_rng(7)):
         lhs = np.abs(v - t * z)
         rhs = eps_m + np.abs(x - t) + np.abs(y - z)
         assert np.all(lhs <= rhs + 1e-12)
+
+
+def test_mult_hidden_layers_are_three_equal_blocks():
+    for m in (1, 4):
+        for variant in (LITERAL, RESCALED):
+            net = build_mult(m, variant)
+            for lay in net.layers[1:-1]:
+                assert len(lay.blocks) == 3
+                assert all(np.array_equal(b, lay.blocks[0]) for b in lay.blocks)
+
+
+def dense_triple(mat):
+    """Oracle: three copies of mat on the diagonal of one dense matrix, the
+    assembly the builders used before they emitted the copies as blocks."""
+    out = np.zeros((3 * mat.shape[0], 3 * mat.shape[1]))
+    for i in range(3):
+        out[i * mat.shape[0] : (i + 1) * mat.shape[0], i * mat.shape[1] : (i + 1) * mat.shape[1]] = mat
+    return out
+
+
+@pytest.mark.parametrize("variant", [LITERAL, RESCALED], ids=["literal", "rescaled"])
+def test_builders_equal_dense_triple_assembly(monkeypatch, variant):
+    builds = [
+        lambda: build_mult(3, variant),
+        lambda: build_pairing_layer(2, 3, variant),
+        lambda: build_multr(2, 5, variant),
+        lambda: build_mon(2, 4, 2, variant),
+    ]
+    nets = [b() for b in builds]
+    block_mult = ctor._mult_matrices
+
+    def dense_mult(m, v):
+        lays = block_mult(m, v)
+        dense = [lays[0].to_dense()] + [dense_triple(w) for w in ctor._sq_matrices(m)] + [lays[-1].to_dense()]
+        return [BlockDiagonal([w]) for w in dense]
+
+    monkeypatch.setattr(ctor, "_mult_matrices", dense_mult)
+    stored = lambda n: sum(b.size for lay in n.layers for b in lay.blocks)
+    for net, build in zip(nets, builds):
+        ref = build()
+        assert stored(net) < stored(ref)
+        assert len(net.weights) == len(ref.weights)
+        assert all(np.array_equal(a, b) for a, b in zip(net.weights, ref.weights))
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,6 @@ from nnapprox import (
 from nnapprox import _kernels
 from conftest import dense_path_matrix, random_dense_net
 
-needs_numba = pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
-
 DEAD_ZONE = general_activation(lambda x: np.where(np.abs(x) < 0.1, 0.0, np.sign(x)))
 ACTIVATIONS = (ABS, RELU, IDENTITY, DEAD_ZONE)
 
@@ -69,20 +67,12 @@ def test_path_matrix_matches_product_of_dense_abs(rng):
         np.testing.assert_allclose(got, dense_path_matrix(net), rtol=1e-13, atol=1e-13)
 
 
-@needs_numba
-def test_greedy_cover_backends_agree(rng):
-    v = rng.normal(size=(500, 16))
-    a = _kernels.greedy_cover(v, 1.0, backend="numba")
-    b = _kernels.greedy_cover(v, 1.0, backend="numpy")
-    assert np.array_equal(a, b)
-
-
 def test_greedy_cover_strict_inequality():
     v = np.array([[0.0, 0.0], [1.0, 1.0]])
     # distance is exactly 1, not < 1, so both rows become centers
-    got = _kernels.greedy_cover(v, 1.0, backend="numpy")
+    got = _kernels.greedy_cover(v, 1.0)
     assert len(got) == 2
-    got = _kernels.greedy_cover(v, 1.0000001, backend="numpy")
+    got = _kernels.greedy_cover(v, 1.0000001)
     assert len(got) == 1
 
 
@@ -123,7 +113,7 @@ def edge_covers():
 
 @pytest.mark.parametrize("name,v,eps,size", [pytest.param(*c, id=c[0]) for c in edge_covers()])
 def test_greedy_cover_numpy_matches_loop_on_edge_cases(name, v, eps, size):
-    got = _kernels.greedy_cover(v, eps, backend="numpy")
+    got = _kernels.greedy_cover(v, eps)
     assert got.dtype == np.int64
     assert len(got) == size
     assert np.array_equal(got, loop_cover(v, eps))
@@ -134,7 +124,7 @@ def test_greedy_cover_numpy_matches_loop_on_edge_cases(name, v, eps, size):
 )
 def test_greedy_cover_numpy_matches_loop_on_random_rows(shape, eps):
     v = np.random.default_rng(shape[0] + shape[1]).normal(size=shape)
-    got = _kernels.greedy_cover(v, eps, backend="numpy")
+    got = _kernels.greedy_cover(v, eps)
     assert len(got) > 1
     assert np.array_equal(got, loop_cover(v, eps))
 
@@ -146,4 +136,4 @@ def test_greedy_cover_monotone_in_eps(rng):
 
 
 def test_backend_name():
-    assert _kernels.backend_name() in ("numba", "numpy")
+    assert _kernels.backend_name() == "numpy"

@@ -135,6 +135,14 @@ def test_fit_l0_recovers_least_squares():
     assert rep.objective == pytest.approx(rep.risk + rep.penalty)
 
 
+def test_zero_hidden_width_rejected():
+    # a width of 0 used to reach the weight initialisation and divide by zero
+    for widths in ((0,), (8, 0)):
+        with pytest.raises(ValueError, match="widths"):
+            cfg = RegressionConfig(n=16, d=1, target=_linear_target(), widths=widths, lam=0.0)
+            fit(cfg, generate_data(cfg))
+
+
 def test_fit_huge_lambda_crushes_path_norm():
     cfg = RegressionConfig(
         n=64, d=1, target=_linear_target(), noise_sd=0.0, widths=(4,), lam=1e6,
