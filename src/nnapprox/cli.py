@@ -77,6 +77,18 @@ def _entropy_spec(raw, source):
         raise click.UsageError(f"bad {source}: {e!r}")
 
 
+def _variant(ctx, param, value):
+    """--variant parsed to a MultVariant; an unknown name is a usage error."""
+    try:
+        return ctor.MultVariant.parse(value)
+    except ValueError as e:
+        raise click.BadParameter(str(e))
+
+
+VARIANT_OPTION = click.option("--variant", default="rescaled", show_default=True, callback=_variant)
+M_OPTION = click.option("--m", type=click.IntRange(min=1), required=True)
+
+
 @click.group()
 def main():
     """Constructive abs-activation network toolkit."""
@@ -92,34 +104,34 @@ def build():
 
 
 @build.command("sq")
-@click.option("--m", type=int, required=True)
+@M_OPTION
 @click.option("--out", type=click.Path(), default=None)
 def build_sq_cmd(m, out):
     _emit(network_to_dict(ctor.build_sq(m)), out)
 
 
 @build.command("mult")
-@click.option("--m", type=int, required=True)
-@click.option("--variant", default="rescaled", show_default=True)
+@M_OPTION
+@VARIANT_OPTION
 @click.option("--out", type=click.Path(), default=None)
 def build_mult_cmd(m, variant, out):
     _emit(network_to_dict(ctor.build_mult(m, variant)), out)
 
 
 @build.command("multr")
-@click.option("--m", type=int, required=True)
-@click.option("--r", type=int, required=True)
-@click.option("--variant", default="rescaled", show_default=True)
+@M_OPTION
+@click.option("--r", type=click.IntRange(min=2), required=True)
+@VARIANT_OPTION
 @click.option("--out", type=click.Path(), default=None)
 def build_multr_cmd(m, r, variant, out):
     _emit(network_to_dict(ctor.build_multr(m, r, variant)), out)
 
 
 @build.command("mon")
-@click.option("--m", type=int, required=True)
-@click.option("--gamma", type=int, required=True)
-@click.option("--d", type=int, required=True)
-@click.option("--variant", default="rescaled", show_default=True)
+@M_OPTION
+@click.option("--gamma", type=click.IntRange(min=2), required=True)
+@click.option("--d", type=click.IntRange(min=1), required=True)
+@VARIANT_OPTION
 @click.option("--out", type=click.Path(), default=None)
 def build_mon_cmd(m, gamma, d, variant, out):
     _emit(network_to_dict(ctor.build_mon(m, gamma, d, variant)), out)
@@ -165,11 +177,11 @@ def path_norm_cmd(net_json, out):
 
 @main.command("verify")
 @click.argument("construction", type=click.Choice(["sq", "mult", "multr", "mon"]))
-@click.option("--m", type=int, required=True)
-@click.option("--r", type=int, default=None)
-@click.option("--gamma", type=int, default=None)
-@click.option("--d", type=int, default=None)
-@click.option("--variant", default="rescaled", show_default=True)
+@M_OPTION
+@click.option("--r", type=click.IntRange(min=2), default=None)
+@click.option("--gamma", type=click.IntRange(min=2), default=None)
+@click.option("--d", type=click.IntRange(min=1), default=None)
+@VARIANT_OPTION
 @click.option("--grid", type=int, default=None, help="points (sq) or points per axis (mon)")
 @click.option("--step", type=float, default=0.005, help="grid step (mult)")
 @click.option("--samples", type=int, default=100000, help="random samples (multr)")
@@ -274,7 +286,7 @@ def _load_polynomial(path):
               help="builtin name or a polynomial JSON file")
 @click.option("--eps", type=float, required=True)
 @click.option("--delta", type=float, required=True)
-@click.option("--variant", default="rescaled", show_default=True)
+@VARIANT_OPTION
 @click.option("--net-out", type=click.Path(), default=None)
 @click.option("--out", type=click.Path(), default=None)
 def approx_power_series_cmd(series_name, eps, delta, variant, net_out, out):
@@ -299,9 +311,9 @@ def approx_power_series_cmd(series_name, eps, delta, variant, net_out, out):
 @approx_group.command("cheb")
 @click.option("--target", "target_name", default="inv2mx", show_default=True,
               help="builtin name or a polynomial JSON file")
-@click.option("--d", type=int, default=1, show_default=True)
+@click.option("--d", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--eps", type=float, required=True)
-@click.option("--variant", default="rescaled", show_default=True)
+@VARIANT_OPTION
 @click.option("--net-out", type=click.Path(), default=None)
 @click.option("--out", type=click.Path(), default=None)
 def approx_cheb_cmd(target_name, d, eps, variant, net_out, out):
@@ -346,11 +358,14 @@ def cheb_coeffs_cmd(n, out):
 
 @cheb_group.command("fit")
 @click.option("--target", "target_name", default="inv2mx", show_default=True)
-@click.option("--d", type=int, default=1, show_default=True)
+@click.option("--d", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--degree", type=int, required=True)
 @click.option("--out", type=click.Path(), default=None)
 def cheb_fit_cmd(target_name, d, degree, out):
-    target = builtin_target(target_name, d)
+    try:
+        target = builtin_target(target_name, d)
+    except ValueError as e:
+        raise click.BadParameter(str(e), param_hint="'--target'")
     series = cheb_fit(target, (degree,) * target.d, domain=((0.0, 1.0),) * target.d)
     _emit(
         {
@@ -369,7 +384,7 @@ def cheb_fit_cmd(target_name, d, degree, out):
 
 @main.command("regress")
 @click.option("--target", "target_name", default="inv2mx", show_default=True)
-@click.option("--d", type=int, default=1, show_default=True)
+@click.option("--d", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--n", type=int, default=256, show_default=True)
 @click.option("--noise", type=float, default=0.1, show_default=True)
 @click.option("--arch", default="8,8", show_default=True, help="hidden widths")

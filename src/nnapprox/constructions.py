@@ -24,15 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .network import (
-    ABS,
-    BlockDiagonal,
-    Network,
-    identity_chain,
-    parallel,
-    path_matrix,
-    prepend_layer,
-)
+from .network import ABS, BlockDiagonal, Network, path_matrix
 
 
 class MultVariant(Enum):
@@ -227,34 +219,57 @@ def build_mult(m, variant=RESCALED):
 
 
 # ---------------------------------------------------------------------------
-# pairwise product levels and product trees
+# pairing levels and the shared product DAG
 
 
-def _pairing_matrices(m, n_factors, variant):
-    """One tree level: (1, x_1..x_j) -> (1, x1x2, x3x4, ..., [carried x_j]).
+def _level(m, variant, chans, prods, carries):
+    """One pairing level: (1, x_1..x_chans) -> (1, x_i x_j for (i, j) in prods,
+    x_c for c in carries).
 
-    Even-indexed factors are multiplied pairwise by parallel Mult networks,
-    whose blocks follow the constant's 1x1 block in every later layer; when
-    j is odd the last factor rides through on a 1x1 identity block (values
-    in [0,1] survive the abs activation unchanged).
+    Its first matrix selects a (1, x_i, x_j) triple per product and then the
+    carried channels; each product runs through its own Mult blocks, while
+    the constant and the carried channels ride on identity blocks (values in
+    [0,1] survive the abs activation unchanged).
     """
-    pairs = n_factors // 2
-    odd = n_factors % 2
-    t = np.zeros((1 + 3 * pairs + odd, n_factors + 1))
-    t[0, 0] = 1.0
-    r = 1
-    for l in range(pairs):
-        t[r, 0] = 1.0
-        t[r + 1, 1 + 2 * l] = 1.0
-        t[r + 2, 2 + 2 * l] = 1.0
-        r += 3
-    if odd:
-        t[r, n_factors] = 1.0
-    one = [np.eye(1)]
+    t = np.eye(1 + chans)[[0, *(c for i, j in prods for c in (0, i, j)), *carries]]
+    carry = [np.eye(len(carries))] if carries else []
     return [t] + [
-        BlockDiagonal(one + list(lay.blocks) * pairs + one * odd)
+        BlockDiagonal([np.eye(1)] + list(lay.blocks) * len(prods) + carry)
         for lay in _mult_matrices(m, variant)
     ]
+
+
+def _product_layers(m, variant, n_in, factor_lists):
+    """Layers mapping (1, x_1..x_n_in) to the product of the x_i over each
+    list of channels i (an empty list gives the constant 1).
+
+    Each list gets the multr tree: round h pairs neighbouring factors and
+    carries an odd last one up.  A pair formed in round h has height h (its
+    left factor is a pair from round h - 1), so the trees share one DAG
+    keyed by nested pair structure: each distinct product is computed once,
+    at the level equal to its height, and carried until its last use.  A
+    0/1 row per list reads off its root.
+    """
+    roots, heights = [], {}  # first-seen order: each level's pairs run left to right
+    for factors in factor_lists:
+        nodes, h = list(factors) or [0], 0
+        while len(nodes) > 1:
+            h += 1
+            pairs = list(zip(nodes[::2], nodes[1::2]))
+            heights.update(dict.fromkeys(pairs, h))
+            nodes = pairs + nodes[2 * len(pairs) :]
+        roots.append(nodes[0])
+    chans, layers = list(range(n_in + 1)), []
+    for h in range(1, max(heights.values(), default=0) + 1):
+        prods = [n for n, hn in heights.items() if hn == h]
+        later = set(roots) | {c for n, hn in heights.items() if hn > h for c in n}
+        carries = [c for c in chans[1:] if c in later]
+        pos = {c: i for i, c in enumerate(chans)}
+        pairs = [(pos[a], pos[b]) for a, b in prods]
+        layers += _level(m, variant, len(chans) - 1, pairs, [pos[c] for c in carries])
+        chans = [0] + prods + carries
+    pos = {c: i for i, c in enumerate(chans)}
+    return layers + [np.eye(len(chans))[[pos[r] for r in roots]]]
 
 
 def build_pairing_layer(m, k, variant=RESCALED):
@@ -264,7 +279,7 @@ def build_pairing_layer(m, k, variant=RESCALED):
     variant = MultVariant.parse(variant)
     net = Network(
         ABS,
-        _pairing_matrices(m, 2 * k, variant),
+        _level(m, variant, 2 * k, [(2 * l + 1, 2 * l + 2) for l in range(k)], []),
         meta={
             "construction": "pairing",
             "m": m,
@@ -290,16 +305,9 @@ def build_multr(m, r, variant=RESCALED):
     if m < 1:
         raise ValueError("m must be a positive integer")
     variant = MultVariant.parse(variant)
-    layers = []
-    factors = r
-    levels = 0
-    while factors > 1:
-        layers.extend(_pairing_matrices(m, factors, variant))
-        factors = (factors + 1) // 2
-        levels += 1
-    layers.append(np.array([[0.0, 1.0]]))
+    layers = _product_layers(m, variant, r, [range(1, r + 1)])
     q = math.ceil(math.log2(r))
-    assert levels == q
+    assert len(layers) == q * (2 * m + 4) + 1
     net = Network(
         ABS,
         layers,
@@ -354,32 +362,17 @@ def count_monomials(d, gamma):
 def build_mon(m, gamma, d, variant=RESCALED):
     """Network mapping (1, x) to all monomials x^k with |k|_1 < gamma.
 
-    Output channels follow enumerate_multi_indices(d, gamma).  The first
-    layer is the 0/1 replication matrix producing (1, x, x_{k})-stacks; one
-    parallel product tree per index of degree > 1 does the rest, while the
-    constant and degree-1 channels ride through on identity rows.
+    Output channels follow enumerate_multi_indices(d, gamma).  x^k is the
+    multr product tree over its factors (x_1 k_1 times, then x_2, ...); the
+    trees share their common subproducts, so each distinct product is
+    computed once, and the constant and degree-1 channels ride through on
+    identity blocks.
     """
     if m < 1 or d < 1 or gamma < 2:
         raise ValueError("need m >= 1, d >= 1, gamma >= 2")
     variant = MultVariant.parse(variant)
     indices = enumerate_multi_indices(d, gamma)
-    deg1 = [k for k in indices if sum(k) == 1]
-    high = [k for k in indices if sum(k) > 1]
-
-    n_rows = 1 + d + sum(sum(k) + 1 for k in high)
-    g = np.zeros((n_rows, d + 1))
-    g[0, 0] = 1.0
-    for j, k in enumerate(deg1):
-        g[1 + j, 1 + k.index(1)] = 1.0
-    r = 1 + d
-    for k in high:
-        g[r, 0] = 1.0
-        r += 1
-        for axis, count in enumerate(k):
-            for _ in range(count):
-                g[r, 1 + axis] = 1.0
-                r += 1
-
+    factor_lists = [[1 + axis for axis, count in enumerate(k) for _ in range(count)] for k in indices]
     meta = {
         "construction": "mon",
         "m": m,
@@ -391,13 +384,7 @@ def build_mon(m, gamma, d, variant=RESCALED):
         "claimed_error_bound": mon_error_bound(m, gamma, variant),
         "claimed_domain": f"[0,0.5]^{d}" if variant is LITERAL else f"[0,1]^{d}",
     }
-    if not high:
-        return Network(ABS, [g], meta=meta)
-
-    trees = [build_multr(m, sum(k), variant) for k in high]
-    depth_mats = max(len(t.layers) for t in trees)
-    stack = parallel([identity_chain(d + 1, depth_mats)] + trees)
-    net = prepend_layer(stack, g, meta=meta)
+    net = Network(ABS, _product_layers(m, variant, d, factor_lists), meta=meta)
 
     assert net.depth <= math.ceil(math.log2(gamma)) * (2 * m + 5) + 2
     assert net.max_width <= 6 * gamma * (m + 2) * count_monomials(d, gamma)

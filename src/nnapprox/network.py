@@ -319,13 +319,6 @@ def append_layer(net, w, meta=None):
     return Network(net.activation, net.layers + (_as_layer(w),), meta=meta or net.meta)
 
 
-def identity_chain(dim, n_matrices, activation=ABS):
-    """Chain of n identity matrices; value-preserving on nonnegative inputs."""
-    if n_matrices < 1:
-        raise NetworkError("identity_chain needs at least one matrix")
-    return Network(activation, [np.eye(dim)] * n_matrices)
-
-
 # ---------------------------------------------------------------------------
 # JSON wire format
 #

@@ -134,6 +134,14 @@ BAD_INPUTS = [
     ("entropy empirical spec without n", ["entropy", "empirical", "--spec", "{spec_no_n}"]),
     ("entropy empirical p of wrong length", ["entropy", "empirical", "--spec", "{spec_short_p}"]),
     ("regress zero hidden width", ["regress", "--arch", "8,0", "--n", "16", "--epochs", "1"]),
+    ("build sq m below 1", ["build", "sq", "--m", "0"]),
+    ("build multr r below 2", ["build", "multr", "--m", "2", "--r", "1"]),
+    ("build mon m below 1", ["build", "mon", "--m", "0", "--gamma", "3", "--d", "1"]),
+    ("build mult unknown variant", ["build", "mult", "--m", "2", "--variant", "bogus"]),
+    ("verify sq m below 1", ["verify", "sq", "--m", "0"]),
+    ("verify multr r below 2", ["verify", "multr", "--m", "2", "--r", "1"]),
+    ("verify mon gamma below 2", ["verify", "mon", "--m", "2", "--gamma", "1", "--d", "1"]),
+    ("cheb fit unknown target", ["cheb", "fit", "--target", "bogus", "--degree", "3"]),
 ]
 
 

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nnapprox import (
+    ABS,
     LITERAL,
     RESCALED,
     MultVariant,
+    Network,
     build_mon,
     build_mult,
     build_multr,
@@ -20,8 +24,10 @@ from nnapprox import (
     mult_error_bound,
     mult_path_row,
     multr_error_bound,
+    parallel,
     path_matrix,
     path_norm,
+    prepend_layer,
     sq_error_bound,
     sq_path_row,
     tent,
@@ -387,3 +393,78 @@ def test_builder_metadata():
     assert net.meta["claimed_error_bound"] == multr_error_bound(3, 4, RESCALED)
     net = build_mon(3, 3, 1, LITERAL)
     assert net.meta["claimed_domain"] == "[0,0.5]^1"
+
+
+# ---------------------------------------------------------------------------
+# the shared product DAG against one product tree per multi-index
+
+
+def parallel_trees_mon(m, gamma, d, variant):
+    """Oracle: the parallel-trees monomial network (Schmidt-Hieber 2020).
+
+    A 0/1 matrix g replicates (1, x) into (1, x_{deg 1}) followed by one
+    (1, factors of x^k) stack per index of degree > 1; build_multr trees run
+    side by side with an identity net on the constant and degree-1 channels.
+    """
+    indices = enumerate_multi_indices(d, gamma)
+    high = [k for k in indices if sum(k) > 1]
+    cols = [0] + [1 + k.index(1) for k in indices if sum(k) == 1]
+    for k in high:
+        cols += [0] + [1 + axis for axis, count in enumerate(k) for _ in range(count)]
+    g = np.eye(d + 1)[cols]
+    trees = [build_multr(m, sum(k), variant) for k in high]
+    return prepend_layer(parallel([Network(ABS, [np.eye(d + 1)])] + trees), g)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    m=st.integers(1, 3),
+    gamma=st.integers(2, 6),
+    d=st.integers(1, 3),
+    variant=st.sampled_from([LITERAL, RESCALED]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mon_equals_parallel_trees(m, gamma, d, variant, seed):
+    net = build_mon(m, gamma, d, variant)
+    ref = parallel_trees_mon(m, gamma, d, variant)
+    hi = 0.5 if variant is LITERAL else 1.0
+    x = _aug(np.random.default_rng(seed).uniform(0, hi, (500, d)))
+    assert np.array_equal(evaluate(net, x), evaluate(ref, x))
+    assert np.array_equal(path_matrix(net), path_matrix(ref))
+    assert net.depth == ref.depth - 1
+    assert net.max_width <= ref.max_width
+
+
+def pairing_tree(factors):
+    """multr's tree, split recursively: the first 2^(q-1) of 2^(q-1) < r <= 2^q
+    factors form the left subtree."""
+    if len(factors) == 1:
+        return factors[0]
+    half = 1 << ((len(factors) - 1).bit_length() - 1)
+    return (pairing_tree(factors[:half]), pairing_tree(factors[half:]))
+
+
+def distinct_products(d, gamma):
+    nodes = set()
+
+    def collect(node):
+        if isinstance(node, tuple):
+            nodes.add(node)
+            collect(node[0])
+            collect(node[1])
+
+    for k in enumerate_multi_indices(d, gamma):
+        if sum(k) > 1:
+            collect(pairing_tree([axis for axis, count in enumerate(k) for _ in range(count)]))
+    return len(nodes)
+
+
+@pytest.mark.parametrize("m,gamma,d,products", [(10, 11, 1, 9), (6, 7, 2, 25)])
+def test_mon_computes_each_distinct_product_once(m, gamma, d, products):
+    for variant in (LITERAL, RESCALED):
+        c = ctor._mult_matrices(m, variant)[0].blocks[0]
+        net = build_mon(m, gamma, d, variant)
+        mults = sum(
+            b.shape == (6, 3) and np.array_equal(b, c) for lay in net.layers for b in lay.blocks
+        )
+        assert mults == distinct_products(d, gamma) == products

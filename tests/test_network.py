@@ -21,7 +21,6 @@ from nnapprox import (
     compose,
     evaluate,
     general_activation,
-    identity_chain,
     l1_param_norm,
     network_from_dict,
     network_from_json,
@@ -234,12 +233,6 @@ def test_prepend_append_layer():
     net3 = append_layer(net2, np.array([[2.0]]))
     assert net3.widths == (2, 2, 1, 1)
     assert evaluate(net3, [0.5, 0.25])[0] == pytest.approx(1.5)
-
-
-def test_identity_chain_preserves_nonnegative():
-    net = identity_chain(3, 4)
-    x = np.array([0.0, 0.5, 2.0])
-    assert np.array_equal(evaluate(net, x), x)
 
 
 def test_json_round_trip_bit_exact(rng):
