@@ -3,7 +3,9 @@
 eval_chain walks block-diagonal layers (network.BlockDiagonal) with
 feature-major activations of shape (width, n_points), so each block
 multiplies a contiguous row range of the previous activations into a
-contiguous row range of the next ones.
+contiguous row range of the next ones.  On many points, hidden activations
+alternate between two buffers of the widest hidden layer's width, each in
+its own anonymous mapping (see _mapped_pair).
 
 greedy_cover makes one pass over the rows and compares each row with all
 centers found so far at once, by direct differences against a growing
@@ -13,6 +15,7 @@ the strict-< decisions.)
 """
 
 import importlib.util
+import mmap
 
 import numpy as np
 
@@ -28,6 +31,29 @@ def backend_name():
 # ---------------------------------------------------------------------------
 # chain evaluation
 
+# Hidden activations of at least this size go to mapped buffers.  malloc
+# serves multi-MiB arrays from its heap once an array that size has been
+# freed, and there per-layer arrays of changing widths leave holes that
+# later ones do not fit: peak RSS crept by 2-6 MiB over repeated
+# evaluations of the cheb pipeline nets, by a different amount in each run.
+MAPPED_BYTES = 1 << 20
+# Below this many points the widest layer is not looked up (path matrices,
+# the tiny sampled networks of the entropy oracle).
+MAPPED_MIN_POINTS = 256
+
+
+def _mapped_pair(hidden, n):
+    """Two (width, n) float64 buffers for the widest of the hidden layers,
+    each its own mapping, unmapped when released; None if they would be
+    smaller than MAPPED_BYTES."""
+    width = max((lay.shape[0] for lay in hidden), default=0)
+    if 8 * width * n < MAPPED_BYTES:
+        return None
+    return tuple(
+        np.frombuffer(mmap.mmap(-1, 8 * width * n), dtype=np.float64).reshape(width, n)
+        for _ in range(2)
+    )
+
 
 def eval_chain(layers, cur, act=None, absolute=False):
     """Run block-diagonal layers on feature-major activations cur of shape (p0, n).
@@ -38,8 +64,13 @@ def eval_chain(layers, cur, act=None, absolute=False):
     the output of shape (p_{L+1}, n).
     """
     last = len(layers) - 1
+    n = cur.shape[1]
+    bufs = _mapped_pair(layers[:last], n) if n >= MAPPED_MIN_POINTS else None
     for i, lay in enumerate(layers):
-        out = np.empty((lay.shape[0], cur.shape[1]))
+        if bufs is None or i == last:
+            out = np.empty((lay.shape[0], n))
+        else:
+            out = bufs[i % 2][: lay.shape[0]]
         ro = co = 0
         for b in lay.blocks:
             r, c = b.shape

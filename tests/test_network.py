@@ -59,6 +59,27 @@ def test_eval_batch_matches_single(rng):
         assert np.allclose(batch[i], evaluate(net, xs[i]))
 
 
+@pytest.mark.parametrize("act", [RELU, general_activation(lambda x: np.where(x >= 0, 1.0, 0.0))])
+def test_mapped_buffers_keep_outputs_exact(act, rng, monkeypatch):
+    # two parallel nets of hidden widths 300, 20, 300 on 500 points: every
+    # layer has two blocks, hidden activations alternate between the two
+    # mapped buffers, and a narrow layer sits between wide ones
+    widths = [3, 300, 20, 300, 1]
+    nets = [
+        Network(act, [rng.normal(size=(widths[i + 1], widths[i])) / widths[i] for i in range(4)])
+        for _ in range(2)
+    ]
+    net = parallel(nets)
+    xs = rng.normal(size=(500, 6))
+    assert 8 * 600 * 500 >= _kernels.MAPPED_BYTES and 500 >= _kernels.MAPPED_MIN_POINTS
+    mapped = _kernels.eval_chain(net.layers, xs.T, act.inplace or act.apply)
+    assert mapped.base is None  # the result never lives in a mapping
+    monkeypatch.setattr(_kernels, "MAPPED_BYTES", np.inf)
+    assert np.array_equal(mapped.T, evaluate(net, xs))
+    for k, sub in enumerate(nets):
+        assert np.array_equal(mapped[k], evaluate(sub, xs[:, 3 * k : 3 * k + 3])[:, 0])
+
+
 def test_eval_dimension_mismatch_names_layer():
     net = Network(ABS, [np.array([[1.0, 2.0]])])
     with pytest.raises(ShapeMismatchError, match="layer 0"):
