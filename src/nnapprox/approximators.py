@@ -26,9 +26,9 @@ from .constructions import (
     MultVariant,
     LITERAL,
     build_mon,
-    count_monomials,
     enumerate_multi_indices,
-    monomial_values,
+    mon_depth_bound,
+    mon_width_bound,
 )
 from .network import Network, append_layer, evaluate, path_norm
 
@@ -168,8 +168,8 @@ def build_power_series_net(series, eps, delta, variant, d=None, F=None):
         "claimed_domain": f"(0, {lo_dom}]^{d}",
         "path_norm": pn,
         "path_norm_bound": bound,
-        "claimed_depth_bound": math.ceil(math.log2(gamma + 1)) * (2 * m + 5) + 2,
-        "claimed_width_bound": 6 * (gamma + 1) * (m + 2) * count_monomials(d, gamma + 1),
+        "claimed_depth_bound": mon_depth_bound(m, gamma + 1),
+        "claimed_width_bound": mon_width_bound(m, gamma + 1, d),
         "depth": net.depth,
         "max_width": net.max_width,
     }
@@ -220,8 +220,8 @@ def build_cheb_net(target, eps, variant, measure_grid=513):
             "width": f"O(log2(1/eps))^{d + 2}",
             "path_norm": f"O(log2(1/eps))^{2 * d + 5}",
         },
-        "claimed_depth_bound": math.ceil(math.log2(gamma + 1)) * (2 * m + 5) + 2,
-        "claimed_width_bound": 6 * (gamma + 1) * (m + 2) * count_monomials(d, gamma + 1),
+        "claimed_depth_bound": mon_depth_bound(m, gamma + 1),
+        "claimed_width_bound": mon_width_bound(m, gamma + 1, d),
         "depth": net.depth,
         "max_width": net.max_width,
         "path_norm": path_norm(net),

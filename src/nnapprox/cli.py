@@ -87,6 +87,7 @@ def _variant(ctx, param, value):
 
 VARIANT_OPTION = click.option("--variant", default="rescaled", show_default=True, callback=_variant)
 M_OPTION = click.option("--m", type=click.IntRange(min=1), required=True)
+UNIT_OPEN = click.FloatRange(0.0, 1.0, min_open=True, max_open=True)
 
 
 @click.group()
@@ -182,16 +183,19 @@ def path_norm_cmd(net_json, out):
 @click.option("--gamma", type=click.IntRange(min=2), default=None)
 @click.option("--d", type=click.IntRange(min=1), default=None)
 @VARIANT_OPTION
-@click.option("--grid", type=int, default=None, help="points (sq) or points per axis (mon)")
-@click.option("--step", type=float, default=0.005, help="grid step (mult)")
-@click.option("--samples", type=int, default=100000, help="random samples (multr)")
+@click.option("--grid", type=click.IntRange(min=1), default=None,
+              help="points (sq) or points per axis (mon)")
+@click.option("--step", type=click.FloatRange(0.0, 1.0, min_open=True), default=0.005,
+              help="grid step (mult)")
+@click.option("--samples", type=click.IntRange(min=1), default=100000,
+              help="random samples (multr)")
 @click.option("--seed", type=int, default=0)
 @click.option("--bound", type=float, default=None, help="override the claimed bound")
 @click.option("--out", type=click.Path(), default=None)
 def verify_cmd(construction, m, r, gamma, d, variant, grid, step, samples, seed, bound, out):
     """Sweep a construction against its claimed error bound; exit 1 on failure."""
     if construction == "sq":
-        rep = ver.verify_sq(m, n_points=grid or 10000, bound=bound)
+        rep = ver.verify_sq(m, n_points=10000 if grid is None else grid, bound=bound)
     elif construction == "mult":
         rep = ver.verify_mult(m, variant, step=step, bound=bound)
     elif construction == "multr":
@@ -201,7 +205,8 @@ def verify_cmd(construction, m, r, gamma, d, variant, grid, step, samples, seed,
     else:
         if gamma is None or d is None:
             raise click.UsageError("mon needs --gamma and --d")
-        rep = ver.verify_mon(m, gamma, d, variant, grid_points=grid or 51, bound=bound)
+        grid_points = 51 if grid is None else grid
+        rep = ver.verify_mon(m, gamma, d, variant, grid_points=grid_points, bound=bound)
     _emit(rep.to_dict(), out)
     if not rep.passed:
         sys.exit(1)
@@ -284,8 +289,8 @@ def _load_polynomial(path):
 @approx_group.command("power-series")
 @click.option("--series", "series_name", default="inv2mx", show_default=True,
               help="builtin name or a polynomial JSON file")
-@click.option("--eps", type=float, required=True)
-@click.option("--delta", type=float, required=True)
+@click.option("--eps", type=UNIT_OPEN, required=True)
+@click.option("--delta", type=UNIT_OPEN, required=True)
 @VARIANT_OPTION
 @click.option("--net-out", type=click.Path(), default=None)
 @click.option("--out", type=click.Path(), default=None)
@@ -312,7 +317,7 @@ def approx_power_series_cmd(series_name, eps, delta, variant, net_out, out):
 @click.option("--target", "target_name", default="inv2mx", show_default=True,
               help="builtin name or a polynomial JSON file")
 @click.option("--d", type=click.IntRange(min=1), default=1, show_default=True)
-@click.option("--eps", type=float, required=True)
+@click.option("--eps", type=UNIT_OPEN, required=True)
 @VARIANT_OPTION
 @click.option("--net-out", type=click.Path(), default=None)
 @click.option("--out", type=click.Path(), default=None)
@@ -359,7 +364,7 @@ def cheb_coeffs_cmd(n, out):
 @cheb_group.command("fit")
 @click.option("--target", "target_name", default="inv2mx", show_default=True)
 @click.option("--d", type=click.IntRange(min=1), default=1, show_default=True)
-@click.option("--degree", type=int, required=True)
+@click.option("--degree", type=click.IntRange(min=0), required=True)
 @click.option("--out", type=click.Path(), default=None)
 def cheb_fit_cmd(target_name, d, degree, out):
     try:
@@ -385,7 +390,7 @@ def cheb_fit_cmd(target_name, d, degree, out):
 @main.command("regress")
 @click.option("--target", "target_name", default="inv2mx", show_default=True)
 @click.option("--d", type=click.IntRange(min=1), default=1, show_default=True)
-@click.option("--n", type=int, default=256, show_default=True)
+@click.option("--n", type=click.IntRange(min=2), default=256, show_default=True)
 @click.option("--noise", type=float, default=0.1, show_default=True)
 @click.option("--arch", default="8,8", show_default=True, help="hidden widths")
 @click.option("--lambda", "lam", default="auto", show_default=True)

@@ -185,7 +185,8 @@ def _mult_matrices(m, variant):
     c[4, 0] = 1.0
     c[5, 1] = c[5, 2] = 1.0 if lit else 0.5
     out = np.array([[-0.5, -0.5, 0.5 if lit else 2.0]])
-    sq = [BlockDiagonal([mat] * 3) for mat in _sq_matrices(m)]
+    # one checked copy of each squaring matrix serves all three chains
+    sq = [BlockDiagonal([BlockDiagonal([mat])] * 3) for mat in _sq_matrices(m)]
     return [BlockDiagonal([c])] + sq + [BlockDiagonal([out])]
 
 
@@ -227,15 +228,16 @@ def _level(m, variant, chans, prods, carries):
     x_c for c in carries).
 
     Its first matrix selects a (1, x_i, x_j) triple per product and then the
-    carried channels; each product runs through its own Mult blocks, while
+    carried channels; each product runs through the Mult layers, spliced in
+    once per product so that all products share their read-only blocks, while
     the constant and the carried channels ride on identity blocks (values in
     [0,1] survive the abs activation unchanged).
     """
     t = np.eye(1 + chans)[[0, *(c for i, j in prods for c in (0, i, j)), *carries]]
-    carry = [np.eye(len(carries))] if carries else []
+    one = BlockDiagonal([np.eye(1)])
+    carry = [BlockDiagonal([np.eye(len(carries))])] if carries else []
     return [t] + [
-        BlockDiagonal([np.eye(1)] + list(lay.blocks) * len(prods) + carry)
-        for lay in _mult_matrices(m, variant)
+        BlockDiagonal([one] + [lay] * len(prods) + carry) for lay in _mult_matrices(m, variant)
     ]
 
 
@@ -359,6 +361,18 @@ def count_monomials(d, gamma):
     return math.comb(gamma - 1 + d, d)
 
 
+def mon_depth_bound(m, gamma):
+    """Claimed depth of build_mon(m, gamma, d): ceil(log2 gamma)(2m + 5) + 2."""
+    return math.ceil(math.log2(gamma)) * (2 * m + 5) + 2
+
+
+def mon_width_bound(m, gamma, d):
+    """Claimed max width of build_mon(m, gamma, d): 6 gamma (m + 2) C_{d,gamma},
+    the width of one product tree per monomial; the shared product DAG is
+    far narrower."""
+    return 6 * gamma * (m + 2) * count_monomials(d, gamma)
+
+
 def build_mon(m, gamma, d, variant=RESCALED):
     """Network mapping (1, x) to all monomials x^k with |k|_1 < gamma.
 
@@ -386,8 +400,8 @@ def build_mon(m, gamma, d, variant=RESCALED):
     }
     net = Network(ABS, _product_layers(m, variant, d, factor_lists), meta=meta)
 
-    assert net.depth <= math.ceil(math.log2(gamma)) * (2 * m + 5) + 2
-    assert net.max_width <= 6 * gamma * (m + 2) * count_monomials(d, gamma)
+    assert net.depth <= mon_depth_bound(m, gamma)
+    assert net.max_width <= mon_width_bound(m, gamma, d)
     pmax = float(np.max(path_matrix(net)))
     if variant is LITERAL:
         assert pmax <= 144.0 * (gamma + 1) ** 5

@@ -8,13 +8,15 @@ shape (p_{i+1}, p_i) and acts by left multiplication on column vectors, so
 the width vector is p = (p_0, ..., p_{L+1}) and depth L counts activations.
 
 Every layer is a BlockDiagonal: its diagonal blocks, in order (a plain
-matrix is a single block).  The parallel() combinator produces genuinely
-block-diagonal layers, the paper's parallel stacking, which keeps the wide
-monomial networks evaluable without materializing their mostly-zero dense
-form.  Evaluation and the path matrix run on the blocks through
-_kernels.eval_chain, and the JSON wire format (version 2) stores the blocks
-of each layer, so a decoded network is the same chain of blocks.  The dense
-view of any layer is available through Network.weights.
+matrix is a single block).  A layer made from other layers reuses their
+checked, read-only blocks instead of copying them.  The parallel()
+combinator produces genuinely block-diagonal layers, the paper's parallel
+stacking, which keeps the wide monomial networks evaluable without
+materializing their mostly-zero dense form.  Evaluation and the path matrix
+run on the blocks through _kernels.eval_chain, and the JSON wire format
+(version 2) stores the blocks of each layer, so a decoded network is the
+same chain of blocks.  The dense view of any layer is available through
+Network.weights.
 """
 
 from __future__ import annotations
@@ -78,9 +80,9 @@ ABS = Activation("abs", lambda x: np.where(x >= 0, 1.0, -1.0), lambda x: np.abs(
 ACTIVATIONS = {a.name: a for a in (IDENTITY, RELU, ABS)}
 
 
-def general_activation(selector, name="general"):
+def general_activation(selector):
     """Activation from an arbitrary vectorized sign selector (values in {-1,0,1})."""
-    return Activation(name, selector)
+    return Activation("general", selector)
 
 
 # ---------------------------------------------------------------------------
@@ -88,23 +90,32 @@ def general_activation(selector, name="general"):
 
 
 class BlockDiagonal:
-    """A block-diagonal matrix stored as its diagonal blocks, in order."""
+    """A block-diagonal matrix stored as its diagonal blocks, in order.
+
+    BlockDiagonal(items) is the one way a layer is made.  An item that is a
+    matrix is copied, checked and frozen; an item that is a BlockDiagonal
+    contributes its blocks as they are, since they are already checked and
+    read-only, so stacking and splicing layers copies nothing.
+    """
 
     __slots__ = ("blocks", "shape")
 
-    def __init__(self, blocks):
+    def __init__(self, items):
         bs = []
         rows = cols = 0
-        for b in blocks:
-            a = np.array(b, dtype=np.float64, order="C")
-            if a.ndim != 2 or a.size == 0:
-                raise NetworkError(f"block of shape {a.shape} is not a matrix")
-            if not np.all(np.isfinite(a)):
-                raise NetworkError("matrix entries must be finite")
-            a.setflags(write=False)
-            bs.append(a)
-            rows += a.shape[0]
-            cols += a.shape[1]
+        for item in items:
+            if isinstance(item, BlockDiagonal):
+                bs.extend(item.blocks)
+            else:
+                item = np.array(item, dtype=np.float64, order="C")
+                if item.ndim != 2 or item.size == 0:
+                    raise NetworkError(f"block of shape {item.shape} is not a matrix")
+                if not np.all(np.isfinite(item)):
+                    raise NetworkError("matrix entries must be finite")
+                item.setflags(write=False)
+                bs.append(item)
+            rows += item.shape[0]
+            cols += item.shape[1]
         if not bs:
             raise NetworkError("a layer needs at least one block")
         self.blocks = tuple(bs)
@@ -127,12 +138,6 @@ class BlockDiagonal:
         return self.shape[0] * self.shape[1]
 
 
-def _as_layer(w):
-    if isinstance(w, BlockDiagonal):
-        return w
-    return BlockDiagonal([w])
-
-
 # ---------------------------------------------------------------------------
 # networks
 
@@ -152,7 +157,7 @@ class Network:
     def __init__(self, activation, weights, meta=None):
         if not isinstance(activation, Activation):
             raise NetworkError("activation must be an Activation instance")
-        layers = tuple(_as_layer(w) for w in weights)
+        layers = tuple(BlockDiagonal([w]) for w in weights)
         if not layers:
             raise NetworkError("a network needs at least one matrix")
         for i in range(len(layers) - 1):
@@ -267,17 +272,17 @@ def _check_same_activation(a, b):
         raise ActivationMismatchError("general activations must be the same object")
 
 
-def compose(first, second, meta=None):
+def compose(first, second):
     """Feed first's output into second; one activation sits at the junction."""
     _check_same_activation(first.activation, second.activation)
     if second.in_dim != first.out_dim:
         raise ShapeMismatchError(
             f"second network expects input {second.in_dim}, first produces {first.out_dim}"
         )
-    return Network(first.activation, first.layers + second.layers, meta=meta)
+    return Network(first.activation, first.layers + second.layers)
 
 
-def parallel(nets, meta=None):
+def parallel(nets):
     """Block-diagonal stack of networks sharing one activation.
 
     Networks of unequal depth are padded with leading identity layers.  With
@@ -291,40 +296,30 @@ def parallel(nets, meta=None):
     act = nets[0].activation
     for n in nets[1:]:
         _check_same_activation(act, n.activation)
-    n_layers = max(len(n.layers) for n in nets)
-    padded = []
-    for n in nets:
-        pad = n_layers - len(n.layers)
-        if pad:
-            eye = BlockDiagonal([np.eye(n.in_dim)])
-            padded.append((eye,) * pad + n.layers)
-        else:
-            padded.append(n.layers)
-    stacked = []
-    for i in range(n_layers):
-        blocks = []
-        for lays in padded:
-            blocks.extend(lays[i].blocks)
-        stacked.append(BlockDiagonal(blocks))
-    return Network(act, stacked, meta=meta)
+    depth = max(len(n.layers) for n in nets)
+    padded = [
+        (BlockDiagonal([np.eye(n.in_dim)]),) * (depth - len(n.layers)) + n.layers for n in nets
+    ]
+    return Network(act, [BlockDiagonal([lays[i] for lays in padded]) for i in range(depth)])
 
 
-def prepend_layer(net, w, meta=None):
+def prepend_layer(net, w):
     """New first matrix w; the old first layer now sees a(w @ x)."""
-    return Network(net.activation, (_as_layer(w),) + net.layers, meta=meta or net.meta)
+    return Network(net.activation, (w,) + net.layers, meta=net.meta)
 
 
 def append_layer(net, w, meta=None):
     """New last matrix w applied after an activation on the old output."""
-    return Network(net.activation, net.layers + (_as_layer(w),), meta=meta or net.meta)
+    return Network(net.activation, net.layers + (w,), meta=meta or net.meta)
 
 
 # ---------------------------------------------------------------------------
 # JSON wire format
 #
-# Version 2: {"format": 2, "activation", "layers": [[block, ...], ...], "meta"},
-# one list of row-major dense blocks per layer.  Version 1 (no "format" key)
-# held one dense matrix per layer under "weights"; it is still read.
+# {"format": 2, "activation", "layers": [[block, ...], ...], "meta"}, one list
+# of row-major dense blocks per layer.  A dict without "format": 2 (such as
+# the dense version-1 layout, one matrix per layer under "weights") is
+# rejected.
 
 
 def network_to_dict(net):
@@ -339,15 +334,12 @@ def network_to_dict(net):
 
 
 def network_from_dict(d):
+    fmt = d.get("format") if isinstance(d, dict) else None
+    if fmt != 2:
+        raise NetworkError(f"unsupported network format {fmt!r}; only format 2 is read")
     try:
         act = ACTIVATIONS[d["activation"]]
-        fmt = d.get("format", 1)
-        if fmt == 1:
-            layers = [np.asarray(w, dtype=np.float64) for w in d["weights"]]
-        elif fmt == 2:
-            layers = [BlockDiagonal(blocks) for blocks in d["layers"]]
-        else:
-            raise NetworkError(f"unknown network format {fmt!r}")
+        layers = [BlockDiagonal(blocks) for blocks in d["layers"]]
         return Network(act, layers, meta=d.get("meta"))
     except NetworkError:
         raise
@@ -355,8 +347,8 @@ def network_from_dict(d):
         raise NetworkError(f"malformed network dict: {e}") from e
 
 
-def network_to_json(net, indent=None):
-    return json.dumps(network_to_dict(net), indent=indent)
+def network_to_json(net):
+    return json.dumps(network_to_dict(net))
 
 
 def network_from_json(s):

@@ -22,6 +22,11 @@ import numpy as np
 from .network import ABS, Network, evaluate, path_norm
 
 
+LEARNING_RATE = 0.25  # first trial step of the line search
+HOLDOUT_POINTS = 10000  # uniform points for the reported holdout MSE
+ORACLE_MC_POINTS = 4096  # Monte Carlo points for |f - f0|^2 in oracle_rhs
+
+
 class FitDivergence(RuntimeError):
     """Objective exploded past the divergence guard."""
 
@@ -36,11 +41,8 @@ class RegressionConfig:
     lam: object = "auto"
     lambda_scale: float = 1.0
     oracle_c: float = 1.0
-    learning_rate: float = 0.25
     max_epochs: int = 2000
     seed: int = 0
-    holdout_points: int = 10000
-    oracle_mc_points: int = 4096
 
     def __post_init__(self):
         if any(w < 1 for w in self.widths):
@@ -84,9 +86,17 @@ def lambda_auto(n, p, c=1.0):
     return c * math.log2(n) ** 3 * math.sqrt(s) / math.sqrt(n)
 
 
-def generate_data(config, seed=None):
+def _lambda(config, widths):
+    """The penalty weight for a class of these widths: lambda_auto or the
+    configured number."""
+    if config.lam == "auto":
+        return lambda_auto(config.n, widths, config.lambda_scale)
+    return float(config.lam)
+
+
+def generate_data(config):
     """X_i iid uniform on [0,1]^d, Y_i = f0(X_i) + Gaussian noise."""
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = np.random.default_rng(config.seed)
     x = rng.uniform(0.0, 1.0, size=(config.n, config.d))
     y = config.target.evaluate(x)
     if config.noise_sd:
@@ -166,17 +176,13 @@ def fit(config, dataset):
     for i in range(len(arch) - 1):
         s = 1.0 / math.sqrt(arch[i])
         weights.append(rng.uniform(-s, s, size=(arch[i + 1], arch[i])))
-    lam = (
-        lambda_auto(config.n, arch, config.lambda_scale)
-        if config.lam == "auto"
-        else float(config.lam)
-    )
+    lam = _lambda(config, arch)
     xa = _augment(dataset.X)
     y = np.asarray(dataset.Y, dtype=np.float64)
 
     obj, risk, pn = _objective(weights, xa, y, lam)
     initial_obj = obj
-    lr = config.learning_rate
+    lr = LEARNING_RATE
     epochs = 0
     converged = False
     for _ in range(config.max_epochs):
@@ -213,10 +219,10 @@ def fit(config, dataset):
 
     net = Network(ABS, weights, meta={"construction": "fitted", "widths": list(arch)})
     hold_rng = np.random.default_rng(config.seed + 1)
-    xh = hold_rng.uniform(0.0, 1.0, size=(config.holdout_points, config.d))
+    xh = hold_rng.uniform(0.0, 1.0, size=(HOLDOUT_POINTS, config.d))
     pred = evaluate(net, _augment(xh))[:, 0]
     holdout = float(np.mean((pred - config.target.evaluate(xh)) ** 2))
-    rhs = oracle_rhs(config, net, dataset, lam=lam)
+    rhs = oracle_rhs(config, net)
     report = FitReport(
         objective=obj,
         risk=risk,
@@ -231,26 +237,19 @@ def fit(config, dataset):
     return net, report
 
 
-def oracle_rhs(config, candidate, dataset=None, lam=None, c_const=None):
+def oracle_rhs(config, candidate):
     """2 [ mc-estimate of |f - f0|^2 + lambda * pathnorm(f) ]
     + C sum_i p_i log2(n)^3 / n, evaluated at the candidate network.
 
     An upper bound on the oracle-inequality right-hand side's infimum term;
     reported, never asserted.  Hidden widths come from the candidate, which
-    represents the class containing it."""
+    represents the class containing it; lambda is that class's penalty
+    weight and C is config.oracle_c."""
     n = config.n
-    if lam is None:
-        lam = (
-            lambda_auto(n, candidate.widths, config.lambda_scale)
-            if config.lam == "auto"
-            else float(config.lam)
-        )
-    if c_const is None:
-        c_const = config.oracle_c
     rng = np.random.default_rng(config.seed + 2)
-    xm = rng.uniform(0.0, 1.0, size=(config.oracle_mc_points, config.d))
+    xm = rng.uniform(0.0, 1.0, size=(ORACLE_MC_POINTS, config.d))
     pred = evaluate(candidate, _augment(xm))[:, 0]
     mc = float(np.mean((pred - config.target.evaluate(xm)) ** 2))
     hidden = candidate.widths[1:-1]
-    remainder = c_const * sum(hidden) * math.log2(n) ** 3 / n
-    return 2.0 * (mc + lam * path_norm(candidate)) + remainder
+    remainder = config.oracle_c * sum(hidden) * math.log2(n) ** 3 / n
+    return 2.0 * (mc + _lambda(config, candidate.widths) * path_norm(candidate)) + remainder

@@ -68,6 +68,8 @@ def verify_sq(m, n_points=10000, bound=None):
 
 
 def verify_mult(m, variant, step=0.005, bound=None):
+    if not 0.0 < step <= 1.0:
+        raise ValueError(f"step must lie in (0, 1], got {step!r}")
     t0 = time.perf_counter()
     variant = ctor.MultVariant.parse(variant)
     net = ctor.build_mult(m, variant)

@@ -107,6 +107,56 @@ def test_approx_cheb(runner):
     assert cert["measured_sup_error"] < 0.05
 
 
+def test_approx_cheb_polynomial_file_and_net_out(runner, tmp_path):
+    from nnapprox import evaluate, network_from_json
+
+    poly_path, net_path = tmp_path / "poly.json", tmp_path / "net.json"
+    poly_path.write_text(json.dumps({"d": 1, "terms": [[[0], 0.25], [[2], 0.5]]}))
+    res = runner.invoke(
+        main, ["approx", "cheb", "--target", str(poly_path), "--eps", "0.0625", "--net-out", str(net_path)]
+    )
+    assert res.exit_code == 0, res.output
+    cert = json.loads(res.output)
+    assert cert["target"] == "poly.json" and cert["measured_sup_error"] < 0.0625
+    net = network_from_json(net_path.read_text())
+    assert (net.depth, net.max_width) == (cert["depth"], cert["max_width"])
+    x = np.linspace(0, 1, 33)
+    y = evaluate(net, np.column_stack([np.ones_like(x), x]))[:, 0]
+    # x lies on the certificate's 513-point grid
+    assert np.abs(y - (0.25 + 0.5 * x * x)).max() <= cert["measured_sup_error"] + 1e-12
+
+
+def test_build_mon_writes_the_network(runner, tmp_path):
+    from nnapprox import build_mon, evaluate, network_from_json
+
+    net_path = tmp_path / "mon.json"
+    res = runner.invoke(main, ["build", "mon", "--m", "2", "--gamma", "3", "--d", "2", "--out", str(net_path)])
+    assert res.exit_code == 0, res.output
+    net = network_from_json(net_path.read_text())
+    direct = build_mon(2, 3, 2, "rescaled")
+    assert net.meta["construction"] == "mon" and net.out_dim == 6
+    x = np.column_stack([np.ones(50), np.random.default_rng(0).uniform(0, 1, (50, 2))])
+    assert np.array_equal(evaluate(net, x), evaluate(direct, x))
+
+
+def test_cheb_fit_command(runner):
+    res = runner.invoke(main, ["cheb", "fit", "--target", "exp-sum", "--d", "2", "--degree", "3"])
+    assert res.exit_code == 0, res.output
+    out = json.loads(res.output)
+    assert out["target"] == "exp-sum-2d" and out["degrees"] == [3, 3]
+    assert out["domain"] == [[0.0, 1.0], [0.0, 1.0]]
+    assert np.asarray(out["coeffs"]).shape == (4, 4)
+
+
+def test_verify_mult_command(runner):
+    for variant in ("literal", "rescaled"):
+        res = runner.invoke(main, ["verify", "mult", "--m", "3", "--variant", variant, "--step", "0.05"])
+        assert res.exit_code == 0, res.output
+        rep = json.loads(res.output)
+        assert rep["passed"] and rep["params"] == {"m": 3, "variant": variant}
+        assert rep["grid"]["step"] == 0.05
+
+
 def test_cheb_coeffs(runner):
     res = runner.invoke(main, ["cheb", "coeffs", "--n", "2"])
     assert json.loads(res.output)["monomial_coeffs"] == [-1.0, 0.0, 2.0]
@@ -129,6 +179,7 @@ BAD_INPUTS = [
     ("eval non-numeric input", ["eval", "{net}", "--input", "1,abc"]),
     ("eval network the reader rejects", ["eval", "{ragged_net}", "--input", "1,0.5"]),
     ("eval network file not JSON", ["eval", "{not_json}", "--input", "1,0.5"]),
+    ("eval network in format 1", ["eval", "{v1_net}", "--input", "1,0.5"]),
     ("entropy bound non-integer width",
      ["entropy", "bound", "--eps", "1", "--l", "0", "--p", "1,x", "--b", "1", "--r", "1", "--n", "8"]),
     ("entropy empirical spec without n", ["entropy", "empirical", "--spec", "{spec_no_n}"]),
@@ -142,6 +193,14 @@ BAD_INPUTS = [
     ("verify multr r below 2", ["verify", "multr", "--m", "2", "--r", "1"]),
     ("verify mon gamma below 2", ["verify", "mon", "--m", "2", "--gamma", "1", "--d", "1"]),
     ("cheb fit unknown target", ["cheb", "fit", "--target", "bogus", "--degree", "3"]),
+    ("approx cheb eps above 1", ["approx", "cheb", "--eps", "1.5"]),
+    ("approx power-series delta above 1", ["approx", "power-series", "--eps", "0.5", "--delta", "2"]),
+    ("cheb fit negative degree", ["cheb", "fit", "--degree", "-1"]),
+    ("regress n below 2", ["regress", "--n", "1"]),
+    ("verify multr zero samples", ["verify", "multr", "--m", "2", "--r", "2", "--samples", "0"]),
+    ("verify mult zero step", ["verify", "mult", "--m", "2", "--step", "0"]),
+    ("verify mult step above 1", ["verify", "mult", "--m", "2", "--step", "3"]),
+    ("verify sq zero grid", ["verify", "sq", "--m", "2", "--grid", "0"]),
 ]
 
 
@@ -152,12 +211,14 @@ def test_bad_input_is_usage_error(runner, tmp_path, args):
         "net": tmp_path / "net.json",
         "ragged_net": tmp_path / "ragged.json",
         "not_json": tmp_path / "not.json",
+        "v1_net": tmp_path / "v1.json",
         "spec_no_n": tmp_path / "spec_no_n.json",
         "spec_short_p": tmp_path / "spec_short_p.json",
     }
     runner.invoke(main, ["build", "sq", "--m", "1", "--out", str(files["net"])])
     files["ragged_net"].write_text(json.dumps({"format": 2, "activation": "abs", "layers": [[[[1.0, 0.0], [1.0]]]]}))
     files["not_json"].write_text("{not json")
+    files["v1_net"].write_text(json.dumps({"activation": "abs", "weights": [[[1.0, 0.0]]]}))
     files["spec_no_n"].write_text(json.dumps({k: v for k, v in spec.items() if k != "n"}))
     files["spec_short_p"].write_text(json.dumps(dict(spec, p=[1, 2])))
     res = runner.invoke(main, [a.format(**files) for a in args])

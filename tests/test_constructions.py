@@ -228,6 +228,21 @@ def test_builders_equal_dense_triple_assembly(monkeypatch, variant):
 # pairing layers and product trees
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_pairing_level_splices_mult_blocks(monkeypatch, k):
+    made = []
+    mult_matrices = ctor._mult_matrices
+    monkeypatch.setattr(ctor, "_mult_matrices", lambda *a: made.append(mult_matrices(*a)) or made[-1])
+    net = build_pairing_layer(2, k, RESCALED)
+    (mult,) = made
+    for lay, src in zip(net.layers[1:], mult, strict=True):
+        n = len(src.blocks)
+        assert len(lay.blocks) == 1 + k * n
+        assert all(b is src.blocks[i % n] for i, b in enumerate(lay.blocks[1:]))
+    for lay in mult[1:-1]:  # each squaring matrix is one block shared by the three chains
+        assert lay.blocks[0] is lay.blocks[1] is lay.blocks[2]
+
+
 def test_pairing_k1_matches_mult(rng=np.random.default_rng(1)):
     pair = build_pairing_layer(3, 1, RESCALED)
     mult = build_mult(3, RESCALED)

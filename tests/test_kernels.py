@@ -13,21 +13,10 @@ from nnapprox import (
     path_matrix,
 )
 from nnapprox import _kernels
-from conftest import dense_path_matrix, random_dense_net
+from conftest import dense_chain, dense_path_matrix, random_dense_net
 
 DEAD_ZONE = general_activation(lambda x: np.where(np.abs(x) < 0.1, 0.0, np.sign(x)))
 ACTIVATIONS = (ABS, RELU, IDENTITY, DEAD_ZONE)
-
-
-def dense_chain(net, x):
-    """Oracle: the plain matrix chain over net.weights, activation s(x) * x."""
-    cur = np.asarray(x, dtype=np.float64)
-    ws = net.weights
-    for i, w in enumerate(ws):
-        cur = cur @ w.T
-        if i < len(ws) - 1:
-            cur = net.activation.selector(cur) * cur
-    return cur
 
 
 def block_nets(rng):

@@ -22,7 +22,6 @@ from nnapprox import (
     evaluate,
     general_activation,
     l1_param_norm,
-    network_from_dict,
     network_from_json,
     network_to_json,
     parallel,
@@ -33,7 +32,7 @@ from nnapprox import (
     target_exp_sum,
 )
 from nnapprox import _kernels
-from conftest import dense_path_matrix, random_dense_net
+from conftest import dense_chain, dense_path_matrix, random_block_net, random_dense_net
 
 
 def test_eval_single_linear_layer():
@@ -248,6 +247,58 @@ def test_parallel_pads_depth_and_preserves_values(rng):
     assert np.allclose(got[:, 2:], want_d)
 
 
+def dense_block_diag(mats):
+    """Oracle: mats on the diagonal of one dense matrix."""
+    out = np.zeros((sum(w.shape[0] for w in mats), sum(w.shape[1] for w in mats)))
+    r = c = 0
+    for w in mats:
+        out[r : r + w.shape[0], c : c + w.shape[1]] = w
+        r, c = r + w.shape[0], c + w.shape[1]
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_combinators_match_dense_oracle(seed):
+    r = np.random.default_rng(seed)
+    a = random_block_net(r, ABS)
+    b = random_block_net(r, ABS, in_dim=a.out_dim)
+    w_in = r.uniform(-1, 1, (a.in_dim, int(r.integers(1, 5))))
+    w_out = r.uniform(-1, 1, (int(r.integers(1, 5)), a.out_dim))
+    nets = [random_block_net(r, ABS) for _ in range(int(r.integers(1, 4)))]
+    depth = max(len(n.layers) for n in nets)
+    padded = [[np.eye(n.in_dim)] * (depth - len(n.layers)) + list(n.weights) for n in nets]
+    cases = {
+        "compose": (compose(a, b), a.weights + b.weights),
+        "parallel": (parallel(nets), [dense_block_diag(ws) for ws in zip(*padded)]),
+        "prepend": (prepend_layer(a, w_in), (w_in,) + a.weights),
+        "append": (append_layer(a, w_out), a.weights + (w_out,)),
+    }
+    for name, (net, want) in cases.items():
+        assert len(net.weights) == len(want), name
+        assert all(np.array_equal(got, w) for got, w in zip(net.weights, want)), name
+        x = r.normal(size=(7, net.in_dim))
+        np.testing.assert_allclose(evaluate(net, x), dense_chain(net, x), rtol=1e-13, atol=1e-13)
+
+
+def test_combinators_splice_blocks_by_reference(rng):
+    a = random_block_net(rng, ABS, n_layers=3)
+    b = random_block_net(rng, ABS, n_layers=2)
+    same = lambda xs, ys: len(xs) == len(ys) and all(x is y for x, y in zip(xs, ys))
+    par = parallel([a, b])
+    assert same(par.layers[0].blocks[:-1], a.layers[0].blocks)
+    assert np.array_equal(par.layers[0].blocks[-1], np.eye(b.in_dim))  # b's padding
+    for i in (1, 2):
+        assert same(par.layers[i].blocks, a.layers[i].blocks + b.layers[i - 1].blocks)
+    c = random_block_net(rng, ABS, in_dim=a.out_dim)
+    comp = compose(a, c)
+    assert all(same(x.blocks, y.blocks) for x, y in zip(comp.layers, a.layers + c.layers))
+    for net in (Network(ABS, a.layers), prepend_layer(a, np.eye(a.in_dim))):
+        assert all(same(x.blocks, y.blocks) for x, y in zip(net.layers[-3:], a.layers))
+    app = append_layer(a, np.ones((1, a.out_dim)))
+    assert all(same(x.blocks, y.blocks) for x, y in zip(app.layers, a.layers))
+
+
 def test_prepend_append_layer():
     net = Network(ABS, [np.array([[1.0, 1.0]])])
     net2 = prepend_layer(net, np.eye(2))
@@ -285,26 +336,33 @@ def test_json_round_trip_keeps_blocks(make, d, rng):
     assert np.array_equal(evaluate(back, x), evaluate(net, x))
 
 
-def test_json_reads_format_1():
-    net = network_from_dict(
-        {"activation": "abs", "weights": [[[1.0, -1.0]], [[0.5]]], "meta": {"m": 1}}
-    )
-    assert net.widths == (2, 1, 1)
-    assert net.meta == {"m": 1}
-    assert evaluate(net, [0.25, 1.0])[0] == 0.375
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([ABS, RELU, IDENTITY]))
+def test_json_round_trip_random_block_nets(seed, act):
+    r = np.random.default_rng(seed)
+    net = random_block_net(r, act)
+    back = network_from_json(network_to_json(net))
+    assert back.activation is act
+    assert [len(lay.blocks) for lay in back.layers] == [len(lay.blocks) for lay in net.layers]
+    for lay, lay_back in zip(net.layers, back.layers):
+        for b, b_back in zip(lay.blocks, lay_back.blocks):
+            assert b.shape == b_back.shape and np.array_equal(b, b_back)
+    x = r.normal(size=(5, net.in_dim))
+    assert np.array_equal(evaluate(back, x), evaluate(net, x))
 
 
 @pytest.mark.parametrize(
     "wire",
     [
-        '{"activation": "abs", "weights": [[[1.0, 2.0], [3.0]]]}',
-        '{"activation": "abs", "weights": [[[Infinity]]]}',
+        # version 1, one dense matrix per layer under "weights", is not read
+        '{"activation": "abs", "weights": [[[1.0, -1.0]], [[0.5]]], "meta": {"m": 1}}',
         '{"format": 2, "activation": "abs", "layers": [[[[1.0, 2.0], [3.0]]]]}',
         '{"format": 2, "activation": "abs", "layers": [[[[NaN]]]]}',
         '{"format": 2, "activation": "abs", "layers": [[[1.0, 2.0]]]}',
         '{"format": 3, "activation": "abs", "layers": [[[[1.0]]]]}',
+        "[2]",
     ],
-    ids=["v1-ragged", "v1-inf", "v2-ragged", "v2-nan", "v2-vector-block", "unknown-format"],
+    ids=["v1", "v2-ragged", "v2-nan", "v2-vector-block", "unknown-format", "not-a-dict"],
 )
 def test_json_malformed_raises_network_error(wire):
     with pytest.raises(NetworkError):

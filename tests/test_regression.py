@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -208,8 +209,8 @@ def test_oracle_rhs_c_doubling_adds_exact_term():
 
     rng = np.random.default_rng(0)
     cand = Network(ABS, [rng.uniform(-1, 1, (4, 2)), rng.uniform(-1, 1, (4, 4)), rng.uniform(-1, 1, (1, 4))])
-    r1 = oracle_rhs(cfg, cand, c_const=1.0)
-    r2 = oracle_rhs(cfg, cand, c_const=2.0)
+    r1 = oracle_rhs(dataclasses.replace(cfg, oracle_c=1.0), cand)
+    r2 = oracle_rhs(dataclasses.replace(cfg, oracle_c=2.0), cand)
     hidden_sum = 8
     assert r2 - r1 == pytest.approx(hidden_sum * math.log2(128) ** 3 / 128)
 
