@@ -356,13 +356,15 @@ def test_json_round_trip_random_block_nets(seed, act):
     [
         # version 1, one dense matrix per layer under "weights", is not read
         '{"activation": "abs", "weights": [[[1.0, -1.0]], [[0.5]]], "meta": {"m": 1}}',
+        '{"activation": "abs", "weights": [[[1.0, 2.0], [3.0]]]}',
+        '{"activation": "abs", "weights": [[[Infinity]]]}',
         '{"format": 2, "activation": "abs", "layers": [[[[1.0, 2.0], [3.0]]]]}',
         '{"format": 2, "activation": "abs", "layers": [[[[NaN]]]]}',
         '{"format": 2, "activation": "abs", "layers": [[[1.0, 2.0]]]}',
         '{"format": 3, "activation": "abs", "layers": [[[[1.0]]]]}',
         "[2]",
     ],
-    ids=["v1", "v2-ragged", "v2-nan", "v2-vector-block", "unknown-format", "not-a-dict"],
+    ids=["v1", "v1-ragged", "v1-inf", "v2-ragged", "v2-nan", "v2-vector-block", "unknown-format", "not-a-dict"],
 )
 def test_json_malformed_raises_network_error(wire):
     with pytest.raises(NetworkError):
