@@ -88,6 +88,7 @@ def _variant(ctx, param, value):
 VARIANT_OPTION = click.option("--variant", default="rescaled", show_default=True, callback=_variant)
 M_OPTION = click.option("--m", type=click.IntRange(min=1), required=True)
 UNIT_OPEN = click.FloatRange(0.0, 1.0, min_open=True, max_open=True)
+CHEB_D = click.IntRange(1, 3)  # the dimensions cheb_fit supports
 
 
 @click.group()
@@ -316,7 +317,7 @@ def approx_power_series_cmd(series_name, eps, delta, variant, net_out, out):
 @approx_group.command("cheb")
 @click.option("--target", "target_name", default="inv2mx", show_default=True,
               help="builtin name or a polynomial JSON file")
-@click.option("--d", type=click.IntRange(min=1), default=1, show_default=True)
+@click.option("--d", type=CHEB_D, default=1, show_default=True)
 @click.option("--eps", type=UNIT_OPEN, required=True)
 @VARIANT_OPTION
 @click.option("--net-out", type=click.Path(), default=None)
@@ -328,6 +329,8 @@ def approx_cheb_cmd(target_name, d, eps, variant, net_out, out):
 
     if os.path.exists(target_name):
         poly = _load_polynomial(target_name)
+        if not CHEB_D.min <= poly.d <= CHEB_D.max:
+            raise click.UsageError(f"{target_name} has d={poly.d}; Chebyshev fits need 1 <= d <= 3")
         target = AnalyticTarget(os.path.basename(target_name), poly.d, poly.evaluate)
     else:
         try:
@@ -363,7 +366,7 @@ def cheb_coeffs_cmd(n, out):
 
 @cheb_group.command("fit")
 @click.option("--target", "target_name", default="inv2mx", show_default=True)
-@click.option("--d", type=click.IntRange(min=1), default=1, show_default=True)
+@click.option("--d", type=CHEB_D, default=1, show_default=True)
 @click.option("--degree", type=click.IntRange(min=0), required=True)
 @click.option("--out", type=click.Path(), default=None)
 def cheb_fit_cmd(target_name, d, degree, out):

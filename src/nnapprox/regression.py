@@ -47,11 +47,26 @@ class RegressionConfig:
     def __post_init__(self):
         if any(w < 1 for w in self.widths):
             raise ValueError(f"hidden widths must be positive, got {tuple(self.widths)}")
+        if self.lam != "auto" and not _finite_nonneg(self.lam):
+            raise ValueError(f"lam must be 'auto' or a finite number >= 0, got {self.lam!r}")
+        for name in ("lambda_scale", "noise_sd"):
+            if not _finite_nonneg(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number >= 0, got {getattr(self, name)!r}")
+        if self.max_epochs < 0:
+            raise ValueError(f"max_epochs must be >= 0, got {self.max_epochs}")
 
     @property
     def architecture(self):
         """Full width vector including the augmented input and scalar output."""
         return (self.d + 1,) + tuple(self.widths) + (1,)
+
+
+def _finite_nonneg(value):
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        return False
+    return math.isfinite(value) and value >= 0
 
 
 class Dataset(NamedTuple):

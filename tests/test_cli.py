@@ -201,6 +201,16 @@ BAD_INPUTS = [
     ("verify mult zero step", ["verify", "mult", "--m", "2", "--step", "0"]),
     ("verify mult step above 1", ["verify", "mult", "--m", "2", "--step", "3"]),
     ("verify sq zero grid", ["verify", "sq", "--m", "2", "--grid", "0"]),
+    ("regress negative lambda", ["regress", "--n", "32", "--lambda", "-5", "--epochs", "1"]),
+    ("regress nan lambda", ["regress", "--n", "32", "--lambda", "nan", "--epochs", "1"]),
+    ("regress inf lambda", ["regress", "--n", "32", "--lambda", "inf", "--epochs", "1"]),
+    ("regress negative lambda scale", ["regress", "--n", "32", "--lambda-scale", "-1", "--epochs", "1"]),
+    ("regress negative noise", ["regress", "--n", "32", "--noise", "-0.1", "--epochs", "1"]),
+    ("regress negative epochs", ["regress", "--n", "32", "--epochs", "-1"]),
+    ("approx cheb d above 3", ["approx", "cheb", "--target", "exp-sum", "--d", "4", "--eps", "0.5"]),
+    ("cheb fit d above 3", ["cheb", "fit", "--target", "exp-sum", "--d", "4", "--degree", "3"]),
+    ("approx cheb polynomial file with d 4", ["approx", "cheb", "--target", "{poly_d4}", "--eps", "0.5"]),
+    ("approx cheb polynomial file with d 0", ["approx", "cheb", "--target", "{poly_d0}", "--eps", "0.5"]),
 ]
 
 
@@ -214,6 +224,8 @@ def test_bad_input_is_usage_error(runner, tmp_path, args):
         "v1_net": tmp_path / "v1.json",
         "spec_no_n": tmp_path / "spec_no_n.json",
         "spec_short_p": tmp_path / "spec_short_p.json",
+        "poly_d4": tmp_path / "poly_d4.json",
+        "poly_d0": tmp_path / "poly_d0.json",
     }
     runner.invoke(main, ["build", "sq", "--m", "1", "--out", str(files["net"])])
     files["ragged_net"].write_text(json.dumps({"format": 2, "activation": "abs", "layers": [[[[1.0, 0.0], [1.0]]]]}))
@@ -221,6 +233,8 @@ def test_bad_input_is_usage_error(runner, tmp_path, args):
     files["v1_net"].write_text(json.dumps({"activation": "abs", "weights": [[[1.0, 0.0]]]}))
     files["spec_no_n"].write_text(json.dumps({k: v for k, v in spec.items() if k != "n"}))
     files["spec_short_p"].write_text(json.dumps(dict(spec, p=[1, 2])))
+    files["poly_d4"].write_text(json.dumps({"d": 4, "terms": [[[1, 0, 0, 0], 0.5]]}))
+    files["poly_d0"].write_text(json.dumps({"d": 0, "terms": [[[], 0.5]]}))
     res = runner.invoke(main, [a.format(**files) for a in args])
     assert res.exit_code == 2, res.output
     assert "Traceback" not in res.output

@@ -13,7 +13,7 @@ from nnapprox import (
     path_matrix,
 )
 from nnapprox import _kernels
-from conftest import dense_chain, dense_path_matrix, random_dense_net
+from conftest import dense_chain, dense_path_matrix, random_block_net, random_dense_net
 
 DEAD_ZONE = general_activation(lambda x: np.where(np.abs(x) < 0.1, 0.0, np.sign(x)))
 ACTIVATIONS = (ABS, RELU, IDENTITY, DEAD_ZONE)
@@ -54,6 +54,42 @@ def test_path_matrix_matches_product_of_dense_abs(rng):
         got = path_matrix(net)
         assert got.shape == (net.out_dim, net.in_dim)
         np.testing.assert_allclose(got, dense_path_matrix(net), rtol=1e-13, atol=1e-13)
+
+
+SMALL_TILE = 64
+
+
+@pytest.mark.parametrize("mapped", [False, True], ids=["heap", "mapped"])
+@pytest.mark.parametrize("act", [ABS, RELU, DEAD_ZONE], ids=["abs", "relu", "dead-zone"])
+def test_tiles_match_one_tile_and_dense_chain(act, mapped, rng, monkeypatch):
+    # DEAD_ZONE has no in-place form: its activations are fresh arrays, not buffer views
+    if mapped:
+        monkeypatch.setattr(_kernels, "MAPPED_BYTES", 0)
+        monkeypatch.setattr(_kernels, "MAPPED_MIN_POINTS", 0)
+    t = SMALL_TILE
+    net = random_block_net(rng, act, n_layers=4)
+    x = rng.normal(size=(3 * t + 5, net.in_dim))
+    for n in (t - 1, t, t + 1, 2 * t - 1, 2 * t, 2 * t + 1, 3 * t + 5):
+        monkeypatch.setattr(_kernels, "TILE", t)
+        tiled = evaluate(net, x[:n])
+        monkeypatch.setattr(_kernels, "TILE", 10**9)
+        assert np.array_equal(tiled, evaluate(net, x[:n])), n
+        np.testing.assert_allclose(tiled, dense_chain(net, x[:n]), rtol=1e-13, atol=1e-13)
+
+
+def test_multi_tile_call_maps_one_tile_sized_pair(rng, monkeypatch):
+    t = SMALL_TILE
+    monkeypatch.setattr(_kernels, "TILE", t)
+    monkeypatch.setattr(_kernels, "MAPPED_BYTES", 0)
+    pair, asked = _kernels._mapped_pair, []
+    monkeypatch.setattr(_kernels, "_mapped_pair", lambda hidden, n: asked.append(n) or pair(hidden, n))
+    net = random_block_net(rng, ABS, n_layers=4)
+    x = rng.normal(size=(10 * t + 7, net.in_dim))
+    got = _kernels.eval_chain(net.layers, x.T, ABS.inplace)
+    assert asked == [2 * t - 1]  # once per call, for the largest tile, never for all 647 points
+    assert got.base is None  # the result never lives in a mapping
+    monkeypatch.setattr(_kernels, "TILE", 10**9)
+    assert np.array_equal(got.T, evaluate(net, x))
 
 
 def test_greedy_cover_strict_inequality():

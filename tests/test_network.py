@@ -10,6 +10,7 @@ from nnapprox import (
     IDENTITY,
     RELU,
     ActivationMismatchError,
+    BlockDiagonal,
     Network,
     NetworkError,
     ShapeMismatchError,
@@ -167,6 +168,21 @@ def test_path_norm_bounded_by_product_of_layer_l1(seed):
     for v in per_layer_l1(net):
         prod *= v
     assert path_norm(net) <= prod * (1 + 1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([ABS, RELU, IDENTITY]))
+def test_path_norm_is_the_abs_net_at_ones(seed, act):
+    # path_matrix runs |W| on the identity and the linear |W| net runs on rows
+    # of ones; with 2-point tiles both batches of 4 or more columns are tiled
+    net = random_block_net(np.random.default_rng(seed), act)
+    abs_net = Network(IDENTITY, [BlockDiagonal([np.abs(b) for b in lay.blocks]) for lay in net.layers])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "TILE", 2)
+        pn = path_norm(net)
+        at_ones = evaluate(abs_net, np.ones((5, net.in_dim))).sum(axis=1)
+    assert pn == pytest.approx(float(np.sum(evaluate(abs_net, np.ones(net.in_dim)))), rel=1e-12)
+    assert at_ones == pytest.approx(np.full(5, pn), rel=1e-12)
 
 
 def test_unit_l1_budget_caps_path_norm(rng):

@@ -144,6 +144,26 @@ def test_zero_hidden_width_rejected():
             fit(cfg, generate_data(cfg))
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("lam", -5.0),
+        ("lam", float("nan")),
+        ("lam", float("inf")),
+        ("lam", "bogus"),
+        ("lambda_scale", -1.0),
+        ("lambda_scale", float("nan")),
+        ("noise_sd", -0.1),
+        ("noise_sd", float("inf")),
+        ("max_epochs", -1),
+    ],
+)
+def test_config_rejects_nonsense_penalty_and_budget(field, value):
+    # a negative lam or lambda_scale made the penalty reward path norm
+    with pytest.raises(ValueError, match=field):
+        RegressionConfig(n=16, d=1, target=_linear_target(), **{field: value})
+
+
 def test_fit_huge_lambda_crushes_path_norm():
     cfg = RegressionConfig(
         n=64, d=1, target=_linear_target(), noise_sd=0.0, widths=(4,), lam=1e6,
