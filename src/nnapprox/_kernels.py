@@ -6,10 +6,10 @@ multiplies a contiguous row range of the previous activations into a
 contiguous row range of the next ones.  It runs the whole chain on one tile
 of TILE to 2 * TILE - 1 points (columns) at a time, each tile into its
 columns of the result, so a tile's activations stay in cache from layer to
-layer; a call on fewer than 2 * TILE points is one tile.  On many points,
-hidden activations alternate between two buffers of the widest hidden
-layer's width, sized for the largest tile, made once per call and shared by
-its tiles, each in its own anonymous mapping (see _mapped_pair).
+layer; a call on fewer than 2 * TILE points is one tile.  From POOLED_POINTS
+points on, hidden activations alternate between two line-aligned heap buffers
+of the widest hidden layer's width, sized for the largest tile and made once
+per call; smaller calls allocate each layer's activations.
 
 greedy_cover makes one pass over the rows and compares each row with all
 centers found so far at once, by direct differences against a growing
@@ -19,7 +19,6 @@ the strict-< decisions.)
 """
 
 import importlib.util
-import mmap
 
 import numpy as np
 
@@ -41,25 +40,21 @@ def backend_name():
 # A short last tile joins the one before it: a one-column tile would take
 # numpy's matrix-vector kernel, whose sums differ in the last bits.
 TILE = 4096
-# Hidden activations of at least this size go to mapped buffers.  malloc
-# serves multi-MiB arrays from its heap once an array that size has been
-# freed, and there per-layer arrays of changing widths leave holes that
-# later ones do not fit: peak RSS crept by 2-6 MiB over repeated
-# evaluations of the cheb pipeline nets, by a different amount in each run.
-MAPPED_BYTES = 1 << 20
-# Below this many points the widest layer is not looked up (path matrices,
-# the tiny sampled networks of the entropy oracle).
-MAPPED_MIN_POINTS = 256
+# From this many points on, hidden activations reuse two buffers per call:
+# per-layer (width, n) arrays left holes in the malloc heap that made peak RSS
+# creep by 2-6 MiB over repeated cheb pipeline evaluations, differently in
+# each run.  Smaller calls (path matrices, the entropy oracle's tiny nets)
+# are cheaper with per-layer arrays.
+POOLED_POINTS = 256
 
 
-def _mapped_pair(hidden, n):
-    """Two flat float64 buffers holding (width, n) activations of the widest
-    of the hidden layers, each its own mapping, unmapped when released; None
-    if they would be smaller than MAPPED_BYTES."""
-    width = max((lay.shape[0] for lay in hidden), default=0)
-    if 8 * width * n < MAPPED_BYTES:
-        return None
-    return tuple(np.frombuffer(mmap.mmap(-1, 8 * width * n), dtype=np.float64) for _ in range(2))
+def _line_aligned(size):
+    """float64 buffer of size entries starting on a 64-byte cache line.  malloc
+    puts large blocks 16 bytes past a line, where every row of the pooled
+    activations straddled two lines: verify_sweep ran 7% slower (BENCH_pr11.json)."""
+    raw = np.empty(size + 7)
+    a = -raw.ctypes.data % 64 // 8
+    return raw[a : a + size]
 
 
 def eval_chain(layers, cur, act=None, absolute=False):
@@ -78,7 +73,10 @@ def eval_chain(layers, cur, act=None, absolute=False):
     else:
         stops = list(range(TILE, n - TILE + 1, TILE)) + [n]
         tiles = [(cur[:, a:b], res[:, a:b]) for a, b in zip([0] + stops, stops)]
-    bufs = _mapped_pair(layers[:last], min(n, 2 * TILE - 1)) if n >= MAPPED_MIN_POINTS else None
+    bufs = None
+    if n >= POOLED_POINTS:
+        size = max((lay.shape[0] for lay in layers[:last]), default=0) * min(n, 2 * TILE - 1)
+        bufs = _line_aligned(size), _line_aligned(size)
     for x, y in tiles:
         m = x.shape[1]
         for i, lay in enumerate(layers):

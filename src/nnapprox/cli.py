@@ -245,7 +245,7 @@ def entropy_empirical_cmd(spec_path, trials, seed, out):
     raw = _read_json(spec_path)
     spec = _entropy_spec(raw, f"spec file {spec_path}")
     act_name = raw.get("activation", "abs")
-    if act_name not in ACTIVATIONS:
+    if not isinstance(act_name, str) or act_name not in ACTIVATIONS:
         raise click.UsageError(f"unknown activation {act_name!r}")
     cover, bound, _ = ent.empirical_vs_bound(
         spec, activation=ACTIVATIONS[act_name], trials=trials, seed=seed

@@ -47,8 +47,8 @@ class EntropyBoundSpec:
         object.__setattr__(self, "p", tuple(int(w) for w in self.p))
         if len(self.p) != self.L + 2:
             raise ValueError(f"width vector needs L+2={self.L + 2} entries, got {len(self.p)}")
-        if self.eps <= 0 or self.B <= 0 or self.r <= 0 or self.n < 1 or self.L < 0:
-            raise ValueError("eps, B, r must be positive; n >= 1; L >= 0")
+        if not all(math.isfinite(v) and v > 0 for v in (self.eps, self.B, self.r)) or self.n < 1 or self.L < 0:
+            raise ValueError("eps, B, r must be finite and positive; n >= 1; L >= 0")
         if any(w < 1 for w in self.p):
             raise ValueError("widths must be positive")
 

@@ -45,11 +45,13 @@ class RegressionConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n < 2:
+            raise ValueError(f"n must be at least 2, got {self.n}")
         if any(w < 1 for w in self.widths):
             raise ValueError(f"hidden widths must be positive, got {tuple(self.widths)}")
         if self.lam != "auto" and not _finite_nonneg(self.lam):
             raise ValueError(f"lam must be 'auto' or a finite number >= 0, got {self.lam!r}")
-        for name in ("lambda_scale", "noise_sd"):
+        for name in ("lambda_scale", "noise_sd", "oracle_c"):
             if not _finite_nonneg(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number >= 0, got {getattr(self, name)!r}")
         if self.max_epochs < 0:
@@ -138,49 +140,49 @@ def _forward(weights, xa):
     return acts, pres, pres[-1][:, 0]
 
 
-def _risk_grads(weights, xa, y):
-    n = len(y)
-    acts, pres, out = _forward(weights, xa)
-    res = out - y
-    risk = float(res @ res / n)
+def _risk_grads(weights, acts, pres, res):
+    """Gradients of the mean squared residual res, from the forward pass
+    (acts, pres) of _forward at these weights."""
     grads = [None] * len(weights)
-    delta = (2.0 / n) * res[:, None]
+    delta = (2.0 / len(res)) * res[:, None]
     for i in range(len(weights) - 1, -1, -1):
         grads[i] = delta.T @ acts[i]
         if i > 0:
             delta = (delta @ weights[i]) * np.sign(pres[i - 1])
-    return risk, grads
+    return grads
 
 
-def _path_norm_prefix(absw):
-    """(path norm, prefix products v_i = |W_{i-1}|...|W_0| 1) of the |W| chain."""
+def _path_norm_prefix(weights):
+    """(path norm, |W_i|, prefix products v_i = |W_{i-1}|...|W_0| 1) of the |W| chain."""
+    absw = [np.abs(w) for w in weights]
     v = [np.ones(absw[0].shape[1])]
     for a in absw[:-1]:
         v.append(a @ v[-1])
-    return float(np.sum(absw[-1] @ v[-1])), v
+    return float(np.sum(absw[-1] @ v[-1])), absw, v
 
 
-def path_norm_grads(weights):
-    """(path norm, gradients) via the product structure of |W_L|...|W_0|.
+def path_norm_grads(weights, absw, v):
+    """Gradients of the path norm via the product structure of |W_L|...|W_0|,
+    given |W_i| and the prefix products v_i of _path_norm_prefix(weights).
 
     d pathnorm / d W_i = sign(W_i) * outer(u_i, v_i) with u_i the suffix and
     v_i the prefix absolute products applied to all-ones vectors; the
     subgradient at an exactly zero entry is 0."""
-    absw = [np.abs(w) for w in weights]
-    pn, v = _path_norm_prefix(absw)
     u = [np.ones(weights[-1].shape[0])]
     for a in reversed(absw[1:]):
         u.insert(0, a.T @ u[0])
-    grads = [np.sign(w) * np.outer(u[i], v[i]) for i, w in enumerate(weights)]
-    return pn, grads
+    return [np.sign(w) * np.outer(u[i], v[i]) for i, w in enumerate(weights)]
 
 
 def _objective(weights, xa, y, lam):
-    _, _, out = _forward(weights, xa)
+    """(objective, risk, path norm, grad_inputs): grad_inputs holds the
+    forward pass and the |W| prefix products that the gradients at these
+    weights reuse, so an accepted step needs no second pass."""
+    acts, pres, out = _forward(weights, xa)
     res = out - y
     risk = float(res @ res / len(y))
-    pn, _ = _path_norm_prefix([np.abs(w) for w in weights])
-    return risk + lam * pn, risk, pn
+    pn, absw, v = _path_norm_prefix(weights)
+    return risk + lam * pn, risk, pn, (acts, pres, res, absw, v)
 
 
 def fit(config, dataset):
@@ -195,15 +197,15 @@ def fit(config, dataset):
     xa = _augment(dataset.X)
     y = np.asarray(dataset.Y, dtype=np.float64)
 
-    obj, risk, pn = _objective(weights, xa, y, lam)
+    obj, risk, pn, grad_inputs = _objective(weights, xa, y, lam)
     initial_obj = obj
     lr = LEARNING_RATE
     epochs = 0
     converged = False
     for _ in range(config.max_epochs):
-        risk_g, grads = _risk_grads(weights, xa, y)
-        _, pen_g = path_norm_grads(weights)
-        for g, pg in zip(grads, pen_g):
+        acts, pres, res, absw, v = grad_inputs
+        grads = _risk_grads(weights, acts, pres, res)
+        for g, pg in zip(grads, path_norm_grads(weights, absw, v)):
             g += lam * pg
         gnorm2 = sum(float(np.sum(g * g)) for g in grads)
         if gnorm2 == 0.0:
@@ -213,7 +215,7 @@ def fit(config, dataset):
         trial_lr = lr
         for _ in range(60):
             cand = [w - trial_lr * g for w, g in zip(weights, grads)]
-            cand_obj, cand_risk, cand_pn = _objective(cand, xa, y, lam)
+            cand_obj, cand_risk, cand_pn, cand_inputs = _objective(cand, xa, y, lam)
             if cand_obj <= obj:
                 accepted = True
                 break
@@ -223,7 +225,7 @@ def fit(config, dataset):
             break
         assert cand_obj <= obj, "line search accepted an increasing step"
         improvement = obj - cand_obj
-        weights, obj, risk, pn = cand, cand_obj, cand_risk, cand_pn
+        weights, obj, risk, pn, grad_inputs = cand, cand_obj, cand_risk, cand_pn, cand_inputs
         lr = trial_lr * 2.0
         epochs += 1
         if obj > 1e6 * max(initial_obj, 1e-300):

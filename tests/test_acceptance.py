@@ -25,7 +25,7 @@ from numpy.polynomial import chebyshev as npcheb
 import nnapprox as nx
 from nnapprox.approximators import power_series_path_bound, series_inv_two_minus_x
 from nnapprox.constructions import monomial_values
-from nnapprox.regression import _augment, _forward, _risk_grads
+from nnapprox.regression import _augment, _objective, _path_norm_prefix, _risk_grads
 from conftest import random_dense_net
 
 
@@ -256,10 +256,10 @@ def test_criterion_10a_gradient_checks(rng):
         x = rng.uniform(0, 1, (12, 1))
         xa = _augment(x)
         y = rng.normal(size=12)
-        _, pres, _ = _forward(ws, xa)
+        acts, pres, res, absw, v = _objective(ws, xa, y, 0.0)[3]
         near_kink = min(np.abs(p).min() for p in pres[:-1]) < 1e-6
-        pn, pgrads = nx.path_norm_grads(ws)
-        risk, rgrads = _risk_grads(ws, xa, y)
+        pgrads = nx.path_norm_grads(ws, absw, v)
+        rgrads = _risk_grads(ws, acts, pres, res)
         i = int(rng.integers(0, len(ws)))
         a = int(rng.integers(0, ws[i].shape[0]))
         b = int(rng.integers(0, ws[i].shape[1]))
@@ -268,12 +268,12 @@ def test_criterion_10a_gradient_checks(rng):
         wm = [w.copy() for w in ws]
         wp[i][a, b] += h
         wm[i][a, b] -= h
-        fd_pen = (nx.path_norm_grads(wp)[0] - nx.path_norm_grads(wm)[0]) / (2 * h)
+        fd_pen = (_path_norm_prefix(wp)[0] - _path_norm_prefix(wm)[0]) / (2 * h)
         if abs(fd_pen) > 1e-8:
             assert pgrads[i][a, b] == pytest.approx(fd_pen, rel=1e-4)
             checked += 1
         if not near_kink:
-            fd_risk = (_risk_grads(wp, xa, y)[0] - _risk_grads(wm, xa, y)[0]) / (2 * h)
+            fd_risk = (_objective(wp, xa, y, 0.0)[1] - _objective(wm, xa, y, 0.0)[1]) / (2 * h)
             if abs(fd_risk) > 1e-7:
                 assert rgrads[i][a, b] == pytest.approx(fd_risk, rel=1e-4)
     assert checked >= 50

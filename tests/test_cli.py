@@ -184,6 +184,14 @@ BAD_INPUTS = [
      ["entropy", "bound", "--eps", "1", "--l", "0", "--p", "1,x", "--b", "1", "--r", "1", "--n", "8"]),
     ("entropy empirical spec without n", ["entropy", "empirical", "--spec", "{spec_no_n}"]),
     ("entropy empirical p of wrong length", ["entropy", "empirical", "--spec", "{spec_short_p}"]),
+    ("entropy bound nan eps",
+     ["entropy", "bound", "--eps", "nan", "--l", "0", "--p", "1,1", "--b", "1", "--r", "1", "--n", "8"]),
+    ("entropy bound inf b",
+     ["entropy", "bound", "--eps", "1", "--l", "0", "--p", "1,1", "--b", "inf", "--r", "1", "--n", "8"]),
+    ("entropy bound inf r",
+     ["entropy", "bound", "--eps", "1", "--l", "0", "--p", "1,1", "--b", "1", "--r", "inf", "--n", "8"]),
+    ("entropy empirical activation a list", ["entropy", "empirical", "--spec", "{spec_act_list}"]),
+    ("entropy empirical activation an object", ["entropy", "empirical", "--spec", "{spec_act_obj}"]),
     ("regress zero hidden width", ["regress", "--arch", "8,0", "--n", "16", "--epochs", "1"]),
     ("build sq m below 1", ["build", "sq", "--m", "0"]),
     ("build multr r below 2", ["build", "multr", "--m", "2", "--r", "1"]),
@@ -224,6 +232,8 @@ def test_bad_input_is_usage_error(runner, tmp_path, args):
         "v1_net": tmp_path / "v1.json",
         "spec_no_n": tmp_path / "spec_no_n.json",
         "spec_short_p": tmp_path / "spec_short_p.json",
+        "spec_act_list": tmp_path / "spec_act_list.json",
+        "spec_act_obj": tmp_path / "spec_act_obj.json",
         "poly_d4": tmp_path / "poly_d4.json",
         "poly_d0": tmp_path / "poly_d0.json",
     }
@@ -233,6 +243,8 @@ def test_bad_input_is_usage_error(runner, tmp_path, args):
     files["v1_net"].write_text(json.dumps({"activation": "abs", "weights": [[[1.0, 0.0]]]}))
     files["spec_no_n"].write_text(json.dumps({k: v for k, v in spec.items() if k != "n"}))
     files["spec_short_p"].write_text(json.dumps(dict(spec, p=[1, 2])))
+    files["spec_act_list"].write_text(json.dumps(dict(spec, activation=["abs"])))
+    files["spec_act_obj"].write_text(json.dumps(dict(spec, activation={"name": "abs"})))
     files["poly_d4"].write_text(json.dumps({"d": 4, "terms": [[[1, 0, 0, 0], 0.5]]}))
     files["poly_d0"].write_text(json.dumps({"d": 0, "terms": [[[], 0.5]]}))
     res = runner.invoke(main, [a.format(**files) for a in args])

@@ -41,6 +41,9 @@ def test_spec_validation():
         EntropyBoundSpec(eps=1.0, L=1, p=(1, 2), B=1.0, r=1.0, n=4)
     with pytest.raises(ValueError):
         EntropyBoundSpec(eps=-1.0, L=0, p=(1, 1), B=1.0, r=1.0, n=4)
+    for bad in ({"eps": math.nan}, {"B": math.inf}, {"r": math.inf}):
+        with pytest.raises(ValueError, match="finite"):
+            EntropyBoundSpec(**{"eps": 1.0, "L": 0, "p": (1, 1), "B": 1.0, "r": 1.0, "n": 4, **bad})
 
 
 def test_network_bound_example():

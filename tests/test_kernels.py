@@ -59,13 +59,12 @@ def test_path_matrix_matches_product_of_dense_abs(rng):
 SMALL_TILE = 64
 
 
-@pytest.mark.parametrize("mapped", [False, True], ids=["heap", "mapped"])
+@pytest.mark.parametrize("pooled", [False, True], ids=["heap", "pooled"])
 @pytest.mark.parametrize("act", [ABS, RELU, DEAD_ZONE], ids=["abs", "relu", "dead-zone"])
-def test_tiles_match_one_tile_and_dense_chain(act, mapped, rng, monkeypatch):
+def test_tiles_match_one_tile_and_dense_chain(act, pooled, rng, monkeypatch):
+    # heap: a fresh array per layer; pooled: the two buffers made once per call.
     # DEAD_ZONE has no in-place form: its activations are fresh arrays, not buffer views
-    if mapped:
-        monkeypatch.setattr(_kernels, "MAPPED_BYTES", 0)
-        monkeypatch.setattr(_kernels, "MAPPED_MIN_POINTS", 0)
+    monkeypatch.setattr(_kernels, "POOLED_POINTS", 0 if pooled else np.inf)
     t = SMALL_TILE
     net = random_block_net(rng, act, n_layers=4)
     x = rng.normal(size=(3 * t + 5, net.in_dim))
@@ -77,19 +76,40 @@ def test_tiles_match_one_tile_and_dense_chain(act, mapped, rng, monkeypatch):
         np.testing.assert_allclose(tiled, dense_chain(net, x[:n]), rtol=1e-13, atol=1e-13)
 
 
-def test_multi_tile_call_maps_one_tile_sized_pair(rng, monkeypatch):
+def test_multi_tile_call_makes_one_tile_sized_pair(rng, monkeypatch):
     t = SMALL_TILE
     monkeypatch.setattr(_kernels, "TILE", t)
-    monkeypatch.setattr(_kernels, "MAPPED_BYTES", 0)
-    pair, asked = _kernels._mapped_pair, []
-    monkeypatch.setattr(_kernels, "_mapped_pair", lambda hidden, n: asked.append(n) or pair(hidden, n))
+    monkeypatch.setattr(_kernels, "POOLED_POINTS", 0)
+    asked = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def empty(self, shape):
+            asked.append(shape)
+            return np.empty(shape)
+
+    monkeypatch.setattr(_kernels, "np", CountingNumpy())
     net = random_block_net(rng, ABS, n_layers=4)
     x = rng.normal(size=(10 * t + 7, net.in_dim))
     got = _kernels.eval_chain(net.layers, x.T, ABS.inplace)
-    assert asked == [2 * t - 1]  # once per call, for the largest tile, never for all 647 points
-    assert got.base is None  # the result never lives in a mapping
+    pair = max(w for w in net.widths[1:-1]) * (2 * t - 1)
+    # the result, then one pair for the largest tile (plus at most 7 entries
+    # of alignment slack), never for all 647 points, and no per-layer arrays
+    assert asked[0] == (net.out_dim, 10 * t + 7)
+    assert len(asked) == 3 and asked[1] == asked[2] and pair <= asked[1] < pair + 8
+    assert got.base is None  # the result never lives in a buffer
+    monkeypatch.setattr(_kernels, "np", np)
     monkeypatch.setattr(_kernels, "TILE", 10**9)
     assert np.array_equal(got.T, evaluate(net, x))
+
+
+@pytest.mark.parametrize("size", [1, 7, 8, 1000, 30 * 8191])
+def test_pooled_buffers_start_on_cache_lines(size):
+    buf = _kernels._line_aligned(size)
+    assert buf.size == size and buf.dtype == np.float64
+    assert buf.ctypes.data % 64 == 0
 
 
 def test_greedy_cover_strict_inequality():

@@ -59,25 +59,28 @@ def test_eval_batch_matches_single(rng):
         assert np.allclose(batch[i], evaluate(net, xs[i]))
 
 
+@pytest.mark.parametrize("n", [255, 256, 500])
 @pytest.mark.parametrize("act", [RELU, general_activation(lambda x: np.where(x >= 0, 1.0, 0.0))])
-def test_mapped_buffers_keep_outputs_exact(act, rng, monkeypatch):
-    # two parallel nets of hidden widths 300, 20, 300 on 500 points: every
-    # layer has two blocks, hidden activations alternate between the two
-    # mapped buffers, and a narrow layer sits between wide ones
+def test_pooled_buffers_keep_outputs_exact(act, n, rng, monkeypatch):
+    # two parallel nets of hidden widths 300, 20, 300: every layer has two
+    # blocks, and a narrow layer sits between wide ones.  255 points take
+    # per-layer arrays, 256 and more the pooled pair; each is checked
+    # against the other path
     widths = [3, 300, 20, 300, 1]
     nets = [
         Network(act, [rng.normal(size=(widths[i + 1], widths[i])) / widths[i] for i in range(4)])
         for _ in range(2)
     ]
     net = parallel(nets)
-    xs = rng.normal(size=(500, 6))
-    assert 8 * 600 * 500 >= _kernels.MAPPED_BYTES and 500 >= _kernels.MAPPED_MIN_POINTS
-    mapped = _kernels.eval_chain(net.layers, xs.T, act.inplace or act.apply)
-    assert mapped.base is None  # the result never lives in a mapping
-    monkeypatch.setattr(_kernels, "MAPPED_BYTES", np.inf)
-    assert np.array_equal(mapped.T, evaluate(net, xs))
+    xs = rng.normal(size=(n, 6))
+    pooled = n >= _kernels.POOLED_POINTS
+    assert pooled == (n > 255)
+    got = _kernels.eval_chain(net.layers, xs.T, act.inplace or act.apply)
+    assert got.base is None  # the result never is a view into a buffer
+    monkeypatch.setattr(_kernels, "POOLED_POINTS", np.inf if pooled else 0)
+    assert np.array_equal(got.T, evaluate(net, xs))
     for k, sub in enumerate(nets):
-        assert np.array_equal(mapped[k], evaluate(sub, xs[:, 3 * k : 3 * k + 3])[:, 0])
+        assert np.array_equal(got[k], evaluate(sub, xs[:, 3 * k : 3 * k + 3])[:, 0])
 
 
 def test_eval_dimension_mismatch_names_layer():

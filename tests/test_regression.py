@@ -14,7 +14,7 @@ from nnapprox import (
     path_norm_grads,
     target_inv_two_minus_x,
 )
-from nnapprox.regression import _augment, _risk_grads
+from nnapprox.regression import _augment, _objective, _path_norm_prefix, _risk_grads
 
 
 def _linear_target():
@@ -81,7 +81,7 @@ def test_penalty_gradient_matches_central_differences(rng):
         ws = [rng.uniform(-1, 1, (arch[i + 1], arch[i])) for i in range(len(arch) - 1)]
         # keep entries away from zero where |.| is not differentiable
         ws = [np.where(np.abs(w) < 1e-2, np.sign(w + 1e-30) * 1e-2 + (w == 0) * 1e-2, w) for w in ws]
-        pn, grads = path_norm_grads(ws)
+        grads = path_norm_grads(ws, *_path_norm_prefix(ws)[1:])
         i = int(rng.integers(0, len(ws)))
         a = int(rng.integers(0, ws[i].shape[0]))
         b = int(rng.integers(0, ws[i].shape[1]))
@@ -90,7 +90,7 @@ def test_penalty_gradient_matches_central_differences(rng):
         wm = [w.copy() for w in ws]
         wp[i][a, b] += h
         wm[i][a, b] -= h
-        fd = (path_norm_grads(wp)[0] - path_norm_grads(wm)[0]) / (2 * h)
+        fd = (_path_norm_prefix(wp)[0] - _path_norm_prefix(wm)[0]) / (2 * h)
         if abs(fd) > 1e-8:
             assert grads[i][a, b] == pytest.approx(fd, rel=1e-4)
 
@@ -102,13 +102,11 @@ def test_risk_gradient_matches_central_differences(rng):
         x = rng.uniform(0, 1, (16, 1))
         xa = _augment(x)
         y = rng.normal(size=16)
+        acts, pres, res, _, _ = _objective(ws, xa, y, 0.0)[3]
         # skip configurations with pre-activations near the kink
-        from nnapprox.regression import _forward
-
-        _, pres, _ = _forward(ws, xa)
         if min(np.abs(p).min() for p in pres[:-1]) < 1e-6:
             continue
-        risk, grads = _risk_grads(ws, xa, y)
+        grads = _risk_grads(ws, acts, pres, res)
         i = int(rng.integers(0, len(ws)))
         a = int(rng.integers(0, ws[i].shape[0]))
         b = int(rng.integers(0, ws[i].shape[1]))
@@ -117,7 +115,7 @@ def test_risk_gradient_matches_central_differences(rng):
         wm = [w.copy() for w in ws]
         wp[i][a, b] += h
         wm[i][a, b] -= h
-        fd = (_risk_grads(wp, xa, y)[0] - _risk_grads(wm, xa, y)[0]) / (2 * h)
+        fd = (_objective(wp, xa, y, 0.0)[1] - _objective(wm, xa, y, 0.0)[1]) / (2 * h)
         if abs(fd) > 1e-7:
             assert grads[i][a, b] == pytest.approx(fd, rel=1e-4)
 
@@ -156,12 +154,20 @@ def test_zero_hidden_width_rejected():
         ("noise_sd", -0.1),
         ("noise_sd", float("inf")),
         ("max_epochs", -1),
+        ("oracle_c", -1.0),
+        ("oracle_c", float("nan")),
+        ("oracle_c", float("inf")),
+        ("n", 1),
+        ("n", 0),
+        ("n", -3),
     ],
 )
 def test_config_rejects_nonsense_penalty_and_budget(field, value):
-    # a negative lam or lambda_scale made the penalty reward path norm
+    # a negative lam or lambda_scale made the penalty reward path norm, a
+    # negative oracle_c made oracle_rhs negative, and n < 2 failed later
+    # inside fit or generate_data
     with pytest.raises(ValueError, match=field):
-        RegressionConfig(n=16, d=1, target=_linear_target(), **{field: value})
+        RegressionConfig(**{"n": 16, "d": 1, "target": _linear_target(), field: value})
 
 
 def test_fit_huge_lambda_crushes_path_norm():
