@@ -43,6 +43,13 @@ def _emit(payload, out):
         click.echo(text)
 
 
+def _write_net(net, path):
+    """Write net as one line of JSON to path (the --net-out file), if given."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(json.dumps(network_to_dict(net)) + "\n")
+
+
 def _read_json(path):
     """Parsed JSON file; a file that is not JSON is a usage error."""
     with open(path) as fh:
@@ -308,9 +315,7 @@ def approx_power_series_cmd(series_name, eps, delta, variant, net_out, out):
             f"unknown series {series_name!r} (builtin {sorted(BUILTIN_SERIES)} or a file path)"
         )
     net, cert = build_power_series_net(series, eps=eps, delta=delta, variant=variant, **kwargs)
-    if net_out:
-        with open(net_out, "w") as fh:
-            fh.write(json.dumps(network_to_dict(net)) + "\n")
+    _write_net(net, net_out)
     _emit(cert, out)
 
 
@@ -338,9 +343,7 @@ def approx_cheb_cmd(target_name, d, eps, variant, net_out, out):
         except ValueError as e:
             raise click.UsageError(str(e))
     net, cert = build_cheb_net(target, eps, variant)
-    if net_out:
-        with open(net_out, "w") as fh:
-            fh.write(json.dumps(network_to_dict(net)) + "\n")
+    _write_net(net, net_out)
     _emit(cert, out)
 
 
@@ -422,9 +425,7 @@ def regress_cmd(target_name, d, n, noise, arch, lam, lambda_scale, epochs, seed,
         raise click.UsageError(str(e))
     dataset = reg.generate_data(cfg)
     net, report = reg.fit(cfg, dataset)
-    if net_out:
-        with open(net_out, "w") as fh:
-            fh.write(json.dumps(network_to_dict(net)) + "\n")
+    _write_net(net, net_out)
     _emit({"config": {"n": n, "d": target.d, "target": target.name, "noise_sd": noise,
                       "widths": list(cfg.widths), "lambda": lam, "seed": seed},
            "report": report.to_dict()}, out)

@@ -125,30 +125,22 @@ def mult_path_row(m):
 
 
 def _sq_matrices(m):
-    """Chain [A2, B3, A3, B4, ..., A_{m+1}, B_{m+2}, S_{m+2}].
+    """Chain [A_1, B_1, A_2, B_2, ..., A_m, B_m, S] on the three channels
+    (1, f_s, g_s), where f_s = f_{s-1} - g_s/4^s is the running sum (f_0 = x)
+    and g_s the s-th tent iterate.
 
-    A_k appends (last coordinate - 1/2) below the identity; B_k replaces the
-    last coordinate by 1 - 2*(last), turning |g - 1/2| into the next tent
-    iterate; S reads off x - sum g_s/4^s.
+    A_1 maps (1, x) to (1, x, x - 1/2); each later A_s replaces g by
+    g - 1/2.  B_s turns |g - 1/2| into g_s = 1 - 2|g - 1/2| and adds -g_s/4^s
+    to the running sum; S reads off f_m.  On [0,1] every f_s is the dyadic
+    interpolant of x^2, so f_s >= 0 passes the abs activation unchanged.
     """
+    a1 = np.array([[1.0, 0.0], [0.0, 1.0], [-0.5, 1.0]])
+    a = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-0.5, 0.0, 1.0]])
     mats = []
-    for k in range(2, m + 2):
-        a = np.zeros((k + 1, k))
-        a[:k, :k] = np.eye(k)
-        a[k, 0] = -0.5
-        a[k, k - 1] = 1.0
-        b = np.zeros((k + 1, k + 1))
-        b[:k, :k] = np.eye(k)
-        b[k, 0] = 1.0
-        b[k, k] = -2.0
-        mats.append(a)
-        mats.append(b)
-    s = np.zeros((1, m + 2))
-    s[0, 1] = 1.0
-    for j in range(1, m + 1):
-        s[0, j + 1] = -(4.0**-j)
-    mats.append(s)
-    return mats
+    for s in range(1, m + 1):
+        q = 4.0**-s
+        mats += [a1 if s == 1 else a, np.array([[1.0, 0.0, 0.0], [-q, 1.0, 2.0 * q], [1.0, 0.0, -2.0]])]
+    return mats + [np.array([[0.0, 1.0, 0.0]])]
 
 
 def build_sq(m):
@@ -167,7 +159,7 @@ def build_sq(m):
             "claimed_domain": "x in [0,1]",
         },
     )
-    assert net.max_width == m + 2
+    assert net.max_width == 3
     return net
 
 
@@ -214,7 +206,7 @@ def build_mult(m, variant=RESCALED):
             else "[0,1]^2",
         },
     )
-    assert net.max_width <= 3 * m + 6
+    assert net.max_width == 9
     assert net.depth <= 2 * m + 3
     return net
 

@@ -51,6 +51,7 @@ class EntropyBoundSpec:
             raise ValueError("eps, B, r must be finite and positive; n >= 1; L >= 0")
         if any(w < 1 for w in self.p):
             raise ValueError("widths must be positive")
+        _ceil_term(self.B, self.r, self.eps)
 
     @property
     def d(self):
@@ -65,7 +66,12 @@ class EntropyBoundSpec:
 
 
 def _ceil_term(b, r, eps):
-    return math.ceil(b * b * r * r / (eps * eps))
+    """ceil(b^2 r^2 / eps^2); a ValueError when the ratio leaves float range."""
+    eps2 = eps * eps
+    q = b * b * r * r / eps2 if eps2 > 0.0 else math.inf
+    if not math.isfinite(q):
+        raise ValueError(f"B^2 r^2 / eps^2 is not a finite float for B={b!r}, r={r!r}, eps={eps!r}")
+    return math.ceil(q)
 
 
 def linear_bound(b, r, eps, d):

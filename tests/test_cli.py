@@ -126,6 +126,21 @@ def test_approx_cheb_polynomial_file_and_net_out(runner, tmp_path):
     assert np.abs(y - (0.25 + 0.5 * x * x)).max() <= cert["measured_sup_error"] + 1e-12
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["approx", "power-series", "--eps", "0.0625", "--delta", "0.25"], ["regress", "--n", "16", "--epochs", "2"]],
+    ids=["power-series", "regress"],
+)
+def test_net_out_writes_the_network(runner, tmp_path, args):
+    from nnapprox import network_from_json
+
+    net_path = tmp_path / "net.json"
+    res = runner.invoke(main, [*args, "--net-out", str(net_path)])
+    assert res.exit_code == 0, res.output
+    net = network_from_json(net_path.read_text())
+    assert (net.in_dim, net.out_dim) == (2, 1)
+
+
 def test_build_mon_writes_the_network(runner, tmp_path):
     from nnapprox import build_mon, evaluate, network_from_json
 
@@ -190,6 +205,10 @@ BAD_INPUTS = [
      ["entropy", "bound", "--eps", "1", "--l", "0", "--p", "1,1", "--b", "inf", "--r", "1", "--n", "8"]),
     ("entropy bound inf r",
      ["entropy", "bound", "--eps", "1", "--l", "0", "--p", "1,1", "--b", "1", "--r", "inf", "--n", "8"]),
+    ("entropy bound b overflows the ceiling term",
+     ["entropy", "bound", "--eps", "1", "--l", "0", "--p", "1,1", "--b", "1e200", "--r", "1", "--n", "8"]),
+    ("entropy bound eps squared underflows",
+     ["entropy", "bound", "--eps", "1e-300", "--l", "0", "--p", "1,1", "--b", "1", "--r", "1", "--n", "8"]),
     ("entropy empirical activation a list", ["entropy", "empirical", "--spec", "{spec_act_list}"]),
     ("entropy empirical activation an object", ["entropy", "empirical", "--spec", "{spec_act_obj}"]),
     ("regress zero hidden width", ["regress", "--arch", "8,0", "--n", "16", "--epochs", "1"]),

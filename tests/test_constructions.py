@@ -108,8 +108,28 @@ def test_sq_matches_fm_ref_on_grid():
         net = build_sq(m)
         v = evaluate(net, inp)[:, 0]
         assert np.abs(v - fm_ref(m, x)).max() <= 1e-11
-        assert net.max_width == m + 2
+        assert net.max_width == 3
         assert len(net.layers) == 2 * m + 1
+
+
+def test_sq_and_mult_chains_carry_three_channels():
+    for m in range(1, 11):
+        assert build_sq(m).param_count() == 18 * m
+        for variant in (LITERAL, RESCALED):
+            assert build_mult(m, variant).max_width == 9
+
+
+def test_sq_prefix_carries_running_sum_and_tent_iterate():
+    # the prefix ending at B_s outputs (1, f_s, g_s): the running sum is the
+    # dyadic interpolant of x^2, so it is >= 0 and survives the abs activation
+    x = np.linspace(0, 1, 10001)
+    layers = build_sq(10).layers
+    for s in range(1, 11):
+        out = evaluate(Network(ABS, layers[: 2 * s]), _aug(x))
+        assert out.shape == (len(x), 3)
+        assert np.abs(out[:, 1] - fm_ref(s, x)).max() <= 1e-15
+        assert out[:, 1].min() >= 0.0
+        assert np.array_equal(out[:, 2], tent_iter(s, x))
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +199,18 @@ def test_mult_error_propagation_inequality(rng=np.random.default_rng(7)):
         lhs = np.abs(v - t * z)
         rhs = eps_m + np.abs(x - t) + np.abs(y - z)
         assert np.all(lhs <= rhs + 1e-12)
+
+
+def test_mult_outputs_nonnegative_on_certified_grid():
+    # product-DAG chains take Mult outputs as inputs, so they must stay in
+    # the squaring chain's domain [0,1] up to rounding
+    xs = np.arange(201) / 200
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    for variant in (LITERAL, RESCALED):
+        mask = gx + gy <= 1.0 if variant is LITERAL else np.ones_like(gx, dtype=bool)
+        inp = np.column_stack([np.ones(mask.sum()), gx[mask], gy[mask]])
+        for m in range(1, 11):
+            assert evaluate(build_mult(m, variant), inp).min() >= -1e-15
 
 
 def test_mult_hidden_layers_are_three_equal_blocks():

@@ -46,6 +46,15 @@ def test_spec_validation():
             EntropyBoundSpec(**{"eps": 1.0, "L": 0, "p": (1, 1), "B": 1.0, "r": 1.0, "n": 4, **bad})
 
 
+def test_bound_outside_float_range_is_value_error():
+    # B^2 r^2 / eps^2 overflows, or eps^2 underflows to 0
+    for b, eps in ((1e200, 1.0), (1.0, 1e-300)):
+        with pytest.raises(ValueError, match="finite"):
+            linear_bound(b, 1.0, eps, 1)
+        with pytest.raises(ValueError, match="finite"):
+            EntropyBoundSpec(eps=eps, L=0, p=(1, 1), B=b, r=1.0, n=8)
+
+
 def test_network_bound_example():
     spec = EntropyBoundSpec(eps=1.0, L=1, p=(1, 2, 1), B=1.0, r=1.0, n=8)
     assert network_bound(spec) == pytest.approx(2 * math.log2(24) + math.log2(5))
