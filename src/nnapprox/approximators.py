@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import MonomialPolynomial, cheb_fit, cheb_to_monomial
+from .chebyshev import MonomialPolynomial, cheb_fit, cheb_to_monomial, tensor_grid
 from .constructions import (
     MultVariant,
     LITERAL,
@@ -94,8 +94,10 @@ def series_inv_two_minus_x():
 BUILTIN_SERIES = {"inv2mx": (series_inv_two_minus_x, 1, 1.0)}
 
 
-def _coefficient_row(series, indices, d):
-    """Row of coefficients for the listed multi-indices, in order."""
+def _coefficient_row(series, d, gamma):
+    """Coefficients of the multi-indices of total degree <= gamma, in the
+    order of build_mon(m, gamma + 1, d)'s outputs."""
+    indices = enumerate_multi_indices(d, gamma + 1)
     if isinstance(series, MonomialPolynomial):
         if series.d != d:
             raise ValueError("polynomial dimension does not match d")
@@ -119,6 +121,26 @@ def power_series_path_bound(d, F, gamma, variant):
     return bound
 
 
+def _polynomial_net(construction, d, gamma, m, variant, row, **extra):
+    """Append the coefficient row to build_mon(m, gamma + 1, d, variant).
+
+    Returns the network and the certificate entries both routes share.
+    """
+    meta = {"construction": construction, "d": d, "m": m, "gamma": gamma, "variant": variant.value, **extra}
+    net = append_layer(build_mon(m, gamma + 1, d, variant), row.reshape(1, -1), meta=meta)
+    return net, {
+        "d": d,
+        "gamma": gamma,
+        "m": m,
+        "variant": variant.value,
+        "claimed_depth_bound": mon_depth_bound(m, gamma + 1),
+        "claimed_width_bound": mon_width_bound(m, gamma + 1, d),
+        "depth": net.depth,
+        "max_width": net.max_width,
+        "path_norm": path_norm(net),
+    }
+
+
 def build_power_series_net(series, eps, delta, variant, d=None, F=None):
     """Network approximating sum a_k x^k on (0, 1-delta]^d.
 
@@ -134,44 +156,25 @@ def build_power_series_net(series, eps, delta, variant, d=None, F=None):
         raise ValueError("d is required when series is a callable")
     gamma = max(1, math.ceil((1.0 / delta) * math.log(1.0 / eps)))
     m = max(1, math.ceil(math.log2(1.0 / eps)))
-    indices = enumerate_multi_indices(d, gamma + 1)
-    row = _coefficient_row(series, indices, d)
+    row = _coefficient_row(series, d, gamma)
     if F is None:
         F = float(np.sum(np.abs(row)))
         if isinstance(series, MonomialPolynomial):
             F = max(F, series.coeff_l1())
-    mon = build_mon(m, gamma + 1, d, variant)
-    lit = variant is LITERAL
-    meta = {
-        "construction": "power-series-net",
-        "d": d,
-        "m": m,
-        "gamma": gamma,
-        "variant": variant.value,
-        "F": F,
-    }
-    net = append_layer(mon, row.reshape(1, -1), meta=meta)
-    pn = path_norm(net)
+    net, shared = _polynomial_net("power-series-net", d, gamma, m, variant, row, F=F)
     bound = power_series_path_bound(d, F, gamma, variant)
-    assert pn <= bound or F == 0.0
+    assert shared["path_norm"] <= bound or F == 0.0
+    lit = variant is LITERAL
     lo_dom = min(0.5, 1.0 - delta) if lit else 1.0 - delta
     cert = {
         "route": "power-series",
-        "d": d,
         "eps": eps,
         "delta": delta,
-        "gamma": gamma,
-        "m": m,
-        "variant": variant.value,
         "F": F,
         "claimed_error": (2.0 if lit else 6.0) * F * eps / delta**2,
         "claimed_domain": f"(0, {lo_dom}]^{d}",
-        "path_norm": pn,
         "path_norm_bound": bound,
-        "claimed_depth_bound": mon_depth_bound(m, gamma + 1),
-        "claimed_width_bound": mon_width_bound(m, gamma + 1, d),
-        "depth": net.depth,
-        "max_width": net.max_width,
+        **shared,
     }
     return net, cert
 
@@ -185,33 +188,17 @@ def build_cheb_net(target, eps, variant, measure_grid=513):
     d = target.d
     gamma = m = max(1, math.ceil(math.log2(1.0 / eps)))
     series = cheb_fit(target, (gamma,) * d, domain=((0.0, 1.0),) * d)
-    poly = cheb_to_monomial(series, gamma)
-    indices = enumerate_multi_indices(d, gamma + 1)
-    row = np.array([poly.terms.get(k, 0.0) for k in indices])
-    mon = build_mon(m, gamma + 1, d, variant)
-    meta = {
-        "construction": "cheb-net",
-        "target": target.name,
-        "d": d,
-        "m": m,
-        "gamma": gamma,
-        "variant": variant.value,
-    }
-    net = append_layer(mon, row.reshape(1, -1), meta=meta)
+    row = _coefficient_row(cheb_to_monomial(series, gamma), d, gamma)
+    net, shared = _polynomial_net("cheb-net", d, gamma, m, variant, row, target=target.name)
 
     per_axis = max(2, int(round(measure_grid ** (1.0 / d))))
-    axes = [np.linspace(0.0, 1.0, per_axis)] * d
-    grid = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+    grid = tensor_grid([np.linspace(0.0, 1.0, per_axis)] * d)
     inp = np.column_stack([np.ones(len(grid)), grid])
     measured = float(np.abs(evaluate(net, inp)[:, 0] - target.evaluate(grid)).max())
     cert = {
         "route": "chebyshev",
         "target": target.name,
-        "d": d,
         "eps": eps,
-        "gamma": gamma,
-        "m": m,
-        "variant": variant.value,
         "rho": target.rho,
         "measured_sup_error": measured,
         "grid": {"points_per_axis": per_axis, "domain": "[0,1]^%d" % d},
@@ -220,11 +207,7 @@ def build_cheb_net(target, eps, variant, measure_grid=513):
             "width": f"O(log2(1/eps))^{d + 2}",
             "path_norm": f"O(log2(1/eps))^{2 * d + 5}",
         },
-        "claimed_depth_bound": mon_depth_bound(m, gamma + 1),
-        "claimed_width_bound": mon_width_bound(m, gamma + 1, d),
-        "depth": net.depth,
-        "max_width": net.max_width,
-        "path_norm": path_norm(net),
+        **shared,
     }
     return net, cert
 

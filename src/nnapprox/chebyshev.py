@@ -6,6 +6,11 @@ interval composes the affine map into every downstream identity, so the
 classical facts about T_n are used only on [-1, 1]: the recursion, the
 leading coefficient 2^(n-1) (n >= 1), and
 sum_j |coeff_j(T_n)| = ((1+sqrt 2)^n + (1-sqrt 2)^n)/2 <= (1+sqrt 2)^n.
+
+Fitting and conversion contract the coefficient tensor axis by axis: fitting
+with the Lobatto values-to-coefficients matrix, conversion with the matrix
+whose column k holds the monomial coefficients of T_k through the axis's
+affine map.
 """
 
 from __future__ import annotations
@@ -38,6 +43,53 @@ def cheb_poly_coeffs(n):
     return np.array(cur, dtype=np.float64)
 
 
+def tensor_grid(axes):
+    """Every point of axes[0] x ... x axes[d-1] as an (N, d) array, the last
+    axis varying fastest."""
+    return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+
+
+def monomial_values(indices, x):
+    """Brute-force x^k for each index; x of shape (n, d) -> (n, len(indices))."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty((x.shape[0], len(indices)))
+    for j, k in enumerate(indices):
+        col = np.ones(x.shape[0])
+        for axis, count in enumerate(k):
+            if count:
+                col = col * x[:, axis] ** count
+        out[:, j] = col
+    return out
+
+
+def _points(x, d):
+    """Points as an (n, d) array; shape (n,) is accepted when d == 1."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[:, None]
+    if x.shape[1] != d:
+        raise ValueError(f"expected points with {d} coordinates")
+    return x
+
+
+def _intervals(domain, d):
+    """Per-axis (lo, hi) floats, [-1, 1] on every axis when domain is None."""
+    domain = ((-1, 1),) * d if domain is None else domain
+    domain = tuple((float(lo), float(hi)) for lo, hi in domain)
+    if len(domain) != d:
+        raise ValueError("domain must give one interval per axis")
+    if any(lo == hi or not np.isfinite([lo, hi]).all() for lo, hi in domain):
+        raise ValueError(f"domain intervals need finite, distinct endpoints, got {domain}")
+    return domain
+
+
+def _contract(mats, tensor):
+    """Apply mats[a] along axis a of the tensor."""
+    for a, mat in enumerate(mats):
+        tensor = np.moveaxis(np.tensordot(mat, tensor, axes=(1, a)), 0, a)
+    return tensor
+
+
 @dataclass
 class ChebyshevSeries:
     """Tensor-product series sum_k a_k T_{k1}(t_1) ... T_{kd}(t_d) with
@@ -50,11 +102,7 @@ class ChebyshevSeries:
         self.coeffs = np.asarray(self.coeffs, dtype=np.float64)
         if not np.all(np.isfinite(self.coeffs)):
             raise ValueError("series coefficients must be finite")
-        if self.domain is None:
-            self.domain = tuple((-1.0, 1.0) for _ in range(self.coeffs.ndim))
-        self.domain = tuple((float(lo), float(hi)) for lo, hi in self.domain)
-        if len(self.domain) != self.coeffs.ndim:
-            raise ValueError("domain must give one interval per axis")
+        self.domain = _intervals(self.domain, self.coeffs.ndim)
 
     @property
     def d(self):
@@ -66,23 +114,12 @@ class ChebyshevSeries:
 
     def evaluate(self, x):
         """Evaluate at points of shape (n, d) (or (n,) when d == 1)."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            x = x[:, None]
-        if x.shape[1] != self.d:
-            raise ValueError(f"expected points with {self.d} coordinates")
-        vs = []
-        for a in range(self.d):
-            lo, hi = self.domain[a]
+        x = _points(x, self.d)
+        operands = []
+        for a, (lo, hi) in enumerate(self.domain):
             t = 2.0 * (x[:, a] - lo) / (hi - lo) - 1.0
-            vs.append(_cheb_vander(t, self.coeffs.shape[a] - 1))
-        if self.d == 1:
-            return vs[0] @ self.coeffs
-        if self.d == 2:
-            return np.einsum("ni,nj,ij->n", vs[0], vs[1], self.coeffs)
-        if self.d == 3:
-            return np.einsum("ni,nj,nk,ijk->n", vs[0], vs[1], vs[2], self.coeffs)
-        raise ValueError("evaluation supported up to d = 3")
+            operands += [_cheb_vander(t, self.coeffs.shape[a] - 1), [0, a + 1]]
+        return np.einsum(*operands, self.coeffs, list(range(1, self.d + 1)), [0])
 
 
 def _cheb_vander(t, deg):
@@ -122,25 +159,18 @@ def cheb_fit(target, degrees, domain=None):
         raise ValueError("cheb_fit supports 1 <= d <= 3")
     if any(n < 0 for n in degrees):
         raise ValueError("degrees must be nonnegative")
-    if domain is None:
-        domain = tuple((-1.0, 1.0) for _ in range(d))
+    domain = _intervals(domain, d)
     axes = []
-    for a, n in enumerate(degrees):
+    for n, (lo, hi) in zip(degrees, domain):
         t = np.cos(np.pi * np.arange(n + 1) / n) if n > 0 else np.array([1.0])
-        lo, hi = domain[a]
         axes.append(lo + (hi - lo) * (t + 1.0) / 2.0)
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([g.ravel() for g in grids])
+    pts = tensor_grid(axes)
     vals = np.asarray(fn(pts), dtype=np.float64)
     if not np.all(np.isfinite(vals)):
         bad = pts[~np.isfinite(vals)][0]
         raise ValueError(f"target returned a non-finite value at node {tuple(bad)}")
-    coeffs = vals.reshape([n + 1 for n in degrees])
-    for a, n in enumerate(degrees):
-        coeffs = np.moveaxis(
-            np.tensordot(_lobatto_transform(n), coeffs, axes=(1, a)), 0, a
-        )
-    return ChebyshevSeries(coeffs, tuple(domain))
+    coeffs = _contract([_lobatto_transform(n) for n in degrees], vals.reshape([n + 1 for n in degrees]))
+    return ChebyshevSeries(coeffs, domain)
 
 
 @dataclass
@@ -171,17 +201,8 @@ class MonomialPolynomial:
         return float(sum(abs(c) for c in self.terms.values()))
 
     def evaluate(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            x = x[:, None]
-        out = np.zeros(x.shape[0])
-        for k, c in self.terms.items():
-            term = np.full(x.shape[0], c)
-            for axis, count in enumerate(k):
-                if count:
-                    term = term * x[:, axis] ** count
-            out += term
-        return out
+        x = _points(x, self.d)
+        return monomial_values(list(self.terms), x) @ np.array(list(self.terms.values()))
 
 
 def _affine_cheb_monomials(n, lo, hi):
@@ -201,28 +222,17 @@ def _affine_cheb_monomials(n, lo, hi):
 def cheb_to_monomial(series, gamma):
     """Rewrite the series (truncated to total degree <= gamma) in monomials.
 
-    Tensor coefficients with |k|_1 > gamma are dropped first; each surviving
-    product T_{k1}...T_{kd} is expanded exactly through the affine domain
-    map, so the result is a polynomial identity with the truncated series.
+    Tensor coefficients with |k|_1 > gamma are zeroed first.  Each axis is
+    then contracted with the matrix whose column k holds the monomial
+    coefficients of T_k through that axis's affine domain map, so the result
+    is a polynomial identity with the truncated series.
     """
-    coeffs = series.coeffs
-    d = series.d
-    cache = {}
-    terms = {}
-    for k in np.ndindex(coeffs.shape):
-        c = coeffs[k]
-        if c == 0.0 or sum(k) > gamma:
-            continue
-        vecs = []
-        for a, ka in enumerate(k):
-            key = (ka, series.domain[a])
-            if key not in cache:
-                cache[key] = _affine_cheb_monomials(ka, *series.domain[a])
-            vecs.append(cache[key])
-        for j in np.ndindex(tuple(len(v) for v in vecs)):
-            val = c
-            for a in range(d):
-                val *= vecs[a][j[a]]
-            if val != 0.0:
-                terms[j] = terms.get(j, 0.0) + val
-    return MonomialPolynomial(d, terms)
+    coeffs = series.coeffs[tuple(slice(max(gamma + 1, 0)) for _ in range(series.d))]
+    coeffs = np.where(np.indices(coeffs.shape).sum(axis=0) <= gamma, coeffs, 0.0)
+    mats = []
+    for size, (lo, hi) in zip(coeffs.shape, series.domain):
+        mat = np.zeros((size, size))
+        for k in range(size):
+            mat[: k + 1, k] = _affine_cheb_monomials(k, lo, hi)
+        mats.append(mat)
+    return MonomialPolynomial(series.d, dict(np.ndenumerate(_contract(mats, coeffs))))

@@ -401,15 +401,3 @@ def build_mon(m, gamma, d, variant=RESCALED):
         assert pmax <= 2304.0 * (gamma + 1) ** 6
     return net
 
-
-def monomial_values(indices, x):
-    """Brute-force x^k for each index; x of shape (n, d) -> (n, len(indices))."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty((x.shape[0], len(indices)))
-    for j, k in enumerate(indices):
-        col = np.ones(x.shape[0])
-        for axis, count in enumerate(k):
-            if count:
-                col = col * x[:, axis] ** count
-        out[:, j] = col
-    return out

@@ -8,11 +8,12 @@ a VerificationReport whose pass flag is measured <= claimed.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import constructions as ctor
+from .chebyshev import monomial_values, tensor_grid
 from .network import evaluate
 
 
@@ -27,15 +28,7 @@ class VerificationReport:
     seconds: float
 
     def to_dict(self):
-        return {
-            "construction": self.construction,
-            "params": self.params,
-            "grid": self.grid,
-            "measured_max_error": self.measured_max_error,
-            "claimed_bound": self.claimed_bound,
-            "passed": self.passed,
-            "seconds": self.seconds,
-        }
+        return asdict(self)
 
 
 def _report(name, params, grid, measured, claimed, t0):
@@ -121,10 +114,9 @@ def verify_mon(m, gamma, d, variant, grid_points=51, bound=None):
     variant = ctor.MultVariant.parse(variant)
     net = ctor.build_mon(m, gamma, d, variant)
     hi = 0.5 if variant is ctor.LITERAL else 1.0
-    axes = [np.linspace(0.0, hi, grid_points)] * d
-    pts = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+    pts = tensor_grid([np.linspace(0.0, hi, grid_points)] * d)
     inp = np.column_stack([np.ones(len(pts)), pts])
-    truth = ctor.monomial_values(ctor.enumerate_multi_indices(d, gamma), pts)
+    truth = monomial_values(ctor.enumerate_multi_indices(d, gamma), pts)
     measured = np.abs(evaluate(net, inp) - truth).max()
     claimed = ctor.mon_error_bound(m, gamma, variant) if bound is None else bound
     return _report(

@@ -24,7 +24,7 @@ from numpy.polynomial import chebyshev as npcheb
 
 import nnapprox as nx
 from nnapprox.approximators import power_series_path_bound, series_inv_two_minus_x
-from nnapprox.constructions import monomial_values
+from nnapprox.chebyshev import monomial_values
 from nnapprox.regression import _augment, _objective, _path_norm_prefix, _risk_grads
 from conftest import random_dense_net
 

@@ -172,3 +172,20 @@ def test_cheb_net_param_budget():
     net, _ = build_cheb_net(t, 2.0**-6, "rescaled")
     rep = l1_param_budget(net)
     assert rep["param_count"] <= rep["param_count_bound"]
+
+
+def test_certificate_and_meta_keys():
+    shared = {"d", "gamma", "m", "variant", "claimed_depth_bound", "claimed_width_bound",
+              "depth", "max_width", "path_norm", "route", "eps"}
+    net, cert = build_power_series_net(
+        series_inv_two_minus_x(), eps=2.0**-4, delta=0.5, variant="rescaled", d=1, F=1.0
+    )
+    assert set(cert) == shared | {"delta", "F", "claimed_error", "claimed_domain", "path_norm_bound"}
+    assert set(net.meta) == {"construction", "d", "m", "gamma", "variant", "F"}
+    assert net.meta["construction"] == "power-series-net" and cert["route"] == "power-series"
+    net, cert = build_cheb_net(target_exp_sum(1), 2.0**-4, "rescaled")
+    assert set(cert) == shared | {"target", "rho", "measured_sup_error", "grid", "claimed_orders"}
+    assert set(net.meta) == {"construction", "target", "d", "m", "gamma", "variant"}
+    assert net.meta["construction"] == "cheb-net" and cert["route"] == "chebyshev"
+    assert cert["path_norm"] == path_norm(net)
+    assert (cert["depth"], cert["max_width"]) == (net.depth, net.max_width)

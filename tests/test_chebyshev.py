@@ -9,6 +9,7 @@ from nnapprox import (
     cheb_poly_coeffs,
     cheb_to_monomial,
 )
+from nnapprox.chebyshev import _affine_cheb_monomials, tensor_grid
 
 
 def test_t0_t1_t2():
@@ -152,3 +153,91 @@ def test_series_evaluate_shapes():
     x = np.array([0.0, 0.5, 1.0])
     want = 1.0 + 2.0 * (2 * x - 1)
     assert np.allclose(s.evaluate(x), want)
+
+
+def _per_term_expansion(series, gamma):
+    """The conversion as a sum over tensor terms: every product
+    T_{k1}...T_{kd} with |k|_1 <= gamma expanded into monomials one by one."""
+    terms = {}
+    for k in np.ndindex(series.coeffs.shape):
+        c = series.coeffs[k]
+        if c == 0.0 or sum(k) > gamma:
+            continue
+        vecs = [_affine_cheb_monomials(ka, *series.domain[a]) for a, ka in enumerate(k)]
+        for j in np.ndindex(tuple(len(v) for v in vecs)):
+            val = c
+            for a in range(series.d):
+                val *= vecs[a][j[a]]
+            if val != 0.0:
+                terms[j] = terms.get(j, 0.0) + val
+    return MonomialPolynomial(series.d, terms)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("interval", [(-1.0, 1.0), (0.0, 1.0)])
+@pytest.mark.parametrize("truncate", [False, True], ids=["full", "truncated"])
+def test_to_monomial_matches_per_term_expansion(d, interval, truncate):
+    rng = np.random.default_rng(7 * d + int(truncate))
+    for _ in range(10):
+        degs = tuple(int(v) for v in rng.integers(0, 9 if d < 3 else 6, d))
+        s = ChebyshevSeries(rng.normal(size=[n + 1 for n in degs]), (interval,) * d)
+        gamma = int(rng.integers(0, sum(degs) + 1)) if truncate else sum(degs)
+        got = cheb_to_monomial(s, gamma).terms
+        want = _per_term_expansion(s, gamma).terms
+        assert got.keys() == want.keys()
+        scale = max((abs(c) for c in want.values()), default=0.0)
+        for k, c in want.items():
+            assert abs(got[k] - c) <= 1e-12 * scale, (k, got[k], c)
+
+
+def test_series_evaluate_matches_numpy_chebval():
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-1, 1, (40, 3))
+    for d, chebval in ((1, npcheb.chebval), (2, npcheb.chebval2d), (3, npcheb.chebval3d)):
+        c = rng.normal(size=tuple(int(n) for n in rng.integers(1, 8, d)))
+        want = chebval(*x[:, :d].T, c)
+        assert np.abs(ChebyshevSeries(c).evaluate(x[:, :d]) - want).max() <= 1e-12 * np.abs(c).sum()
+
+
+def test_series_evaluate_four_axes_brute_force():
+    rng = np.random.default_rng(12)
+    domain = ((-1.0, 1.0), (0.0, 1.0), (2.0, -3.0), (0.5, 4.0))
+    c = rng.normal(size=(3, 2, 4, 3))
+    x = np.column_stack([rng.uniform(min(lo, hi), max(lo, hi), 30) for lo, hi in domain])
+    t = np.column_stack([2.0 * (x[:, a] - lo) / (hi - lo) - 1.0 for a, (lo, hi) in enumerate(domain)])
+    want = np.zeros(len(x))
+    for k in np.ndindex(c.shape):
+        want += c[k] * np.prod([np.cos(ka * np.arccos(t[:, a])) for a, ka in enumerate(k)], axis=0)
+    got = ChebyshevSeries(c, domain).evaluate(x)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(c).sum()
+
+
+def test_monomial_evaluate_checks_coordinate_count():
+    p = MonomialPolynomial(2, {(1, 1): 1.0})
+    assert np.array_equal(p.evaluate(np.full((3, 2), 2.0)), [4.0, 4.0, 4.0])
+    for bad in (np.full((3, 3), 2.0), np.full((3, 1), 2.0), np.full(3, 2.0)):
+        with pytest.raises(ValueError, match="expected points with 2 coordinates"):
+            p.evaluate(bad)
+    assert np.array_equal(MonomialPolynomial(1, {}).evaluate(np.arange(4.0)), np.zeros(4))
+
+
+@pytest.mark.parametrize("interval", [(1.0, 1.0), (0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0)])
+def test_series_rejects_degenerate_or_nonfinite_interval(interval):
+    with pytest.raises(ValueError, match="finite, distinct endpoints"):
+        ChebyshevSeries(np.array([1.0, 2.0]), (interval,))
+    with pytest.raises(ValueError, match="finite, distinct endpoints"):
+        cheb_fit(lambda p: p[:, 0], (3,), domain=(interval,))
+
+
+def test_series_accepts_reversed_interval():
+    s = ChebyshevSeries(np.array([1.0, 2.0]), ((1.0, 0.0),))
+    x = np.array([0.0, 0.25, 1.0])
+    assert np.allclose(s.evaluate(x), 1.0 + 2.0 * (1.0 - 2.0 * x))
+    assert np.allclose(cheb_to_monomial(s, 1).evaluate(x), s.evaluate(x))
+    assert np.allclose(cheb_fit(lambda p: p[:, 0] ** 2, (2,), domain=((1.0, 0.0),)).evaluate(x), x**2)
+
+
+def test_tensor_grid_last_axis_fastest():
+    got = tensor_grid([np.array([0.0, 1.0]), np.array([2.0, 3.0, 4.0])])
+    want = [[0, 2], [0, 3], [0, 4], [1, 2], [1, 3], [1, 4]]
+    assert np.array_equal(got, want)

@@ -34,7 +34,7 @@ from nnapprox import (
     tent_iter,
 )
 from nnapprox import constructions as ctor
-from nnapprox.constructions import monomial_values
+from nnapprox.chebyshev import monomial_values
 from nnapprox.network import BlockDiagonal
 
 

@@ -36,6 +36,9 @@ def test_verify_mult_reports_bound_override():
     rep = verify_mult(3, RESCALED, step=0.1, bound=1.0)
     assert rep.claimed_bound == 1.0 and rep.passed
     assert rep.to_dict()["claimed_bound"] == 1.0
+    assert list(rep.to_dict()) == [
+        "construction", "params", "grid", "measured_max_error", "claimed_bound", "passed", "seconds"
+    ]
 
 
 @pytest.mark.parametrize("step", [0.0, -0.1, 1.5, 3.0])
