@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import MonomialPolynomial, cheb_fit, cheb_to_monomial, tensor_grid
+from .chebyshev import MonomialPolynomial, _points, cheb_fit, cheb_to_monomial, tensor_grid
 from .constructions import (
     MultVariant,
     LITERAL,
@@ -30,7 +30,8 @@ from .constructions import (
     mon_depth_bound,
     mon_width_bound,
 )
-from .network import Network, append_layer, evaluate, path_norm
+from .network import append_layer, path_norm
+from .verify import sup_error
 
 
 class MissingCoefficientError(ValueError):
@@ -53,12 +54,7 @@ class AnalyticTarget:
     rho: float = None
 
     def evaluate(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            x = x[:, None]
-        if x.shape[1] != self.d:
-            raise ValueError(f"target {self.name} expects d={self.d} coordinates")
-        return np.asarray(self.fn(x), dtype=np.float64)
+        return np.asarray(self.fn(_points(x, self.d)), dtype=np.float64)
 
 
 def target_inv_two_minus_x():
@@ -164,15 +160,13 @@ def build_power_series_net(series, eps, delta, variant, d=None, F=None):
     net, shared = _polynomial_net("power-series-net", d, gamma, m, variant, row, F=F)
     bound = power_series_path_bound(d, F, gamma, variant)
     assert shared["path_norm"] <= bound or F == 0.0
-    lit = variant is LITERAL
-    lo_dom = min(0.5, 1.0 - delta) if lit else 1.0 - delta
     cert = {
         "route": "power-series",
         "eps": eps,
         "delta": delta,
         "F": F,
-        "claimed_error": (2.0 if lit else 6.0) * F * eps / delta**2,
-        "claimed_domain": f"(0, {lo_dom}]^{d}",
+        "claimed_error": (2.0 if variant is LITERAL else 6.0) * F * eps / delta**2,
+        "claimed_domain": f"(0, {min(variant.edge, 1.0 - delta)}]^{d}",
         "path_norm_bound": bound,
         **shared,
     }
@@ -193,8 +187,7 @@ def build_cheb_net(target, eps, variant, measure_grid=513):
 
     per_axis = max(2, int(round(measure_grid ** (1.0 / d))))
     grid = tensor_grid([np.linspace(0.0, 1.0, per_axis)] * d)
-    inp = np.column_stack([np.ones(len(grid)), grid])
-    measured = float(np.abs(evaluate(net, inp)[:, 0] - target.evaluate(grid)).max())
+    measured = sup_error(net, grid, target.evaluate(grid))
     cert = {
         "route": "chebyshev",
         "target": target.name,

@@ -202,19 +202,23 @@ def path_norm_cmd(net_json, out):
 @click.option("--out", type=click.Path(), default=None)
 def verify_cmd(construction, m, r, gamma, d, variant, grid, step, samples, seed, bound, out):
     """Sweep a construction against its claimed error bound; exit 1 on failure."""
-    if construction == "sq":
-        rep = ver.verify_sq(m, n_points=10000 if grid is None else grid, bound=bound)
-    elif construction == "mult":
-        rep = ver.verify_mult(m, variant, step=step, bound=bound)
-    elif construction == "multr":
-        if r is None:
-            raise click.UsageError("multr needs --r")
-        rep = ver.verify_multr(m, r, variant, n_samples=samples, seed=seed, bound=bound)
-    else:
-        if gamma is None or d is None:
-            raise click.UsageError("mon needs --gamma and --d")
-        grid_points = 51 if grid is None else grid
-        rep = ver.verify_mon(m, gamma, d, variant, grid_points=grid_points, bound=bound)
+    # --grid is passed on only when given, so the default sizes live in verify.py
+    size = {} if grid is None else {"n_points" if construction == "sq" else "grid_points": grid}
+    try:
+        if construction == "sq":
+            rep = ver.verify_sq(m, bound=bound, **size)
+        elif construction == "mult":
+            rep = ver.verify_mult(m, variant, step=step, bound=bound)
+        elif construction == "multr":
+            if r is None:
+                raise click.UsageError("multr needs --r")
+            rep = ver.verify_multr(m, r, variant, n_samples=samples, seed=seed, bound=bound)
+        else:
+            if gamma is None or d is None:
+                raise click.UsageError("mon needs --gamma and --d")
+            rep = ver.verify_mon(m, gamma, d, variant, bound=bound, **size)
+    except ValueError as e:  # a --bound that is not a finite number >= 0
+        raise click.UsageError(str(e))
     _emit(rep.to_dict(), out)
     if not rep.passed:
         sys.exit(1)

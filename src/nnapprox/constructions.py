@@ -42,6 +42,12 @@ class MultVariant(Enum):
             return cls.RESCALED
         raise ValueError(f"unknown mult variant {v!r}")
 
+    @property
+    def edge(self):
+        """Edge of the cube [0, edge]^r on which product trees and monomial
+        networks of this variant are certified."""
+        return 0.5 if self is MultVariant.LITERAL else 1.0
+
 
 LITERAL = MultVariant.LITERAL
 RESCALED = MultVariant.RESCALED
@@ -312,7 +318,7 @@ def build_multr(m, r, variant=RESCALED):
             "variant": variant.value,
             "input": f"(1, x_1..x_{r})",
             "claimed_error_bound": multr_error_bound(m, r, variant),
-            "claimed_domain": f"[0,0.5]^{r}" if variant is LITERAL else f"[0,1]^{r}",
+            "claimed_domain": f"[0,{variant.edge:g}]^{r}",
         },
     )
     assert net.depth <= (2 * m + 5) * q + 1
@@ -388,7 +394,7 @@ def build_mon(m, gamma, d, variant=RESCALED):
         "input": f"(1, x_1..x_{d})",
         "n_outputs": len(indices),
         "claimed_error_bound": mon_error_bound(m, gamma, variant),
-        "claimed_domain": f"[0,0.5]^{d}" if variant is LITERAL else f"[0,1]^{d}",
+        "claimed_domain": f"[0,{variant.edge:g}]^{d}",
     }
     net = Network(ABS, _product_layers(m, variant, d, factor_lists), meta=meta)
 

@@ -231,6 +231,13 @@ def evaluate(net, x):
     return out[:, 0] if single else out.T
 
 
+def with_ones(points):
+    """Points x of shape (n, d), or (n,) for d = 1, as the (n, d + 1) inputs
+    (1, x) that every construction reads: the constant 1 comes first."""
+    x = np.asarray(points, dtype=np.float64)
+    return np.column_stack([np.ones(len(x)), x])
+
+
 # ---------------------------------------------------------------------------
 # path norm and parameter norms
 

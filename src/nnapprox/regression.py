@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .network import ABS, Network, evaluate, path_norm
+from .network import ABS, Network, evaluate, path_norm, with_ones
 
 
 LEARNING_RATE = 0.25  # first trial step of the line search
@@ -121,10 +121,6 @@ def generate_data(config):
     return Dataset(x, y)
 
 
-def _augment(x):
-    return np.column_stack([np.ones(len(x)), x])
-
-
 def _forward(weights, xa):
     """Returns (activations per layer incl. input, pre-activations, output)."""
     acts = [xa]
@@ -194,7 +190,7 @@ def fit(config, dataset):
         s = 1.0 / math.sqrt(arch[i])
         weights.append(rng.uniform(-s, s, size=(arch[i + 1], arch[i])))
     lam = _lambda(config, arch)
-    xa = _augment(dataset.X)
+    xa = with_ones(dataset.X)
     y = np.asarray(dataset.Y, dtype=np.float64)
 
     obj, risk, pn, grad_inputs = _objective(weights, xa, y, lam)
@@ -237,7 +233,7 @@ def fit(config, dataset):
     net = Network(ABS, weights, meta={"construction": "fitted", "widths": list(arch)})
     hold_rng = np.random.default_rng(config.seed + 1)
     xh = hold_rng.uniform(0.0, 1.0, size=(HOLDOUT_POINTS, config.d))
-    pred = evaluate(net, _augment(xh))[:, 0]
+    pred = evaluate(net, with_ones(xh))[:, 0]
     holdout = float(np.mean((pred - config.target.evaluate(xh)) ** 2))
     rhs = oracle_rhs(config, net)
     report = FitReport(
@@ -265,7 +261,7 @@ def oracle_rhs(config, candidate):
     n = config.n
     rng = np.random.default_rng(config.seed + 2)
     xm = rng.uniform(0.0, 1.0, size=(ORACLE_MC_POINTS, config.d))
-    pred = evaluate(candidate, _augment(xm))[:, 0]
+    pred = evaluate(candidate, with_ones(xm))[:, 0]
     mc = float(np.mean((pred - config.target.evaluate(xm)) ** 2))
     hidden = candidate.widths[1:-1]
     remainder = config.oracle_c * sum(hidden) * math.log2(n) ** 3 / n

@@ -1,12 +1,15 @@
 """Grid verification of the constructions' claimed error bounds.
 
-Each verifier sweeps the variant's certified domain, compares the network
-against the exact target (x^2, xy, prod x_i, or all monomials), and returns
-a VerificationReport whose pass flag is measured <= claimed.
+Each verifier builds its network, sweeps a grid of the certified domain and
+compares the network against the exact target (x^2, xy, prod x_i, or all
+monomials).  The claims come from the network itself: the report's
+construction, parameters, claimed bound and domain are those its builder
+wrote into net.meta, and the pass flag is measured <= claimed.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass
 
@@ -14,7 +17,7 @@ import numpy as np
 
 from . import constructions as ctor
 from .chebyshev import monomial_values, tensor_grid
-from .network import evaluate
+from .network import evaluate, with_ones
 
 
 @dataclass
@@ -31,33 +34,36 @@ class VerificationReport:
         return asdict(self)
 
 
-def _report(name, params, grid, measured, claimed, t0):
+def sup_error(net, points, truth):
+    """max |net(1, x) - truth| over the points x (shape (n, d), or (n,) for d = 1)."""
+    if len(points) == 0:
+        raise ValueError("empty sweep: there are no points to measure the error on")
+    out = evaluate(net, with_ones(points))
+    return float(np.abs(out - np.reshape(truth, out.shape)).max())
+
+
+def _sweep(net, points, truth, grid, bound, t0):
+    """The report of net against truth on the points, with the claims of net.meta."""
+    meta = net.meta
+    claimed = meta["claimed_error_bound"] if bound is None else float(bound)
+    if not (math.isfinite(claimed) and claimed >= 0.0):
+        raise ValueError(f"bound must be a finite number >= 0, got {bound!r}")
+    measured = sup_error(net, points, truth)
     return VerificationReport(
-        construction=name,
-        params=params,
-        grid=grid,
-        measured_max_error=float(measured),
-        claimed_bound=float(claimed),
-        passed=bool(measured <= claimed),
+        construction=meta["construction"],
+        params={k: meta[k] for k in ("m", "r", "gamma", "d", "variant") if k in meta},
+        grid={**grid, "domain": meta["claimed_domain"]},
+        measured_max_error=measured,
+        claimed_bound=claimed,
+        passed=measured <= claimed,
         seconds=time.perf_counter() - t0,
     )
 
 
 def verify_sq(m, n_points=10000, bound=None):
     t0 = time.perf_counter()
-    net = ctor.build_sq(m)
     x = np.linspace(0.0, 1.0, n_points)
-    v = evaluate(net, np.column_stack([np.ones_like(x), x]))[:, 0]
-    measured = np.abs(v - x * x).max()
-    claimed = ctor.sq_error_bound(m) if bound is None else bound
-    return _report(
-        "sq",
-        {"m": m},
-        {"points": n_points, "domain": "[0,1]"},
-        measured,
-        claimed,
-        t0,
-    )
+    return _sweep(ctor.build_sq(m), x, x * x, {"points": n_points}, bound, t0)
 
 
 def verify_mult(m, variant, step=0.005, bound=None):
@@ -65,65 +71,27 @@ def verify_mult(m, variant, step=0.005, bound=None):
         raise ValueError(f"step must lie in (0, 1], got {step!r}")
     t0 = time.perf_counter()
     variant = ctor.MultVariant.parse(variant)
-    net = ctor.build_mult(m, variant)
     n = int(round(1.0 / step))
-    xs = np.arange(n + 1) / n
-    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    pts = tensor_grid([np.arange(n + 1) / n] * 2)
     if variant is ctor.LITERAL:
-        mask = gx + gy <= 1.0
-        domain = "x,y>=0, x+y<=1"
-    else:
-        mask = np.ones_like(gx, dtype=bool)
-        domain = "[0,1]^2"
-    px, py = gx[mask], gy[mask]
-    inp = np.column_stack([np.ones_like(px), px, py])
-    measured = np.abs(evaluate(net, inp)[:, 0] - px * py).max()
-    claimed = ctor.mult_error_bound(m, variant) if bound is None else bound
-    return _report(
-        "mult",
-        {"m": m, "variant": variant.value},
-        {"step": step, "domain": domain},
-        measured,
-        claimed,
-        t0,
-    )
+        pts = pts[pts[:, 0] + pts[:, 1] <= 1.0]
+    truth = pts[:, 0] * pts[:, 1]
+    return _sweep(ctor.build_mult(m, variant), pts, truth, {"step": step}, bound, t0)
 
 
 def verify_multr(m, r, variant, n_samples=100000, seed=0, bound=None):
     t0 = time.perf_counter()
     variant = ctor.MultVariant.parse(variant)
     net = ctor.build_multr(m, r, variant)
-    hi = 0.5 if variant is ctor.LITERAL else 1.0
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(0.0, hi, size=(n_samples, r))
-    inp = np.column_stack([np.ones(n_samples), x])
-    measured = np.abs(evaluate(net, inp)[:, 0] - np.prod(x, axis=1)).max()
-    claimed = ctor.multr_error_bound(m, r, variant) if bound is None else bound
-    return _report(
-        "multr",
-        {"m": m, "r": r, "variant": variant.value},
-        {"samples": n_samples, "seed": seed, "domain": f"[0,{hi}]^{r}"},
-        measured,
-        claimed,
-        t0,
-    )
+    x = np.random.default_rng(seed).uniform(0.0, variant.edge, size=(n_samples, r))
+    grid = {"samples": n_samples, "seed": seed}
+    return _sweep(net, x, np.prod(x, axis=1), grid, bound, t0)
 
 
 def verify_mon(m, gamma, d, variant, grid_points=51, bound=None):
     t0 = time.perf_counter()
     variant = ctor.MultVariant.parse(variant)
     net = ctor.build_mon(m, gamma, d, variant)
-    hi = 0.5 if variant is ctor.LITERAL else 1.0
-    pts = tensor_grid([np.linspace(0.0, hi, grid_points)] * d)
-    inp = np.column_stack([np.ones(len(pts)), pts])
+    pts = tensor_grid([np.linspace(0.0, variant.edge, grid_points)] * d)
     truth = monomial_values(ctor.enumerate_multi_indices(d, gamma), pts)
-    measured = np.abs(evaluate(net, inp) - truth).max()
-    claimed = ctor.mon_error_bound(m, gamma, variant) if bound is None else bound
-    return _report(
-        "mon",
-        {"m": m, "gamma": gamma, "d": d, "variant": variant.value},
-        {"points_per_axis": grid_points, "domain": f"[0,{hi}]^{d}"},
-        measured,
-        claimed,
-        t0,
-    )
+    return _sweep(net, pts, truth, {"points_per_axis": grid_points}, bound, t0)

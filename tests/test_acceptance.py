@@ -25,7 +25,8 @@ from numpy.polynomial import chebyshev as npcheb
 import nnapprox as nx
 from nnapprox.approximators import power_series_path_bound, series_inv_two_minus_x
 from nnapprox.chebyshev import monomial_values
-from nnapprox.regression import _augment, _objective, _path_norm_prefix, _risk_grads
+from nnapprox.network import with_ones
+from nnapprox.regression import _objective, _path_norm_prefix, _risk_grads
 from conftest import random_dense_net
 
 
@@ -254,7 +255,7 @@ def test_criterion_10a_gradient_checks(rng):
         ws = [rng.uniform(-1, 1, (arch[i + 1], arch[i])) for i in range(len(arch) - 1)]
         ws = [np.where(np.abs(w) < 1e-2, 1e-2, w) for w in ws]
         x = rng.uniform(0, 1, (12, 1))
-        xa = _augment(x)
+        xa = with_ones(x)
         y = rng.normal(size=12)
         acts, pres, res, absw, v = _objective(ws, xa, y, 0.0)[3]
         near_kink = min(np.abs(p).min() for p in pres[:-1]) < 1e-6

@@ -41,6 +41,16 @@ def test_builtin_targets():
         builtin_target("nope")
 
 
+@pytest.mark.parametrize("name, d", [("inv2mx", 1), ("exp-sum", 2), ("runge", 1)])
+def test_builtin_target_rejects_wrong_column_count(name, d):
+    t = builtin_target(name, d)
+    with pytest.raises(ValueError, match=f"expected points with {d} coordinates"):
+        t.evaluate(np.zeros((3, d + 1)))
+    # a flat vector is one coordinate per point
+    if d == 1:
+        assert np.array_equal(t.evaluate(np.array([0.1, 0.2])), t.evaluate(np.array([[0.1], [0.2]])))
+
+
 def test_geometric_tail_bound_for_inv_two_minus_x():
     # |f - partial_gamma| <= (1-delta)^gamma F on (0, 1-delta]
     gen = series_inv_two_minus_x()

@@ -48,6 +48,16 @@ def test_verify_pass_and_fail_exit_codes(runner):
     assert json.loads(res.output)["passed"] is False
 
 
+def test_verify_grid_defaults_come_from_the_verifiers(runner):
+    rep = json.loads(runner.invoke(main, ["verify", "sq", "--m", "3"]).output)
+    assert rep["grid"] == {"points": 10000, "domain": "x in [0,1]"}
+    rep = json.loads(runner.invoke(main, ["verify", "sq", "--m", "3", "--grid", "17"]).output)
+    assert rep["grid"]["points"] == 17
+    res = runner.invoke(main, ["verify", "mon", "--m", "3", "--gamma", "2", "--d", "2", "--variant", "literal"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["grid"] == {"points_per_axis": 51, "domain": "[0,0.5]^2"}
+
+
 def test_verify_mon_example(runner):
     res = runner.invoke(
         main,
@@ -228,6 +238,9 @@ BAD_INPUTS = [
     ("verify mult zero step", ["verify", "mult", "--m", "2", "--step", "0"]),
     ("verify mult step above 1", ["verify", "mult", "--m", "2", "--step", "3"]),
     ("verify sq zero grid", ["verify", "sq", "--m", "2", "--grid", "0"]),
+    ("verify nan bound", ["verify", "sq", "--m", "3", "--bound", "nan"]),
+    ("verify inf bound", ["verify", "sq", "--m", "3", "--bound", "inf"]),
+    ("verify negative bound", ["verify", "mult", "--m", "2", "--bound", "-1"]),
     ("regress negative lambda", ["regress", "--n", "32", "--lambda", "-5", "--epochs", "1"]),
     ("regress nan lambda", ["regress", "--n", "32", "--lambda", "nan", "--epochs", "1"]),
     ("regress inf lambda", ["regress", "--n", "32", "--lambda", "inf", "--epochs", "1"]),

@@ -31,6 +31,7 @@ from nnapprox import (
     per_layer_l1,
     prepend_layer,
     target_exp_sum,
+    with_ones,
 )
 from nnapprox import _kernels
 from conftest import dense_chain, dense_path_matrix, random_block_net, random_dense_net
@@ -414,3 +415,17 @@ def test_networks_immutable():
     net = Network(ABS, [np.eye(2)])
     with pytest.raises(ValueError):
         net.layers[0].blocks[0][0, 0] = 5.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_with_ones_puts_the_constant_first(rng, d):
+    x = rng.uniform(0.0, 1.0, (7, d))
+    inp = with_ones(x)
+    assert inp.shape == (7, d + 1)
+    assert np.all(inp[:, 0] == 1.0) and np.array_equal(inp[:, 1:], x)
+
+
+def test_with_ones_takes_a_flat_vector_as_one_coordinate(rng):
+    x = rng.uniform(0.0, 1.0, 5)
+    assert np.array_equal(with_ones(x), with_ones(x[:, None]))
+    assert with_ones(np.empty(0)).shape == (0, 2)

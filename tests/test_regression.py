@@ -14,7 +14,8 @@ from nnapprox import (
     path_norm_grads,
     target_inv_two_minus_x,
 )
-from nnapprox.regression import _augment, _objective, _path_norm_prefix, _risk_grads
+from nnapprox.network import with_ones
+from nnapprox.regression import _objective, _path_norm_prefix, _risk_grads
 
 
 def _linear_target():
@@ -100,7 +101,7 @@ def test_risk_gradient_matches_central_differences(rng):
         arch = (2, 3, 2, 1)
         ws = [rng.uniform(-1, 1, (arch[i + 1], arch[i])) for i in range(len(arch) - 1)]
         x = rng.uniform(0, 1, (16, 1))
-        xa = _augment(x)
+        xa = with_ones(x)
         y = rng.normal(size=16)
         acts, pres, res, _, _ = _objective(ws, xa, y, 0.0)[3]
         # skip configurations with pre-activations near the kink
