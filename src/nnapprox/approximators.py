@@ -72,6 +72,7 @@ def target_runge():
 
 
 def builtin_target(name, d=1):
+    """The builtin target `name` on [0,1]^d; inv2mx and runge exist only for d = 1."""
     reg = {
         "inv2mx": lambda: target_inv_two_minus_x(),
         "exp-sum": lambda: target_exp_sum(d),
@@ -79,6 +80,8 @@ def builtin_target(name, d=1):
     }
     if name not in reg:
         raise ValueError(f"unknown builtin target {name!r} (have {sorted(reg)})")
+    if name in ("inv2mx", "runge") and d != 1:
+        raise ValueError(f"builtin target {name!r} is one-dimensional; got d={d}")
     return reg[name]()
 
 

@@ -201,8 +201,13 @@ class MonomialPolynomial:
         return float(sum(abs(c) for c in self.terms.values()))
 
     def evaluate(self, x):
+        """Sum of c_k x^k at points of shape (n, d), one term at a time, so
+        memory stays O(n) whatever the number of terms."""
         x = _points(x, self.d)
-        return monomial_values(list(self.terms), x) @ np.array(list(self.terms.values()))
+        out = np.zeros(len(x))
+        for k, c in self.terms.items():
+            out += c * monomial_values([k], x)[:, 0]
+        return out
 
 
 def _affine_cheb_monomials(n, lo, hi):

@@ -197,7 +197,7 @@ def path_norm_cmd(net_json, out):
               help="grid step (mult)")
 @click.option("--samples", type=click.IntRange(min=1), default=100000,
               help="random samples (multr)")
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("--bound", type=float, default=None, help="override the claimed bound")
 @click.option("--out", type=click.Path(), default=None)
 def verify_cmd(construction, m, r, gamma, d, variant, grid, step, samples, seed, bound, out):
@@ -249,7 +249,7 @@ def entropy_bound_cmd(eps, l_, p, b_, r, n, out):
 @entropy_group.command("empirical")
 @click.option("--spec", "spec_path", type=click.Path(exists=True), required=True)
 @click.option("--trials", type=click.IntRange(min=1), default=5000, show_default=True)
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("--out", type=click.Path(), default=None)
 def entropy_empirical_cmd(spec_path, trials, seed, out):
     """Greedy-cover a sampled class; spec JSON holds eps/L/p/B/r/n[/activation]."""
@@ -406,7 +406,7 @@ def cheb_fit_cmd(target_name, d, degree, out):
 @click.option("--lambda", "lam", default="auto", show_default=True)
 @click.option("--lambda-scale", type=float, default=1.0, show_default=True)
 @click.option("--epochs", type=int, default=2000, show_default=True)
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("--net-out", type=click.Path(), default=None)
 @click.option("--out", type=click.Path(), default=None)
 def regress_cmd(target_name, d, n, noise, arch, lam, lambda_scale, epochs, seed, net_out, out):

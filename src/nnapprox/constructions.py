@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .network import ABS, BlockDiagonal, Network, path_matrix
+from .network import ABS, Network, append_layer, compose, parallel, path_matrix
 
 
 class MultVariant(Enum):
@@ -107,10 +107,9 @@ def multr_error_bound(m, r, variant):
 
 
 def mon_error_bound(m, gamma, variant):
-    variant = MultVariant.parse(variant)
-    if variant is LITERAL:
-        return gamma * gamma * 4.0**-m
-    return 3.0 * gamma * gamma * 4.0**-m
+    """multr_error_bound(m, gamma, variant): every monomial of build_mon(m,
+    gamma, d) is a product tree with fewer than gamma factors."""
+    return multr_error_bound(m, gamma, variant)
 
 
 def sq_path_row(m):
@@ -173,7 +172,17 @@ def build_sq(m):
 # multiplication network
 
 
-def _mult_matrices(m, variant):
+def build_mult(m, variant=RESCALED):
+    """Network mapping (1, x, y) to an approximation of xy.
+
+    The first layer forms (1, x, 1, y, 1, z) with z = x+y (literal) or
+    z = (x+y)/2 (rescaled); three squaring chains run in parallel and the
+    output row combines them into the polarization identity for xy.  One
+    build_sq net serves all three chains, so they share its blocks.
+    """
+    if m < 1:
+        raise ValueError("m must be a positive integer")
+    variant = MultVariant.parse(variant)
     lit = variant is LITERAL
     c = np.zeros((6, 3))
     c[0, 0] = 1.0
@@ -183,33 +192,16 @@ def _mult_matrices(m, variant):
     c[4, 0] = 1.0
     c[5, 1] = c[5, 2] = 1.0 if lit else 0.5
     out = np.array([[-0.5, -0.5, 0.5 if lit else 2.0]])
-    # one checked copy of each squaring matrix serves all three chains
-    sq = [BlockDiagonal([BlockDiagonal([mat])] * 3) for mat in _sq_matrices(m)]
-    return [BlockDiagonal([c])] + sq + [BlockDiagonal([out])]
-
-
-def build_mult(m, variant=RESCALED):
-    """Network mapping (1, x, y) to an approximation of xy.
-
-    The first layer forms (1, x, 1, y, 1, z) with z = x+y (literal) or
-    z = (x+y)/2 (rescaled); three squaring chains run in parallel and the
-    output row combines them into the polarization identity for xy.
-    """
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    variant = MultVariant.parse(variant)
-    net = Network(
-        ABS,
-        _mult_matrices(m, variant),
+    net = append_layer(
+        compose(Network(ABS, [c]), parallel([build_sq(m)] * 3)),
+        out,
         meta={
             "construction": "mult",
             "m": m,
             "variant": variant.value,
             "input": "(1, x, y)",
             "claimed_error_bound": mult_error_bound(m, variant),
-            "claimed_domain": "x,y>=0 and x+y<=1"
-            if variant is LITERAL
-            else "[0,1]^2",
+            "claimed_domain": "x,y>=0 and x+y<=1" if lit else "[0,1]^2",
         },
     )
     assert net.max_width == 9
@@ -221,22 +213,21 @@ def build_mult(m, variant=RESCALED):
 # pairing levels and the shared product DAG
 
 
-def _level(m, variant, chans, prods, carries):
+def _level(mult, chans, prods, carries):
     """One pairing level: (1, x_1..x_chans) -> (1, x_i x_j for (i, j) in prods,
     x_c for c in carries).
 
     Its first matrix selects a (1, x_i, x_j) triple per product and then the
-    carried channels; each product runs through the Mult layers, spliced in
-    once per product so that all products share their read-only blocks, while
-    the constant and the carried channels ride on identity blocks (values in
-    [0,1] survive the abs activation unchanged).
+    carried channels; the rest is the parallel stack of the constant, the
+    Mult net once per product (so all products share its read-only blocks)
+    and the carried channels.  parallel pads the constant and the carried
+    channels with identity layers (values in [0,1] survive the abs
+    activation unchanged).
     """
     t = np.eye(1 + chans)[[0, *(c for i, j in prods for c in (0, i, j)), *carries]]
-    one = BlockDiagonal([np.eye(1)])
-    carry = [BlockDiagonal([np.eye(len(carries))])] if carries else []
-    return [t] + [
-        BlockDiagonal([one] + [lay] * len(prods) + carry) for lay in _mult_matrices(m, variant)
-    ]
+    one = Network(ABS, [np.eye(1)])
+    carry = [Network(ABS, [np.eye(len(carries))])] if carries else []
+    return [t, *parallel([one] + [mult] * len(prods) + carry).layers]
 
 
 def _product_layers(m, variant, n_in, factor_lists):
@@ -259,6 +250,7 @@ def _product_layers(m, variant, n_in, factor_lists):
             heights.update(dict.fromkeys(pairs, h))
             nodes = pairs + nodes[2 * len(pairs) :]
         roots.append(nodes[0])
+    mult = build_mult(m, variant)
     chans, layers = list(range(n_in + 1)), []
     for h in range(1, max(heights.values(), default=0) + 1):
         prods = [n for n, hn in heights.items() if hn == h]
@@ -266,7 +258,7 @@ def _product_layers(m, variant, n_in, factor_lists):
         carries = [c for c in chans[1:] if c in later]
         pos = {c: i for i, c in enumerate(chans)}
         pairs = [(pos[a], pos[b]) for a, b in prods]
-        layers += _level(m, variant, len(chans) - 1, pairs, [pos[c] for c in carries])
+        layers += _level(mult, len(chans) - 1, pairs, [pos[c] for c in carries])
         chans = [0] + prods + carries
     pos = {c: i for i, c in enumerate(chans)}
     return layers + [np.eye(len(chans))[[pos[r] for r in roots]]]
@@ -279,7 +271,7 @@ def build_pairing_layer(m, k, variant=RESCALED):
     variant = MultVariant.parse(variant)
     net = Network(
         ABS,
-        _level(m, variant, 2 * k, [(2 * l + 1, 2 * l + 2) for l in range(k)], []),
+        _level(build_mult(m, variant), 2 * k, [(2 * l + 1, 2 * l + 2) for l in range(k)], []),
         meta={
             "construction": "pairing",
             "m": m,

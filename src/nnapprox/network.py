@@ -9,14 +9,15 @@ the width vector is p = (p_0, ..., p_{L+1}) and depth L counts activations.
 
 Every layer is a BlockDiagonal: its diagonal blocks, in order (a plain
 matrix is a single block).  A layer made from other layers reuses their
-checked, read-only blocks instead of copying them.  The builders splice
-shared blocks into their wide layers (build_mon's pairing levels reuse one
-block per product), so those networks never materialize their mostly-zero
-dense form; parallel() stacks whole networks the same way, the paper's
-parallel stacking.  Evaluation and the path matrix run on the blocks
-through _kernels.eval_chain, and the JSON wire format (version 2) stores the
-blocks of each layer, so a decoded network is the same chain of blocks.  The
-dense view of any layer is available through Network.weights.
+checked, read-only blocks instead of copying them.  The builders stack
+networks only with parallel() and compose(), the paper's parallelisation and
+composition, which splice the layers of their networks that way (build_mon's
+pairing levels reuse one multiplication net's blocks for every product), so
+those networks never materialize their mostly-zero dense form.  Evaluation
+and the path matrix run on the blocks through _kernels.eval_chain, and the
+JSON wire format (version 2) stores the blocks of each layer, so a decoded
+network is the same chain of blocks.  The dense view of any layer is
+available through Network.weights.
 """
 
 from __future__ import annotations

@@ -56,6 +56,8 @@ class RegressionConfig:
                 raise ValueError(f"{name} must be a finite number >= 0, got {getattr(self, name)!r}")
         if self.max_epochs < 0:
             raise ValueError(f"max_epochs must be >= 0, got {self.max_epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def architecture(self):

@@ -41,6 +41,15 @@ def test_builtin_targets():
         builtin_target("nope")
 
 
+@pytest.mark.parametrize("name", ["inv2mx", "runge"])
+def test_one_dimensional_builtin_targets_reject_other_d(name):
+    for d in (0, 2, 3):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            builtin_target(name, d)
+    assert builtin_target(name, 1).d == 1
+    assert builtin_target("exp-sum", 3).d == 3
+
+
 @pytest.mark.parametrize("name, d", [("inv2mx", 1), ("exp-sum", 2), ("runge", 1)])
 def test_builtin_target_rejects_wrong_column_count(name, d):
     t = builtin_target(name, d)

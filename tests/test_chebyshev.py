@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as npcheb
@@ -9,7 +11,8 @@ from nnapprox import (
     cheb_poly_coeffs,
     cheb_to_monomial,
 )
-from nnapprox.chebyshev import _affine_cheb_monomials, tensor_grid
+from nnapprox.chebyshev import _affine_cheb_monomials, monomial_values, tensor_grid
+from nnapprox.constructions import enumerate_multi_indices
 
 
 def test_t0_t1_t2():
@@ -219,6 +222,36 @@ def test_monomial_evaluate_checks_coordinate_count():
         with pytest.raises(ValueError, match="expected points with 2 coordinates"):
             p.evaluate(bad)
     assert np.array_equal(MonomialPolynomial(1, {}).evaluate(np.arange(4.0)), np.zeros(4))
+
+
+def _degree_20_plane_polynomial(seed=3):
+    """A d = 2 polynomial with all 231 terms of total degree <= 20."""
+    indices = enumerate_multi_indices(2, 21)
+    coeffs = np.random.default_rng(seed).uniform(-1.0, 1.0, len(indices))
+    return MonomialPolynomial(2, dict(zip(indices, coeffs)))
+
+
+def test_monomial_evaluate_matches_matrix_product():
+    p = _degree_20_plane_polynomial()
+    x = np.random.default_rng(4).uniform(-1.0, 1.0, (2000, 2))
+    vals = monomial_values(list(p.terms), x)
+    coeffs = np.array(list(p.terms.values()))
+    scale = np.abs(vals) @ np.abs(coeffs)
+    assert np.all(np.abs(p.evaluate(x) - vals @ coeffs) <= 1e-12 * scale)
+
+
+def test_monomial_evaluate_memory_does_not_grow_with_terms():
+    # the (points x terms) matrix of this case is 50,000 x 231 floats, 88 MiB
+    p = _degree_20_plane_polynomial()
+    x = np.random.default_rng(5).uniform(0.0, 1.0, (50_000, 2))
+    tracemalloc.start()
+    try:
+        p.evaluate(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(p.terms) == 231
+    assert peak < 10 * 2**20
 
 
 @pytest.mark.parametrize("interval", [(1.0, 1.0), (0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0)])

@@ -249,6 +249,12 @@ BAD_INPUTS = [
     ("regress negative epochs", ["regress", "--n", "32", "--epochs", "-1"]),
     ("approx cheb d above 3", ["approx", "cheb", "--target", "exp-sum", "--d", "4", "--eps", "0.5"]),
     ("cheb fit d above 3", ["cheb", "fit", "--target", "exp-sum", "--d", "4", "--degree", "3"]),
+    ("regress inv2mx with d 3", ["regress", "--target", "inv2mx", "--d", "3", "--n", "16", "--epochs", "1"]),
+    ("approx cheb runge with d 2", ["approx", "cheb", "--target", "runge", "--d", "2", "--eps", "0.5"]),
+    ("cheb fit inv2mx with d 3", ["cheb", "fit", "--target", "inv2mx", "--d", "3", "--degree", "3"]),
+    ("regress negative seed", ["regress", "--n", "16", "--epochs", "1", "--seed", "-1"]),
+    ("entropy empirical negative seed", ["entropy", "empirical", "--spec", "{spec}", "--seed", "-1"]),
+    ("verify sq negative seed", ["verify", "sq", "--m", "2", "--seed", "-1"]),
     ("approx cheb polynomial file with d 4", ["approx", "cheb", "--target", "{poly_d4}", "--eps", "0.5"]),
     ("approx cheb polynomial file with d 0", ["approx", "cheb", "--target", "{poly_d0}", "--eps", "0.5"]),
 ]
@@ -259,6 +265,7 @@ def test_bad_input_is_usage_error(runner, tmp_path, args):
     spec = {"eps": 0.5, "L": 1, "p": [1, 2, 1], "B": 1.0, "r": 1.0, "n": 8}
     files = {
         "net": tmp_path / "net.json",
+        "spec": tmp_path / "spec.json",
         "ragged_net": tmp_path / "ragged.json",
         "not_json": tmp_path / "not.json",
         "v1_net": tmp_path / "v1.json",
@@ -271,6 +278,7 @@ def test_bad_input_is_usage_error(runner, tmp_path, args):
     }
     runner.invoke(main, ["build", "sq", "--m", "1", "--out", str(files["net"])])
     files["ragged_net"].write_text(json.dumps({"format": 2, "activation": "abs", "layers": [[[[1.0, 0.0], [1.0]]]]}))
+    files["spec"].write_text(json.dumps(spec))
     files["not_json"].write_text("{not json")
     files["v1_net"].write_text(json.dumps({"activation": "abs", "weights": [[[1.0, 0.0]]]}))
     files["spec_no_n"].write_text(json.dumps({k: v for k, v in spec.items() if k != "n"}))

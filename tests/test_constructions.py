@@ -35,7 +35,6 @@ from nnapprox import (
 )
 from nnapprox import constructions as ctor
 from nnapprox.chebyshev import monomial_values
-from nnapprox.network import BlockDiagonal
 
 
 def _aug(x):
@@ -240,14 +239,17 @@ def test_builders_equal_dense_triple_assembly(monkeypatch, variant):
         lambda: build_mon(2, 4, 2, variant),
     ]
     nets = [b() for b in builds]
-    block_mult = ctor._mult_matrices
+    stack = ctor.parallel
 
-    def dense_mult(m, v):
-        lays = block_mult(m, v)
-        dense = [lays[0].to_dense()] + [dense_triple(w) for w in ctor._sq_matrices(m)] + [lays[-1].to_dense()]
-        return [BlockDiagonal([w]) for w in dense]
+    def dense_parallel(ns):
+        net = stack(ns)
+        return Network(net.activation, [lay.to_dense() for lay in net.layers])
 
-    monkeypatch.setattr(ctor, "_mult_matrices", dense_mult)
+    monkeypatch.setattr(ctor, "parallel", dense_parallel)
+    mult = build_mult(3, variant)
+    assert all(len(lay.blocks) == 1 for lay in mult.layers)
+    triples = zip(mult.weights[1:-1], ctor._sq_matrices(3), strict=True)
+    assert all(np.array_equal(a, dense_triple(w)) for a, w in triples)
     stored = lambda n: sum(b.size for lay in n.layers for b in lay.blocks)
     for net, build in zip(nets, builds):
         ref = build()
@@ -263,15 +265,15 @@ def test_builders_equal_dense_triple_assembly(monkeypatch, variant):
 @pytest.mark.parametrize("k", [1, 3])
 def test_pairing_level_splices_mult_blocks(monkeypatch, k):
     made = []
-    mult_matrices = ctor._mult_matrices
-    monkeypatch.setattr(ctor, "_mult_matrices", lambda *a: made.append(mult_matrices(*a)) or made[-1])
+    real_mult = ctor.build_mult
+    monkeypatch.setattr(ctor, "build_mult", lambda *a: made.append(real_mult(*a)) or made[-1])
     net = build_pairing_layer(2, k, RESCALED)
     (mult,) = made
-    for lay, src in zip(net.layers[1:], mult, strict=True):
+    for lay, src in zip(net.layers[1:], mult.layers, strict=True):
         n = len(src.blocks)
         assert len(lay.blocks) == 1 + k * n
         assert all(b is src.blocks[i % n] for i, b in enumerate(lay.blocks[1:]))
-    for lay in mult[1:-1]:  # each squaring matrix is one block shared by the three chains
+    for lay in mult.layers[1:-1]:  # each squaring matrix is one block shared by the three chains
         assert lay.blocks[0] is lay.blocks[1] is lay.blocks[2]
 
 
@@ -509,7 +511,7 @@ def distinct_products(d, gamma):
 @pytest.mark.parametrize("m,gamma,d,products", [(10, 11, 1, 9), (6, 7, 2, 25)])
 def test_mon_computes_each_distinct_product_once(m, gamma, d, products):
     for variant in (LITERAL, RESCALED):
-        c = ctor._mult_matrices(m, variant)[0].blocks[0]
+        c = build_mult(m, variant).layers[0].blocks[0]
         net = build_mon(m, gamma, d, variant)
         mults = sum(
             b.shape == (6, 3) and np.array_equal(b, c) for lay in net.layers for b in lay.blocks

@@ -161,12 +161,13 @@ def test_zero_hidden_width_rejected():
         ("n", 1),
         ("n", 0),
         ("n", -3),
+        ("seed", -1),
     ],
 )
 def test_config_rejects_nonsense_penalty_and_budget(field, value):
     # a negative lam or lambda_scale made the penalty reward path norm, a
     # negative oracle_c made oracle_rhs negative, and n < 2 failed later
-    # inside fit or generate_data
+    # inside fit or generate_data, as a negative seed did inside numpy
     with pytest.raises(ValueError, match=field):
         RegressionConfig(**{"n": 16, "d": 1, "target": _linear_target(), field: value})
 
