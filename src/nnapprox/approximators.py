@@ -30,7 +30,7 @@ from .constructions import (
     mon_depth_bound,
     mon_width_bound,
 )
-from .network import append_layer, path_norm
+from .network import Network, path_norm
 from .verify import sup_error
 
 
@@ -71,18 +71,20 @@ def target_runge():
     return AnalyticTarget("runge", 1, lambda p: 1.0 / (1.0 + 25.0 * p[:, 0] ** 2), F=1.0)
 
 
+BUILTIN_TARGETS = {
+    "inv2mx": lambda d: target_inv_two_minus_x(),
+    "exp-sum": target_exp_sum,
+    "runge": lambda d: target_runge(),
+}
+
+
 def builtin_target(name, d=1):
     """The builtin target `name` on [0,1]^d; inv2mx and runge exist only for d = 1."""
-    reg = {
-        "inv2mx": lambda: target_inv_two_minus_x(),
-        "exp-sum": lambda: target_exp_sum(d),
-        "runge": lambda: target_runge(),
-    }
-    if name not in reg:
-        raise ValueError(f"unknown builtin target {name!r} (have {sorted(reg)})")
+    if name not in BUILTIN_TARGETS:
+        raise ValueError(f"unknown builtin target {name!r} (have {sorted(BUILTIN_TARGETS)})")
     if name in ("inv2mx", "runge") and d != 1:
         raise ValueError(f"builtin target {name!r} is one-dimensional; got d={d}")
-    return reg[name]()
+    return BUILTIN_TARGETS[name](d)
 
 
 def series_inv_two_minus_x():
@@ -121,12 +123,13 @@ def power_series_path_bound(d, F, gamma, variant):
 
 
 def _polynomial_net(construction, d, gamma, m, variant, row, **extra):
-    """Append the coefficient row to build_mon(m, gamma + 1, d, variant).
+    """The layers of build_mon(m, gamma + 1, d, variant), then the coefficient row.
 
     Returns the network and the certificate entries both routes share.
     """
     meta = {"construction": construction, "d": d, "m": m, "gamma": gamma, "variant": variant.value, **extra}
-    net = append_layer(build_mon(m, gamma + 1, d, variant), row.reshape(1, -1), meta=meta)
+    mon = build_mon(m, gamma + 1, d, variant)
+    net = Network(mon.activation, [*mon.layers, row.reshape(1, -1)], meta=meta)
     return net, {
         "d": d,
         "gamma": gamma,
@@ -206,26 +209,6 @@ def build_cheb_net(target, eps, variant, measure_grid=513):
         **shared,
     }
     return net, cert
-
-
-def l1_param_budget(net):
-    """Parameter counts and l1 mass, compared against (L+1) * max_width^2.
-
-    param_count counts dense entries (structural zeros included),
-    stored_entries the entries of the layer blocks and nnz their nonzeros."""
-    count = net.param_count()
-    bound = (net.depth + 1) * net.max_width**2
-    blocks = [b for lay in net.layers for b in lay.blocks]
-    return {
-        "param_count": count,
-        "stored_entries": sum(b.size for b in blocks),
-        "nnz": sum(int(np.count_nonzero(b)) for b in blocks),
-        "l1_total": float(sum(lay.l1() for lay in net.layers)),
-        "depth": net.depth,
-        "max_width": net.max_width,
-        "param_count_bound": bound,
-        "within_bound": count <= bound,
-    }
 
 
 def power_series_tail_bound(F, delta, gamma):

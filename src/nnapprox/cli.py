@@ -5,6 +5,7 @@ regression harness.  All reports are JSON on stdout or --out."""
 from __future__ import annotations
 
 import json
+import os
 import sys
 
 import click
@@ -16,21 +17,22 @@ from . import regression as reg
 from . import verify as ver
 from .approximators import (
     BUILTIN_SERIES,
+    BUILTIN_TARGETS,
+    AnalyticTarget,
     build_cheb_net,
     build_power_series_net,
     builtin_target,
 )
-from .chebyshev import cheb_fit, cheb_poly_coeffs
+from .chebyshev import MonomialPolynomial, cheb_fit, cheb_poly_coeffs
 from .network import (
     ACTIVATIONS,
     NetworkError,
     evaluate,
-    l1_param_norm,
     network_from_dict,
+    network_stats,
     network_to_dict,
     path_matrix,
     path_norm,
-    per_layer_l1,
 )
 
 
@@ -169,12 +171,13 @@ def eval_cmd(net_json, input_, out):
 @click.option("--out", type=click.Path(), default=None)
 def path_norm_cmd(net_json, out):
     net = _load_net(net_json)
+    stats = network_stats(net)
     _emit(
         {
             "path_norm": path_norm(net),
             "path_matrix": path_matrix(net).tolist(),
-            "per_layer_l1": per_layer_l1(net),
-            "l1_total": l1_param_norm(net),
+            "per_layer_l1": [lay["l1"] for lay in stats["layers"]],
+            "l1_total": stats["l1"],
         },
         out,
     )
@@ -286,16 +289,20 @@ def approx_group():
     """Analytic-function approximation pipelines."""
 
 
-def _load_polynomial(path):
-    """MonomialPolynomial from JSON {"d": d, "terms": [[[k...], coeff], ...]}."""
-    from .chebyshev import MonomialPolynomial
-
-    raw = _read_json(path)
+def _polynomial_unless_builtin(name, builtins):
+    """None when name is one of builtins, else the polynomial in the JSON file
+    name, {"d": d, "terms": [[[k...], coeff], ...]}.  A builtin name means
+    the builtin even when a file of that name exists."""
+    if name in builtins:
+        return None
+    if not os.path.isfile(name):
+        raise click.UsageError(f"unknown {name!r}: not a builtin {sorted(builtins)} and not a file")
+    raw = _read_json(name)
     try:
         terms = {tuple(k): float(c) for k, c in raw["terms"]}
         return MonomialPolynomial(int(raw["d"]), terms)
     except (KeyError, TypeError, ValueError) as e:
-        raise click.UsageError(f"malformed polynomial file {path}: {e}")
+        raise click.UsageError(f"malformed polynomial file {name}: {e}")
 
 
 @approx_group.command("power-series")
@@ -307,17 +314,12 @@ def _load_polynomial(path):
 @click.option("--net-out", type=click.Path(), default=None)
 @click.option("--out", type=click.Path(), default=None)
 def approx_power_series_cmd(series_name, eps, delta, variant, net_out, out):
-    import os
-
-    if series_name in BUILTIN_SERIES:
+    series = _polynomial_unless_builtin(series_name, BUILTIN_SERIES)
+    if series is None:
         gen_factory, d, f_bound = BUILTIN_SERIES[series_name]
         series, kwargs = gen_factory(), {"d": d, "F": f_bound}
-    elif os.path.exists(series_name):
-        series, kwargs = _load_polynomial(series_name), {}
     else:
-        raise click.UsageError(
-            f"unknown series {series_name!r} (builtin {sorted(BUILTIN_SERIES)} or a file path)"
-        )
+        kwargs = {}
     net, cert = build_power_series_net(series, eps=eps, delta=delta, variant=variant, **kwargs)
     _write_net(net, net_out)
     _emit(cert, out)
@@ -326,26 +328,25 @@ def approx_power_series_cmd(series_name, eps, delta, variant, net_out, out):
 @approx_group.command("cheb")
 @click.option("--target", "target_name", default="inv2mx", show_default=True,
               help="builtin name or a polynomial JSON file")
-@click.option("--d", type=CHEB_D, default=1, show_default=True)
+@click.option("--d", type=CHEB_D, default=None,
+              help="dimension of a builtin target [default: 1]; a polynomial file has its own")
 @click.option("--eps", type=UNIT_OPEN, required=True)
 @VARIANT_OPTION
 @click.option("--net-out", type=click.Path(), default=None)
 @click.option("--out", type=click.Path(), default=None)
 def approx_cheb_cmd(target_name, d, eps, variant, net_out, out):
-    import os
-
-    from .approximators import AnalyticTarget
-
-    if os.path.exists(target_name):
-        poly = _load_polynomial(target_name)
-        if not CHEB_D.min <= poly.d <= CHEB_D.max:
-            raise click.UsageError(f"{target_name} has d={poly.d}; Chebyshev fits need 1 <= d <= 3")
-        target = AnalyticTarget(os.path.basename(target_name), poly.d, poly.evaluate)
-    else:
+    poly = _polynomial_unless_builtin(target_name, BUILTIN_TARGETS)
+    if poly is None:
         try:
-            target = builtin_target(target_name, d)
+            target = builtin_target(target_name, 1 if d is None else d)
         except ValueError as e:
             raise click.UsageError(str(e))
+    elif d is not None and d != poly.d:
+        raise click.UsageError(f"--d {d} contradicts {target_name}, which has d={poly.d}")
+    elif not CHEB_D.min <= poly.d <= CHEB_D.max:
+        raise click.UsageError(f"{target_name} has d={poly.d}; Chebyshev fits need 1 <= d <= 3")
+    else:
+        target = AnalyticTarget(os.path.basename(target_name), poly.d, poly.evaluate)
     net, cert = build_cheb_net(target, eps, variant)
     _write_net(net, net_out)
     _emit(cert, out)

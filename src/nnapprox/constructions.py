@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .network import ABS, Network, append_layer, compose, parallel, path_matrix
+from .network import ABS, Network, parallel, path_matrix
 
 
 class MultVariant(Enum):
@@ -175,10 +175,11 @@ def build_sq(m):
 def build_mult(m, variant=RESCALED):
     """Network mapping (1, x, y) to an approximation of xy.
 
-    The first layer forms (1, x, 1, y, 1, z) with z = x+y (literal) or
-    z = (x+y)/2 (rescaled); three squaring chains run in parallel and the
-    output row combines them into the polarization identity for xy.  One
-    build_sq net serves all three chains, so they share its blocks.
+    The first matrix forms (1, x, 1, y, 1, z) with z = x+y (literal) or
+    z = (x+y)/2 (rescaled); the layers of parallel() on three squaring
+    chains follow, and the output row combines them into the polarization
+    identity for xy.  One build_sq net serves all three chains, so they
+    share its blocks.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
@@ -192,9 +193,9 @@ def build_mult(m, variant=RESCALED):
     c[4, 0] = 1.0
     c[5, 1] = c[5, 2] = 1.0 if lit else 0.5
     out = np.array([[-0.5, -0.5, 0.5 if lit else 2.0]])
-    net = append_layer(
-        compose(Network(ABS, [c]), parallel([build_sq(m)] * 3)),
-        out,
+    net = Network(
+        ABS,
+        [c, *parallel([build_sq(m)] * 3).layers, out],
         meta={
             "construction": "mult",
             "m": m,

@@ -10,14 +10,19 @@ the width vector is p = (p_0, ..., p_{L+1}) and depth L counts activations.
 Every layer is a BlockDiagonal: its diagonal blocks, in order (a plain
 matrix is a single block).  A layer made from other layers reuses their
 checked, read-only blocks instead of copying them.  The builders stack
-networks only with parallel() and compose(), the paper's parallelisation and
-composition, which splice the layers of their networks that way (build_mon's
-pairing levels reuse one multiplication net's blocks for every product), so
-those networks never materialize their mostly-zero dense form.  Evaluation
-and the path matrix run on the blocks through _kernels.eval_chain, and the
-JSON wire format (version 2) stores the blocks of each layer, so a decoded
-network is the same chain of blocks.  The dense view of any layer is
-available through Network.weights.
+networks with parallel() and compose(), the paper's parallelisation and
+composition, or chain the layers of such stacks into one Network; all of
+these splice the layers of their networks that way (build_mon's pairing
+levels reuse one multiplication net's blocks for every product), so those
+networks never materialize their mostly-zero dense form.  Evaluation and
+the path matrix run on the blocks through _kernels.eval_chain, applying the
+activation's in-place map between layers, and the JSON wire format
+(version 2) stores the blocks of each layer, so a decoded network is the
+same chain of blocks.  The dense view of any layer is available through
+Network.weights.
+
+network_stats(net) is the one structural report: depth, widths, blocks,
+stored and nonzero entries and l1 norms, per layer and in total.
 """
 
 from __future__ import annotations
@@ -49,24 +54,19 @@ class Activation:
     """Element-wise map alpha(x) = s(x) * x for a sign selector s into {-1,0,+1}.
 
     s identically +1 gives the identity, s = 1{x >= 0} gives ReLU and
-    s = sign with s(0) = +1 gives the absolute value.  These three carry
-    `inplace`, the same map written into its float64 array argument.
-    Arbitrary selectors (possibly discontinuous) are supported for entropy
-    experiments; they have no in-place form and cannot be serialized.
+    s = sign with s(0) = +1 gives the absolute value.  `inplace` is the map
+    itself: it writes alpha(x) into its float64 array argument and returns
+    it.  Arbitrary selectors (possibly discontinuous) are supported for
+    entropy experiments through general_activation; they cannot be
+    serialized.
     """
 
     __slots__ = ("name", "selector", "inplace")
 
-    def __init__(self, name, selector, inplace=None):
+    def __init__(self, name, selector, inplace):
         self.name = name
         self.selector = selector
         self.inplace = inplace
-
-    def apply(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if self.inplace is not None:
-            return self.inplace(x.copy())
-        return self.selector(x) * x
 
     def __repr__(self):
         return f"Activation({self.name})"
@@ -83,7 +83,7 @@ ACTIVATIONS = {a.name: a for a in (IDENTITY, RELU, ABS)}
 
 def general_activation(selector):
     """Activation from an arbitrary vectorized sign selector (values in {-1,0,1})."""
-    return Activation("general", selector)
+    return Activation("general", selector, lambda x: np.multiply(selector(x), x, out=x))
 
 
 # ---------------------------------------------------------------------------
@@ -130,13 +130,6 @@ class BlockDiagonal:
             ro += b.shape[0]
             co += b.shape[1]
         return out
-
-    def l1(self):
-        return float(sum(np.sum(np.abs(b)) for b in self.blocks))
-
-    def entry_count(self):
-        """Dense entry count rows*cols (structural zeros included)."""
-        return self.shape[0] * self.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +193,6 @@ class Network:
         """Dense view of the matrices (materializes block-diagonal layers)."""
         return tuple(l.to_dense() for l in self.layers)
 
-    def param_count(self):
-        return sum(l.entry_count() for l in self.layers)
-
     def __repr__(self):
         w = self.widths
         shown = w if len(w) <= 8 else w[:4] + ("...",) + w[-3:]
@@ -227,8 +217,7 @@ def evaluate(net, x):
         )
     if not np.all(np.isfinite(batch)):
         raise NetworkError("input has non-finite entries")
-    act = net.activation
-    out = _kernels.eval_chain(net.layers, batch.T, act.inplace or act.apply)
+    out = _kernels.eval_chain(net.layers, batch.T, net.activation.inplace)
     return out[:, 0] if single else out.T
 
 
@@ -240,7 +229,7 @@ def with_ones(points):
 
 
 # ---------------------------------------------------------------------------
-# path norm and parameter norms
+# path norm and structure
 
 
 def path_matrix(net):
@@ -261,12 +250,33 @@ def path_norm(net):
     return net._path_norm
 
 
-def per_layer_l1(net):
-    return [lay.l1() for lay in net.layers]
+def network_stats(net):
+    """The structure of net in one JSON-ready report.
 
-
-def l1_param_norm(net):
-    return float(sum(per_layer_l1(net)))
+    Per layer: its shape, its number of blocks, the entries its blocks store,
+    how many of those are nonzero and their l1 norm.  The totals add these
+    up, next to the depth, the max width and dense_entries, the rows * cols
+    of every layer (structural zeros included).  The product of the layer
+    l1 norms bounds the path norm.
+    """
+    layers = [
+        {
+            "shape": list(lay.shape),
+            "blocks": len(lay.blocks),
+            "stored_entries": sum(b.size for b in lay.blocks),
+            "nnz": sum(int(np.count_nonzero(b)) for b in lay.blocks),
+            "l1": float(sum(np.sum(np.abs(b)) for b in lay.blocks)),
+        }
+        for lay in net.layers
+    ]
+    return {
+        "depth": net.depth,
+        "max_width": net.max_width,
+        **{k: sum(lay[k] for lay in layers) for k in ("blocks", "stored_entries", "nnz")},
+        "dense_entries": sum(r * c for r, c in (lay["shape"] for lay in layers)),
+        "l1": float(sum(lay["l1"] for lay in layers)),
+        "layers": layers,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +286,6 @@ def l1_param_norm(net):
 def _check_same_activation(a, b):
     if a.name != b.name or a.inplace is not b.inplace:
         raise ActivationMismatchError(f"activations differ: {a.name} vs {b.name}")
-    if a.inplace is None and a is not b:
-        raise ActivationMismatchError("general activations must be the same object")
 
 
 def compose(first, second):
@@ -309,16 +317,6 @@ def parallel(nets):
         (BlockDiagonal([np.eye(n.in_dim)]),) * (depth - len(n.layers)) + n.layers for n in nets
     ]
     return Network(act, [BlockDiagonal([lays[i] for lays in padded]) for i in range(depth)])
-
-
-def prepend_layer(net, w):
-    """New first matrix w; the old first layer now sees a(w @ x)."""
-    return Network(net.activation, (w,) + net.layers, meta=net.meta)
-
-
-def append_layer(net, w, meta=None):
-    """New last matrix w applied after an activation on the old output."""
-    return Network(net.activation, net.layers + (w,), meta=meta or net.meta)
 
 
 # ---------------------------------------------------------------------------

@@ -236,11 +236,12 @@ def test_criterion_09_path_norm_identities(rng):
     # |f|_x <= prod |W_i|_1 and the (L+1)^-(L+1) cap under unit total l1
     for _ in range(1000):
         net = random_dense_net(rng, nx.ABS)
+        stats = nx.network_stats(net)
         prod = 1.0
-        for v in nx.per_layer_l1(net):
-            prod *= v
+        for lay in stats["layers"]:
+            prod *= lay["l1"]
         assert nx.path_norm(net) <= prod * (1 + 1e-12)
-        total = nx.l1_param_norm(net)
+        total = stats["l1"]
         if total > 0:
             scaled = nx.Network(nx.ABS, [w / total for w in net.weights])
             L = scaled.depth

@@ -12,7 +12,7 @@ from nnapprox import (
     build_power_series_net,
     builtin_target,
     evaluate,
-    l1_param_budget,
+    network_stats,
     mon_error_bound,
     path_norm,
     target_exp_sum,
@@ -164,33 +164,25 @@ def test_certificate_claims_match_builder_formulas():
     assert cert["max_width"] <= cert["claimed_width_bound"]
 
 
-def test_l1_param_budget():
-    from nnapprox import Network, ABS, parallel
-
-    net = Network(ABS, [np.ones((2, 3))])
-    rep = l1_param_budget(net)
-    assert rep["param_count"] == 6
-    assert rep["stored_entries"] == 6
-    assert rep["nnz"] == 6
-    assert rep["l1_total"] == 6.0
-    assert rep["within_bound"]
-
-    half = Network(ABS, [np.array([[1.0, 0.0]])])
-    rep = l1_param_budget(parallel([half, half]))
-    assert (rep["param_count"], rep["stored_entries"], rep["nnz"]) == (8, 4, 2)
-
-
 def test_mult_parameters_in_minus_two_two():
     net = build_mult(3, "literal")
     for w in net.weights:
         assert np.abs(w).max() <= 2.0
 
 
-def test_cheb_net_param_budget():
-    t = target_exp_sum(1)
-    net, _ = build_cheb_net(t, 2.0**-6, "rescaled")
-    rep = l1_param_budget(net)
-    assert rep["param_count"] <= rep["param_count_bound"]
+@pytest.mark.parametrize(
+    "d, eps, totals",
+    [(1, 2.0**-10, (97, 41, 775, 7485, 3322, 61723)), (2, 2.0**-6, (49, 132, 1120, 13901, 5340, 324497))],
+    ids=["d1", "d2"],
+)
+def test_cheb_net_structure_is_pinned(d, eps, totals):
+    # the cheb_pipeline benchmark nets: depth, max width, blocks, stored
+    # entries, nonzeros and dense entries
+    net, cert = build_cheb_net(target_exp_sum(d), eps, "rescaled")
+    stats = network_stats(net)
+    keys = ("depth", "max_width", "blocks", "stored_entries", "nnz", "dense_entries")
+    assert tuple(stats[k] for k in keys) == totals
+    assert (stats["depth"], stats["max_width"]) == (cert["depth"], cert["max_width"])
 
 
 def test_certificate_and_meta_keys():

@@ -137,6 +137,34 @@ def test_approx_cheb_polynomial_file_and_net_out(runner, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "args, builtin",
+    [
+        (["approx", "cheb", "--target", "inv2mx", "--eps", "0.0625"], {"target": "inv2mx", "rho": 3 + 2 * 2**0.5}),
+        (["approx", "power-series", "--series", "inv2mx", "--eps", "0.0625", "--delta", "0.5"], {"F": 1.0}),
+    ],
+    ids=["cheb", "power-series"],
+)
+def test_approx_builtin_name_wins_over_a_file_of_that_name(runner, tmp_path, monkeypatch, args, builtin):
+    # a polynomial file called inv2mx in the working directory (its F is 1.5)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "inv2mx").write_text(json.dumps({"d": 1, "terms": [[[0], 0.5], [[2], 1.0]]}))
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    cert = json.loads(res.output)
+    assert {k: cert[k] for k in builtin} == pytest.approx(builtin)
+
+
+def test_approx_cheb_d_may_repeat_the_polynomial_files_d(runner, tmp_path):
+    poly_path = tmp_path / "p2.json"
+    poly_path.write_text(json.dumps({"d": 2, "terms": [[[1, 1], 0.5]]}))
+    args = ["approx", "cheb", "--target", str(poly_path), "--eps", "0.25"]
+    plain, explicit = (runner.invoke(main, a) for a in (args, args + ["--d", "2"]))
+    assert plain.exit_code == explicit.exit_code == 0, explicit.output
+    assert json.loads(explicit.output) == json.loads(plain.output)
+    assert json.loads(plain.output)["d"] == 2
+
+
+@pytest.mark.parametrize(
     "args",
     [["approx", "power-series", "--eps", "0.0625", "--delta", "0.25"], ["regress", "--n", "16", "--epochs", "2"]],
     ids=["power-series", "regress"],
@@ -257,6 +285,11 @@ BAD_INPUTS = [
     ("verify sq negative seed", ["verify", "sq", "--m", "2", "--seed", "-1"]),
     ("approx cheb polynomial file with d 4", ["approx", "cheb", "--target", "{poly_d4}", "--eps", "0.5"]),
     ("approx cheb polynomial file with d 0", ["approx", "cheb", "--target", "{poly_d0}", "--eps", "0.5"]),
+    ("approx cheb d contradicts the polynomial file",
+     ["approx", "cheb", "--target", "{poly_d1}", "--d", "3", "--eps", "0.5"]),
+    ("approx cheb unknown target", ["approx", "cheb", "--target", "bogus", "--eps", "0.5"]),
+    ("approx cheb target a directory", ["approx", "cheb", "--target", "{dir}", "--eps", "0.5"]),
+    ("approx power-series unknown series", ["approx", "power-series", "--series", "bogus", "--eps", "0.5", "--delta", "0.5"]),
 ]
 
 
@@ -275,6 +308,8 @@ def test_bad_input_is_usage_error(runner, tmp_path, args):
         "spec_act_obj": tmp_path / "spec_act_obj.json",
         "poly_d4": tmp_path / "poly_d4.json",
         "poly_d0": tmp_path / "poly_d0.json",
+        "poly_d1": tmp_path / "p1.json",
+        "dir": tmp_path,
     }
     runner.invoke(main, ["build", "sq", "--m", "1", "--out", str(files["net"])])
     files["ragged_net"].write_text(json.dumps({"format": 2, "activation": "abs", "layers": [[[[1.0, 0.0], [1.0]]]]}))
@@ -287,6 +322,7 @@ def test_bad_input_is_usage_error(runner, tmp_path, args):
     files["spec_act_obj"].write_text(json.dumps(dict(spec, activation={"name": "abs"})))
     files["poly_d4"].write_text(json.dumps({"d": 4, "terms": [[[1, 0, 0, 0], 0.5]]}))
     files["poly_d0"].write_text(json.dumps({"d": 0, "terms": [[[], 0.5]]}))
+    files["poly_d1"].write_text(json.dumps({"d": 1, "terms": [[[2], 0.5]]}))
     res = runner.invoke(main, [a.format(**files) for a in args])
     assert res.exit_code == 2, res.output
     assert "Traceback" not in res.output

@@ -16,6 +16,7 @@ from nnapprox import (
     build_multr,
     build_pairing_layer,
     build_sq,
+    compose,
     count_monomials,
     enumerate_multi_indices,
     evaluate,
@@ -24,10 +25,10 @@ from nnapprox import (
     mult_error_bound,
     mult_path_row,
     multr_error_bound,
+    network_stats,
     parallel,
     path_matrix,
     path_norm,
-    prepend_layer,
     sq_error_bound,
     sq_path_row,
     tent,
@@ -113,7 +114,8 @@ def test_sq_matches_fm_ref_on_grid():
 
 def test_sq_and_mult_chains_carry_three_channels():
     for m in range(1, 11):
-        assert build_sq(m).param_count() == 18 * m
+        stats = network_stats(build_sq(m))
+        assert stats["stored_entries"] == stats["dense_entries"] == 18 * m
         for variant in (LITERAL, RESCALED):
             assert build_mult(m, variant).max_width == 9
 
@@ -462,7 +464,7 @@ def parallel_trees_mon(m, gamma, d, variant):
         cols += [0] + [1 + axis for axis, count in enumerate(k) for _ in range(count)]
     g = np.eye(d + 1)[cols]
     trees = [build_multr(m, sum(k), variant) for k in high]
-    return prepend_layer(parallel([Network(ABS, [np.eye(d + 1)])] + trees), g)
+    return compose(Network(ABS, [g]), parallel([Network(ABS, [np.eye(d + 1)])] + trees))
 
 
 @settings(max_examples=25, deadline=None)

@@ -63,7 +63,6 @@ SMALL_TILE = 64
 @pytest.mark.parametrize("act", [ABS, RELU, DEAD_ZONE], ids=["abs", "relu", "dead-zone"])
 def test_tiles_match_one_tile_and_dense_chain(act, pooled, rng, monkeypatch):
     # heap: a fresh array per layer; pooled: the two buffers made once per call.
-    # DEAD_ZONE has no in-place form: its activations are fresh arrays, not buffer views
     monkeypatch.setattr(_kernels, "POOLED_POINTS", 0 if pooled else np.inf)
     t = SMALL_TILE
     net = random_block_net(rng, act, n_layers=4)

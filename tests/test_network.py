@@ -14,7 +14,6 @@ from nnapprox import (
     Network,
     NetworkError,
     ShapeMismatchError,
-    append_layer,
     build_cheb_net,
     build_mon,
     build_mult,
@@ -22,14 +21,12 @@ from nnapprox import (
     compose,
     evaluate,
     general_activation,
-    l1_param_norm,
     network_from_json,
+    network_stats,
     network_to_json,
     parallel,
     path_matrix,
     path_norm,
-    per_layer_l1,
-    prepend_layer,
     target_exp_sum,
     with_ones,
 )
@@ -76,7 +73,7 @@ def test_pooled_buffers_keep_outputs_exact(act, n, rng, monkeypatch):
     xs = rng.normal(size=(n, 6))
     pooled = n >= _kernels.POOLED_POINTS
     assert pooled == (n > 255)
-    got = _kernels.eval_chain(net.layers, xs.T, act.inplace or act.apply)
+    got = _kernels.eval_chain(net.layers, xs.T, act.inplace)
     assert got.base is None  # the result never is a view into a buffer
     monkeypatch.setattr(_kernels, "POOLED_POINTS", np.inf if pooled else 0)
     assert np.array_equal(got.T, evaluate(net, xs))
@@ -102,8 +99,11 @@ def test_nonfinite_weights_rejected():
 
 def test_activation_variants_agree_with_sign_selector(rng):
     x = rng.normal(size=100)
-    for act in (IDENTITY, RELU, ABS):
-        assert np.allclose(act.apply(x), act.selector(x) * x)
+    dead_zone = general_activation(lambda v: np.where(np.abs(v) < 0.5, 0.0, np.sign(v)))
+    for act in (IDENTITY, RELU, ABS, dead_zone):
+        y = x.copy()
+        assert act.inplace(y) is y
+        assert np.array_equal(y, act.selector(x) * x)
     assert ABS.selector(np.array([0.0]))[0] == 1.0
     assert RELU.selector(np.array([0.0]))[0] == 1.0
 
@@ -135,8 +135,8 @@ def test_derived_networks_report_their_own_path_norm(rng):
         "compose": compose(a, b),
         "parallel": parallel([a, a]),
         "rescaled": Network(ABS, [0.5 * w for w in a.weights]),
-        "prepend": prepend_layer(a, 3.0 * np.eye(2)),
-        "append": append_layer(a, np.array([[-4.0]])),
+        "prepend": compose(Network(ABS, [3.0 * np.eye(2)]), a),
+        "append": compose(a, Network(ABS, [np.array([[-4.0]])])),
     }
     for name, net in derived.items():
         assert path_norm(net) == pytest.approx(np.sum(dense_path_matrix(net)), rel=1e-13), name
@@ -149,8 +149,40 @@ def test_derived_networks_report_their_own_path_norm(rng):
 
 def test_l1_norms():
     net = Network(ABS, [np.array([[1.0, -1.0]]), np.array([[0.5]])])
-    assert per_layer_l1(net) == [2.0, 0.5]
-    assert l1_param_norm(net) == 2.5
+    stats = network_stats(net)
+    assert [lay["l1"] for lay in stats["layers"]] == [2.0, 0.5]
+    assert stats["l1"] == 2.5
+
+
+def test_network_stats_counts_entries():
+    stats = network_stats(Network(ABS, [np.ones((2, 3))]))
+    assert (stats["dense_entries"], stats["stored_entries"], stats["nnz"]) == (6, 6, 6)
+    assert stats["l1"] == 6.0
+    assert stats["layers"] == [{"shape": [2, 3], "blocks": 1, "stored_entries": 6, "nnz": 6, "l1": 6.0}]
+    half = Network(ABS, [np.array([[1.0, 0.0]])])
+    stats = network_stats(parallel([half, half]))
+    assert (stats["dense_entries"], stats["stored_entries"], stats["nnz"]) == (8, 4, 2)
+    assert (stats["depth"], stats["max_width"], stats["blocks"]) == (0, 4, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_network_stats_match_the_dense_weights(seed):
+    # structural zeros outside the blocks are counted only in dense_entries
+    net = random_block_net(np.random.default_rng(seed), ABS)
+    stats = network_stats(net)
+    ws = net.weights
+    assert (stats["depth"], stats["max_width"]) == (len(ws) - 1, max(net.widths))
+    assert [lay["shape"] for lay in stats["layers"]] == [list(w.shape) for w in ws]
+    assert [lay["blocks"] for lay in stats["layers"]] == [len(lay.blocks) for lay in net.layers]
+    assert stats["dense_entries"] == sum(w.size for w in ws)
+    assert stats["stored_entries"] == sum(b.size for lay in net.layers for b in lay.blocks)
+    assert [lay["nnz"] for lay in stats["layers"]] == [np.count_nonzero(w) for w in ws]
+    assert stats["nnz"] == sum(lay["nnz"] for lay in stats["layers"])
+    for lay, w in zip(stats["layers"], ws):
+        assert lay["l1"] == pytest.approx(np.abs(w).sum(), rel=1e-13)
+    assert stats["l1"] == pytest.approx(sum(np.abs(w).sum() for w in ws), rel=1e-13)
+    assert json.loads(json.dumps(stats)) == stats
 
 
 def test_path_norm_equals_value_at_ones_for_nonnegative_weights(rng):
@@ -169,8 +201,8 @@ def test_path_norm_bounded_by_product_of_layer_l1(seed):
     r = np.random.default_rng(seed)
     net = random_dense_net(r, ABS)
     prod = 1.0
-    for v in per_layer_l1(net):
-        prod *= v
+    for lay in network_stats(net)["layers"]:
+        prod *= lay["l1"]
     assert path_norm(net) <= prod * (1 + 1e-12)
 
 
@@ -192,12 +224,12 @@ def test_path_norm_is_the_abs_net_at_ones(seed, act):
 def test_unit_l1_budget_caps_path_norm(rng):
     for _ in range(200):
         net = random_dense_net(rng, ABS)
-        total = l1_param_norm(net)
+        total = network_stats(net)["l1"]
         if total == 0:
             continue
         ws = [w / total for w in net.weights]
         scaled = Network(ABS, ws)
-        assert l1_param_norm(scaled) <= 1 + 1e-9
+        assert network_stats(scaled)["l1"] <= 1 + 1e-9
         L = scaled.depth
         assert path_norm(scaled) <= (L + 1) ** -(L + 1) + 1e-12
 
@@ -291,8 +323,8 @@ def test_combinators_match_dense_oracle(seed):
     cases = {
         "compose": (compose(a, b), a.weights + b.weights),
         "parallel": (parallel(nets), [dense_block_diag(ws) for ws in zip(*padded)]),
-        "prepend": (prepend_layer(a, w_in), (w_in,) + a.weights),
-        "append": (append_layer(a, w_out), a.weights + (w_out,)),
+        "prepend": (compose(Network(ABS, [w_in]), a), (w_in,) + a.weights),
+        "append": (compose(a, Network(ABS, [w_out])), a.weights + (w_out,)),
     }
     for name, (net, want) in cases.items():
         assert len(net.weights) == len(want), name
@@ -313,16 +345,16 @@ def test_combinators_splice_blocks_by_reference(rng):
     c = random_block_net(rng, ABS, in_dim=a.out_dim)
     comp = compose(a, c)
     assert all(same(x.blocks, y.blocks) for x, y in zip(comp.layers, a.layers + c.layers))
-    for net in (Network(ABS, a.layers), prepend_layer(a, np.eye(a.in_dim))):
+    for net in (Network(ABS, a.layers), compose(Network(ABS, [np.eye(a.in_dim)]), a)):
         assert all(same(x.blocks, y.blocks) for x, y in zip(net.layers[-3:], a.layers))
-    app = append_layer(a, np.ones((1, a.out_dim)))
+    app = compose(a, Network(ABS, [np.ones((1, a.out_dim))]))
     assert all(same(x.blocks, y.blocks) for x, y in zip(app.layers, a.layers))
 
 
-def test_prepend_append_layer():
+def test_compose_with_one_matrix_nets():
     net = Network(ABS, [np.array([[1.0, 1.0]])])
-    net2 = prepend_layer(net, np.eye(2))
-    net3 = append_layer(net2, np.array([[2.0]]))
+    net2 = compose(Network(ABS, [np.eye(2)]), net)
+    net3 = compose(net2, Network(ABS, [np.array([[2.0]])]))
     assert net3.widths == (2, 2, 1, 1)
     assert evaluate(net3, [0.5, 0.25])[0] == pytest.approx(1.5)
 
