@@ -11,11 +11,15 @@ points on, hidden activations alternate between two line-aligned heap buffers
 of the widest hidden layer's width, sized for the largest tile and made once
 per call; smaller calls allocate each layer's activations.
 
-greedy_cover makes one pass over the rows and compares each row with all
-centers found so far at once, by direct differences against a growing
-center matrix; a row becomes a center when none is closer than eps.  (The
-|a|^2 + |b|^2 - 2ab matmul expansion is avoided: its cancellation could flip
-the strict-< decisions.)
+greedy_cover scans the rows in order and makes a row a center when no
+earlier center is closer than eps; its decisions are those of comparing
+each row with every center by direct differences, (c - r)^2 summed by
+einsum.  It screens a block of rows against the centers found before the
+block with one matrix product, expanding |r|^2 + |c|^2 - 2 r.c into squared
+distances, and trusts a screened pair only outside a rounding guard band
+around the threshold; pairs inside the band, and the centers found within
+the block, are compared by direct differences.  Rows whose squared norms
+leave the range where the expansion is safe are all compared directly.
 """
 
 import importlib.util
@@ -100,18 +104,103 @@ def eval_chain(layers, cur, act=None, absolute=False):
 # greedy covering in the empirical l2 metric
 
 
+# Squared row norms up to this are screened: no sum, product or difference
+# in the expanded form overflows below it.  A larger one, or an eps whose
+# square overflows, makes the whole scan compare by direct differences.
+SCREEN_MAX_SQ = 2.0**1000
+# Factor between the guard band and the rounding error it must exceed.
+GUARD_SAFETY = 2.0
+# Rows * centers * max(columns, 8) of one screening product.  It bounds the
+# block's distance matrix to 2^15 entries (256 KiB), and it keeps the
+# product on one BLAS thread: past about 2^19 multiply-adds OpenBLAS woke its
+# second thread, which then spun for over 0.2 s after each call and slowed
+# the start of a process launched right after the cover by 25%.
+SCREEN_WORK = 2**18
+# Rows per block at most: the rows of a block are compared by direct
+# differences with the centers found within it.
+MAX_BLOCK_ROWS = 64
+
+
+def _covered(centers, row, eps2_sum):
+    """Whether one of centers is closer to row than the threshold, compared
+    by direct differences."""
+    d = centers - row
+    return bool((np.einsum("ij,ij->i", d, d) < eps2_sum).any())
+
+
 def greedy_cover(vectors, eps):
     """Indices of a greedy eps-net over rows of `vectors` in the metric
-    dist(u, v) = sqrt(mean((u - v)^2)); a row is covered when dist < eps."""
+    dist(u, v) = sqrt(mean((u - v)^2)); a row is covered when dist < eps.
+
+    A non-finite row raises ValueError: NaN compares false, so it would
+    silently become a center that covers nothing.
+
+    The guard band.  A row is covered by a center when e < T = eps^2 m,
+    with e = sum((c - r)^2) computed by direct differences.  Let u = 2^-53,
+    m the number of columns, g_k = k u / (1 - k u), S = |r|^2 + |c|^2 and
+    E = |r - c|^2 = |r|^2 + |c|^2 - 2 r.c.
+      * The squared norms and r.c are dot products of length m, so in any
+        summation order (BLAS blocking, FMA) their errors are at most g_m
+        |r|^2, g_m |c|^2 and g_m |r||c| <= g_m S / 2.
+      * The two additions forming D = (-2 r.c + |r|^2) + |c|^2 round values
+        of size at most 2 S (1 + g_m) and add at most 4 u S (1 + g_{m+1}).
+      * e has relative error at most g_{m+3} (one subtraction, one product
+        and the sum per entry), and E <= 2 S.
+    So |D - e| <= (2 g_m + 4 u + 2 g_{m+3}) S (1 + g_{m+3})
+    <= 4 (m + 3) u S (1 + g_{m+3}).  Underflow, gradual or flushed to zero,
+    adds at most 2^-1022 for each of the 5 m products.  Rounding T -+ band
+    to a float moves it by at most u T + u band.  The band is GUARD_SAFETY
+    times the sum of the first two terms and u T, taken with the computed
+    norms (within g_m of the true ones) and the largest center norm; the
+    factor also covers u band and the rounding of the band itself.  So a
+    pair with D below the rounded T - band has e < T, a pair with D at or
+    above the rounded T + band has e >= T, and only a pair in between is
+    compared directly: the decisions are exactly those of comparing every
+    row with every earlier center directly.
+    """
     v = np.ascontiguousarray(vectors, dtype=np.float64)
-    eps2_sum = eps * eps * v.shape[1]
+    if not np.isfinite(v).all():
+        raise ValueError("vectors must be finite: a non-finite row is never covered")
+    n, m = v.shape
+    eps2_sum = eps * eps * m
+    sq = np.einsum("ij,ij->i", v, v)
+    screened = n > 0 and sq.max() <= SCREEN_MAX_SQ and np.isfinite(eps2_sum)
+    u = 2.0**-53
+    rel = GUARD_SAFETY * 4 * (m + 3) * u * (1 + 2 * (m + 3) * u)
+    floor = GUARD_SAFETY * (5 * m * 2.0**-1022 + u * eps2_sum)
     cent = np.empty_like(v)
-    idx = np.empty(v.shape[0], dtype=np.int64)
-    k = 0
-    for i, row in enumerate(v):
-        d = cent[:k] - row
-        if not (np.einsum("ij,ij->i", d, d) < eps2_sum).any():
-            cent[k] = row
-            idx[k] = i
-            k += 1
+    csq = np.empty(n)
+    idx = np.empty(n, dtype=np.int64)
+    k = start = 0
+    cmax = 0.0
+    while start < n:
+        # k0 centers are screened with one matrix product; the rows of the
+        # block meet the centers found from k0 on directly
+        k0 = k if screened else 0
+        rows = max(1, min(MAX_BLOCK_ROWS, SCREEN_WORK // (max(k0, 1) * max(m, 8)))) if screened else n
+        stop = min(n, start + rows)
+        todo = range(start, stop)
+        if k0:
+            d2 = v[start:stop] @ cent[:k0].T
+            d2 *= -2.0
+            d2 += sq[start:stop, None]
+            d2 += csq[:k0]
+            band = (rel * (sq[start:stop] + cmax) + floor)[:, None]
+            # a row with a pair surely closer than eps is covered; the others
+            # meet their pairs inside the band directly
+            todo = start + np.flatnonzero(~(d2 < eps2_sum - band).any(axis=1))
+            near = d2 < eps2_sum + band
+        for i in todo:
+            row = v[i]
+            if k0:
+                cand = np.flatnonzero(near[i - start])
+                if cand.size and _covered(cent[cand], row, eps2_sum):
+                    continue
+            if k == k0 or not _covered(cent[k0:k], row, eps2_sum):
+                cent[k] = row
+                csq[k] = sq[i]
+                idx[k] = i
+                cmax = max(cmax, sq[i])
+                k += 1
+        start = stop
     return idx[:k]

@@ -10,7 +10,8 @@ with P the product of the hidden widths and d = p_0.  At L = 0 it collapses
 to the linear-class bound ceil(b^2 r^2 / eps^2) log2(2d + 1).
 
 The empirical oracle draws networks from the class, evaluates them on the
-sample points and greedily builds an eps-net in the metric
+sample points (a chunk of networks at a time, stacked) and greedily builds
+an eps-net in the metric
 dist(f, g) = sqrt(mean_i (f(z_i) - g(z_i))^2).  Greedy centers are an upper
 bound on the minimal cover of the sampled functions, so their log2 count
 must stay below the closed-form bound; the check is one-sided.
@@ -25,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .network import ABS, Network, evaluate, path_norm
+from .network import ABS, Network, NetworkError, ShapeMismatchError
 
 
 class SamplerViolation(ValueError):
@@ -97,18 +98,25 @@ def sample_network(widths, cap, activation=ABS, rng=None):
 
     When the raw draw exceeds the cap every layer is scaled by
     (cap / path_norm)^(1/(L+1)), which lands exactly on the boundary, the
-    hard regime for the bound."""
+    hard regime for the bound.  All layers come from one draw, the same
+    stream as one draw per layer, and the raw path norm is computed on the
+    arrays by the matrix products of path_matrix, so the network is built
+    once."""
     rng = np.random.default_rng(rng)
-    ws = [
-        rng.uniform(-1.0, 1.0, size=(widths[i + 1], widths[i]))
-        for i in range(len(widths) - 1)
-    ]
-    net = Network(activation, ws)
-    pn = path_norm(net)
+    shapes = list(zip(widths[1:], widths[:-1]))
+    flat = rng.uniform(-1.0, 1.0, sum(r * c for r, c in shapes))
+    ws, a = [], 0
+    for r, c in shapes:
+        ws.append(flat[a : a + r * c].reshape(r, c))
+        a += r * c
+    # |W0| @ I is |W0| exactly, so the product starts there
+    pm = np.abs(ws[0])
+    for w in ws[1:]:
+        pm = np.abs(w) @ pm
+    pn = float(pm.sum())
     if pn > cap:
-        scale = (cap / pn) ** (1.0 / len(ws))
-        net = Network(activation, [w * scale for w in ws])
-    return net
+        flat *= (cap / pn) ** (1.0 / len(ws))
+    return Network(activation, ws)
 
 
 class CoverResult(NamedTuple):
@@ -116,27 +124,95 @@ class CoverResult(NamedTuple):
     log2_size: float
 
 
+# Most sampled networks held at once.  On the entropy oracle's specs chunks
+# of 32 to 256 ran equally fast, and from 128 on the networks held raised
+# peak RSS (256: +0.7 MiB, 1024: +1.0 MiB over per-sample evaluation).
+CHUNK_TRIALS = 64
+# Most trial-by-point outputs per chunk, so a chunk on many points stays small.
+CHUNK_VALUES = 8192
+
+
+def _stacks(nets):
+    """nets grouped by activation and block shapes, in order of first
+    appearance: (activation, trial indices, layers) per group, where
+    layers[i] holds layer i's blocks, each stacked over the group as an
+    array (k, rows, cols)."""
+    groups = {}
+    for t, net in enumerate(nets):
+        key = (net.activation, tuple(tuple(b.shape for b in lay.blocks) for lay in net.layers))
+        groups.setdefault(key, []).append(t)
+    return [
+        (act, ts, [
+            [np.stack([nets[t].layers[i].blocks[j] for t in ts]) for j in range(len(blocks))]
+            for i, blocks in enumerate(shapes)
+        ])
+        for (act, shapes), ts in groups.items()
+    ]
+
+
+def _stacked_chain(layers, x, act=None, absolute=False):
+    """_kernels.eval_chain on one of _stacks' layer stacks of k networks.
+
+    x of shape (p0, n) is shared by the stack.  Each network meets the same
+    matrix products as in eval_chain on one tile, so its slice of the
+    (k, p_{L+1}, n) result equals its own evaluation bit for bit."""
+    last = len(layers) - 1
+    for i, blocks in enumerate(layers):
+        rows = sum(b.shape[1] for b in blocks)
+        out = np.empty((len(blocks[0]), rows, x.shape[-1]))
+        ro = co = 0
+        for b in blocks:
+            _, r, c = b.shape
+            np.matmul(np.abs(b) if absolute else b, x[..., co : co + c, :], out=out[:, ro : ro + r])
+            ro += r
+            co += c
+        x = out if act is None or i == last else act(out)
+    return x
+
+
 def empirical_covering(sampler, points, eps, trials, path_norm_cap=None):
     """Greedy eps-net size over `trials` sampled networks evaluated on `points`.
 
     sampler() must return a Network whose input dimension matches the point
-    dimension; when path_norm_cap is given every sample is checked against it
-    and a violation raises SamplerViolation."""
+    dimension.  It is called a chunk of trials at a time, in order; the
+    chunk's networks are grouped by activation and block shapes and each
+    group is evaluated as one stack, bit for bit as network.evaluate does.
+    When path_norm_cap is given every sample is checked against it, with
+    one |W| pass per group, and a violation raises SamplerViolation naming
+    the first offending sample, once its chunk has been drawn.  A network
+    of the wrong input dimension raises ShapeMismatchError and non-finite
+    points raise NetworkError, as in evaluate; non-finite outputs make
+    greedy_cover raise ValueError."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 1:
         points = points[:, None]
-    n = points.shape[0]
+    if points.ndim != 2:
+        raise ShapeMismatchError(f"points must be a vector or a batch, got ndim={points.ndim}")
+    if not np.isfinite(points).all():
+        raise NetworkError("input has non-finite entries")
+    n, d = points.shape
     vectors = np.empty((trials, n))
-    for t in range(trials):
-        net = sampler()
+    chunk = max(1, min(CHUNK_TRIALS, CHUNK_VALUES // max(n, 1)))
+    for start in range(0, trials, chunk):
+        nets = [sampler() for _ in range(min(chunk, trials - start))]
+        groups = _stacks(nets)
         if path_norm_cap is not None:
-            pn = path_norm(net)
-            if pn > path_norm_cap * (1.0 + 1e-9):
+            pn = np.empty(len(nets))
+            for _, ts, layers in groups:
+                pm = _stacked_chain(layers, np.eye(nets[ts[0]].in_dim), absolute=True)
+                pn[ts] = pm.reshape(len(ts), -1).sum(axis=1)
+            bad = np.flatnonzero(pn > path_norm_cap * (1.0 + 1e-9))
+            if bad.size:
+                t = int(bad[0])
                 raise SamplerViolation(
-                    f"sample {t} has path norm {pn:.6g} > cap {path_norm_cap:.6g}"
+                    f"sample {start + t} has path norm {pn[t]:.6g} > cap {path_norm_cap:.6g}"
                 )
-        out = evaluate(net, points)
-        vectors[t] = out[:, 0] if out.ndim == 2 else out
+        for act, ts, layers in groups:
+            if nets[ts[0]].in_dim != d:
+                raise ShapeMismatchError(
+                    f"layer 0 expects input of length {nets[ts[0]].in_dim}, got {d}"
+                )
+            vectors[[start + t for t in ts]] = _stacked_chain(layers, points.T, act.inplace)[:, 0]
     centers = _kernels.greedy_cover(vectors, eps)
     size = int(len(centers))
     return CoverResult(size, math.log2(size) if size else float("-inf"))

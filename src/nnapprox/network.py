@@ -111,7 +111,7 @@ class BlockDiagonal:
                 item = np.array(item, dtype=np.float64, order="C")
                 if item.ndim != 2 or item.size == 0:
                     raise NetworkError(f"block of shape {item.shape} is not a matrix")
-                if not np.all(np.isfinite(item)):
+                if not np.isfinite(item).all():
                     raise NetworkError("matrix entries must be finite")
                 item.setflags(write=False)
                 bs.append(item)

@@ -9,15 +9,23 @@ from nnapprox import (
     RELU,
     EntropyBoundSpec,
     Network,
+    NetworkError,
     SamplerViolation,
+    ShapeMismatchError,
     empirical_covering,
     empirical_vs_bound,
     general_activation,
     linear_bound,
     network_bound,
+    evaluate,
+    path_matrix,
     path_norm,
     sample_network,
 )
+from nnapprox import entropy
+from conftest import random_block_net
+
+DEAD_ZONE = general_activation(lambda x: np.where(np.abs(x) < 0.1, 0.0, np.sign(x)))
 
 
 def test_linear_bound_example():
@@ -138,3 +146,127 @@ def test_relu_and_identity_classes_also_under_bound():
         spec = EntropyBoundSpec(eps=0.4, L=2, p=(2, 2, 2, 1), B=1.2, r=1.0, n=12)
         cover, bound, _ = empirical_vs_bound(spec, activation=act, trials=1500, seed=3)
         assert cover.log2_size <= bound
+
+
+def test_sample_network_matches_per_layer_draws():
+    # the parent construction: one draw per layer, a Network, its path norm,
+    # and a second Network of the scaled weights when over the cap
+    for widths in ((1, 1), (2, 3, 1), (3, 2, 2, 1), (2, 3, 3, 3, 2)):
+        for cap in (0.05, 1.0, 50.0):
+            r1, r2 = np.random.default_rng(11), np.random.default_rng(11)
+            for _ in range(20):
+                ws = [r1.uniform(-1.0, 1.0, size=(widths[i + 1], widths[i])) for i in range(len(widths) - 1)]
+                pn = path_norm(Network(ABS, ws))
+                if pn > cap:
+                    ws = [w * (cap / pn) ** (1.0 / len(ws)) for w in ws]
+                net = sample_network(widths, cap, ABS, r2)
+                assert all(np.array_equal(a, b) for a, b in zip(net.weights, ws))
+            assert r1.random() == r2.random()
+
+
+def test_sample_network_builds_one_network(monkeypatch):
+    built = []
+    init = Network.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Network, "__init__", counting)
+    rng = np.random.default_rng(0)
+    for cap in (0.01, 100.0):  # always rescaled, never rescaled
+        built.clear()
+        nets = [sample_network((2, 3, 1), cap, ABS, rng) for _ in range(10)]
+        assert len(built) == 10
+        assert all(path_norm(n) <= cap * (1 + 1e-12) for n in nets)
+
+
+def covered_vectors(monkeypatch, sampler, points, trials, **kwargs):
+    """The rows empirical_covering hands to greedy_cover."""
+    seen = []
+    cover = entropy._kernels.greedy_cover
+
+    def capture(vectors, eps):
+        seen.append(np.array(vectors))
+        return cover(vectors, eps)
+
+    monkeypatch.setattr(entropy._kernels, "greedy_cover", capture)
+    empirical_covering(sampler, points, 0.1, trials, **kwargs)
+    monkeypatch.undo()
+    return seen[0]
+
+
+CHUNK = entropy.CHUNK_TRIALS
+
+
+@pytest.mark.parametrize("trials", [CHUNK - 1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("L", [0, 1, 2])
+@pytest.mark.parametrize("act", [ABS, RELU, IDENTITY, DEAD_ZONE], ids=["abs", "relu", "identity", "dead-zone"])
+def test_stacked_oracle_equals_per_net_evaluate(act, L, trials, monkeypatch):
+    # a sampler alternating two width vectors makes two stacks per chunk;
+    # the rows must come back in trial order
+    rng = np.random.default_rng(L * 1000 + trials)
+    points = rng.uniform(-1.5, 1.5, (7, 2))
+    assert entropy.CHUNK_VALUES // len(points) >= CHUNK
+    widths = ((2,) + (3,) * L + (1,), (2,) + (2,) * L + (2,))
+    nets = []
+
+    def sampler():
+        nets.append(sample_network(widths[len(nets) % 2], 1.3, act, rng))
+        return nets[-1]
+
+    got = covered_vectors(monkeypatch, sampler, points, trials, path_norm_cap=1.3)
+    assert len(nets) == trials
+    want = np.array([evaluate(net, points)[:, 0] for net in nets])
+    assert np.array_equal(got, want)
+
+
+def test_stacked_oracle_groups_block_diagonal_nets(monkeypatch):
+    rng = np.random.default_rng(5)
+    nets = [random_block_net(rng, act, in_dim=4) for act in (ABS, RELU, DEAD_ZONE) for _ in range(30)]
+    points = rng.uniform(-1, 1, (9, 4))
+    it = iter(nets)
+    got = covered_vectors(monkeypatch, lambda: next(it), points, len(nets), path_norm_cap=1e9)
+    assert np.array_equal(got, np.array([evaluate(net, points)[:, 0] for net in nets]))
+
+
+def test_stacked_path_norm_equals_path_matrix():
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        net = random_block_net(rng, ABS, in_dim=3)
+        stacks = [[np.stack([b, -2 * b]) for b in lay.blocks] for lay in net.layers]
+        pm = entropy._stacked_chain(stacks, np.eye(net.in_dim), absolute=True)
+        assert np.array_equal(pm[0], path_matrix(net))
+        assert pm.reshape(2, -1).sum(axis=1)[0] == path_norm(net)
+
+
+def test_sampler_violation_names_first_bad_sample(rng):
+    pts = rng.uniform(-1, 1, (4, 2))
+    good = Network(ABS, [np.full((1, 2), 0.25)])
+    bad = Network(ABS, [np.full((1, 2), 10.0)])
+    seq = iter([good, good, bad, good, bad])
+    with pytest.raises(SamplerViolation, match="sample 2 "):
+        empirical_covering(lambda: next(seq), pts, eps=0.1, trials=5, path_norm_cap=1.0)
+
+
+def test_wrong_input_dimension_is_shape_mismatch(rng):
+    pts = rng.uniform(-1, 1, (4, 2))
+    net = Network(ABS, [np.full((1, 3), 0.1)])
+    with pytest.raises(ShapeMismatchError):
+        empirical_covering(lambda: net, pts, eps=0.1, trials=3, path_norm_cap=1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_points_are_network_error(bad, rng):
+    pts = rng.uniform(-1, 1, (4, 2))
+    pts[2, 1] = bad
+    net = Network(ABS, [np.full((1, 2), 0.1)])
+    with pytest.raises(NetworkError, match="non-finite"):
+        empirical_covering(lambda: net, pts, eps=0.1, trials=3)
+
+
+def test_non_finite_outputs_reach_greedy_cover_error():
+    # weights and points in float range whose outputs overflow to inf
+    net = Network(ABS, [np.full((2, 1), 1e200), np.full((1, 2), 1e200)])
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        empirical_covering(lambda: net, np.ones((3, 1)), eps=0.1, trials=3)

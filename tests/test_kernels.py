@@ -181,3 +181,84 @@ def test_greedy_cover_monotone_in_eps(rng):
 
 def test_backend_name():
     assert _kernels.backend_name() == "numpy"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_greedy_cover_rejects_non_finite_rows(bad):
+    v = np.random.default_rng(3).normal(size=(10, 4))
+    v[6, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        _kernels.greedy_cover(v, 0.5)
+
+
+def near_tie_rows(eps, m=4, bases=20):
+    """Far-apart base points first, then for each base and each coordinate
+    but the first one row at offset +-2 eps (1 + j ulp), j = -3..3.  The
+    bases are zero in those coordinates, so the offsets are exact and each
+    row's squared distance to its base is within a few ulps of the
+    threshold eps^2 m = 4 eps^2."""
+    base = np.zeros((bases, m))
+    base[:, 0] = 10 * eps * np.arange(bases)
+    offsets = [sign * 2 * eps * (1 + j * 2.0**-52) for sign in (1, -1) for j in range(-3, 4)]
+    rows = [b + s * np.eye(m)[c] for b in base for c in range(1, m) for s in offsets]
+    return np.vstack([base, rows])
+
+
+def near_tie_covers():
+    """(name, rows, eps) cases at the edges of the screened expansion."""
+    r = np.random.default_rng(9)
+    return [
+        ("ulp ties", near_tie_rows(0.5), 0.5),
+        ("ulp ties, tiny scale", near_tie_rows(3e-9), 3e-9),
+        ("offset 1e6", r.normal(size=(600, 8)) + 1e6, 1.0),
+        ("offset 1e6, lattice", np.round(r.normal(size=(600, 3)) * 4) / 4 + 1e6, 0.5),
+        ("near 1e155", 1e155 * (1 + 1e-3 * r.normal(size=(300, 4))), 1e152),
+        ("one row near 1e155", np.vstack([r.normal(size=(200, 4)), [[1e155, 0, 0, 0]]]), 0.3),
+        ("near 1e150 screened", 1e150 * (1 + 1e-3 * r.normal(size=(300, 4))), 1e147),
+        ("all centers", np.arange(500)[:, None] * np.full((500, 3), 7.0), 1.0),
+        ("eps squared overflows", r.normal(size=(100, 3)), 1e200),
+    ]
+
+
+@pytest.mark.parametrize("name,v,eps", [pytest.param(*c, id=c[0]) for c in near_tie_covers()])
+def test_greedy_cover_matches_loop_on_near_ties(name, v, eps):
+    got = _kernels.greedy_cover(v, eps)
+    with np.errstate(over="ignore"):  # the oracle's dot products overflow near 1e155
+        want = loop_cover(v, eps)
+    assert np.array_equal(got, want)
+    if name == "all centers":
+        assert len(got) == len(v)
+
+
+def test_near_tie_rows_straddle_the_threshold():
+    v, eps = near_tie_rows(0.5), 0.5
+    d = v[20:62] - v[0]
+    sq = np.einsum("ij,ij->i", d, d)
+    t = eps * eps * v.shape[1]
+    assert (sq < t).any() and (sq >= t).any()
+    assert np.all(np.abs(sq - t) <= 16 * 2.0**-52 * t)
+
+
+def test_greedy_cover_band_recheck_forced(monkeypatch):
+    # a guard band wider than every distance sends every screened pair to
+    # the direct comparison; the decisions must not change
+    v, eps = near_tie_rows(0.5), 0.5
+    calls = []
+    covered = _kernels._covered
+
+    def counting(centers, row, eps2_sum):
+        calls.append(len(centers))
+        return covered(centers, row, eps2_sum)
+
+    monkeypatch.setattr(_kernels, "_covered", counting)
+    want = _kernels.greedy_cover(v, eps)
+    default_calls = len(calls)
+    calls.clear()
+    monkeypatch.setattr(_kernels, "GUARD_SAFETY", 1e300)
+    got = _kernels.greedy_cover(v, eps)
+    assert np.array_equal(got, want) and np.array_equal(got, loop_cover(v, eps))
+    # every screened row (past the first block) meets all earlier-block
+    # centers directly, so the band branch runs on each of them
+    screened = len(v) - _kernels.MAX_BLOCK_ROWS
+    assert sum(1 for c in calls if c > 0) >= screened > 0
+    assert len(calls) > default_calls
