@@ -1,12 +1,13 @@
 """Numeric kernels: block-layer chain evaluation and greedy covering, numpy only.
 
 eval_chain walks block-diagonal layers (network.BlockDiagonal) with
-feature-major activations of shape (width, n_points), so each block
-multiplies a contiguous row range of the previous activations into a
-contiguous row range of the next ones.  It runs the whole chain on one tile
-of TILE to 2 * TILE - 1 points (columns) at a time, each tile into its
-columns of the result, so a tile's activations stay in cache from layer to
-layer; a call on fewer than 2 * TILE points is one tile.  From POOLED_POINTS
+feature-major activations of shape (width, n_points), so each run of k
+copies of one (r, c) block multiplies a contiguous row range of the previous
+activations, viewed as k stacked (c, n) slices, into the k stacked (r, n)
+slices of the next ones: one broadcast np.matmul per run.  It runs the whole
+chain on one tile of TILE to 2 * TILE - 1 points (columns) at a time, each
+tile into its columns of the result, so a tile's activations stay in cache
+from layer to layer; a call on fewer than 2 * TILE points is one tile.  From POOLED_POINTS
 points on, hidden activations alternate between two line-aligned heap buffers
 of the widest hidden layer's width, sized for the largest tile and made once
 per call; smaller calls allocate each layer's activations.
@@ -91,11 +92,18 @@ def eval_chain(layers, cur, act=None, absolute=False):
             else:
                 out = bufs[i % 2][: lay.shape[0] * m].reshape(lay.shape[0], m)
             ro = co = 0
-            for b in lay.blocks:
+            for b, k in lay.runs:
                 r, c = b.shape
-                np.matmul(np.abs(b) if absolute else b, x[co : co + c], out=out[ro : ro + r])
-                ro += r
-                co += c
+                # the run's rows as k stacked (r, m) and (c, m) views, so one
+                # broadcast matmul writes every copy in place (copy=False
+                # raises rather than hand matmul a copy to write into)
+                np.matmul(
+                    np.abs(b) if absolute else b,
+                    x[co : co + k * c].reshape(k, c, m, copy=False),
+                    out=out[ro : ro + k * r].reshape(k, r, m, copy=False),
+                )
+                ro += k * r
+                co += k * c
             x = out if act is None or i == last else act(out)
     return res
 

@@ -220,15 +220,16 @@ def _level(mult, chans, prods, carries):
 
     Its first matrix selects a (1, x_i, x_j) triple per product and then the
     carried channels; the rest is the parallel stack of the constant, the
-    Mult net once per product (so all products share its read-only blocks)
-    and the carried channels.  parallel pads the constant and the carried
-    channels with identity layers (values in [0,1] survive the abs
+    Mult net once per product and one 1x1 identity net per carried channel.
+    The products share the Mult net's read-only blocks and the channels one
+    identity block, so each layer holds one run of every Mult block and one
+    run for the carried channels.  parallel pads the constant and the
+    carried channels with identity layers (values in [0,1] survive the abs
     activation unchanged).
     """
     t = np.eye(1 + chans)[[0, *(c for i, j in prods for c in (0, i, j)), *carries]]
     one = Network(ABS, [np.eye(1)])
-    carry = [Network(ABS, [np.eye(len(carries))])] if carries else []
-    return [t, *parallel([one] + [mult] * len(prods) + carry).layers]
+    return [t, *parallel([one] + [mult] * len(prods) + [one] * len(carries)).layers]
 
 
 def _product_layers(m, variant, n_in, factor_lists):

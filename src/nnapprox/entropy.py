@@ -133,18 +133,22 @@ CHUNK_VALUES = 8192
 
 
 def _stacks(nets):
-    """nets grouped by activation and block shapes, in order of first
-    appearance: (activation, trial indices, layers) per group, where
+    """nets grouped by activation and runs (block shape and count), in order
+    of first appearance: (activation, trial indices, layers) per group, where
     layers[i] holds layer i's blocks, each stacked over the group as an
-    array (k, rows, cols)."""
+    array (k, rows, cols), once per copy in its run."""
     groups = {}
     for t, net in enumerate(nets):
-        key = (net.activation, tuple(tuple(b.shape for b in lay.blocks) for lay in net.layers))
+        key = (net.activation, tuple(tuple([(b.shape, k) for b, k in lay.runs]) for lay in net.layers))
         groups.setdefault(key, []).append(t)
     return [
         (act, ts, [
-            [np.stack([nets[t].layers[i].blocks[j] for t in ts]) for j in range(len(blocks))]
-            for i, blocks in enumerate(shapes)
+            [
+                s
+                for j, (_, k) in enumerate(runs)
+                for s in [np.stack([nets[t].layers[i].runs[j][0] for t in ts])] * k
+            ]
+            for i, runs in enumerate(shapes)
         ])
         for (act, shapes), ts in groups.items()
     ]

@@ -8,18 +8,19 @@ shape (p_{i+1}, p_i) and acts by left multiplication on column vectors, so
 the width vector is p = (p_0, ..., p_{L+1}) and depth L counts activations.
 
 Every layer is a BlockDiagonal: its diagonal blocks, in order (a plain
-matrix is a single block).  A layer made from other layers reuses their
-checked, read-only blocks instead of copying them.  The builders stack
-networks with parallel() and compose(), the paper's parallelisation and
-composition, or chain the layers of such stacks into one Network; all of
-these splice the layers of their networks that way (build_mon's pairing
-levels reuse one multiplication net's blocks for every product), so those
+matrix is a single block), stored as runs of copies of one block.  A layer
+made from other layers reuses their checked, read-only blocks instead of
+copying them.  The builders stack networks with parallel() and compose(),
+the paper's parallelisation and composition, or chain the layers of such
+stacks into one Network; all of these splice the layers of their networks
+that way (build_mon's pairing levels reuse one multiplication net's blocks
+for every product, so each of its blocks is one run per layer), so those
 networks never materialize their mostly-zero dense form.  Evaluation and
-the path matrix run on the blocks through _kernels.eval_chain, applying the
-activation's in-place map between layers, and the JSON wire format
-(version 2) stores the blocks of each layer, so a decoded network is the
-same chain of blocks.  The dense view of any layer is available through
-Network.weights.
+the path matrix run on the runs through _kernels.eval_chain, one matrix
+product per run, applying the activation's in-place map between layers,
+and the JSON wire format (version 3) stores the runs of each layer, so a
+decoded network is the same chain of runs.  The dense view of any layer is
+available through Network.weights.
 
 network_stats(net) is the one structural report: depth, widths, blocks,
 stored and nonzero entries and l1 norms, per layer and in total.
@@ -91,22 +92,31 @@ def general_activation(selector):
 
 
 class BlockDiagonal:
-    """A block-diagonal matrix stored as its diagonal blocks, in order.
+    """A block-diagonal matrix stored as runs (block, count): count copies of
+    one read-only block, one after the other along the diagonal.
 
     BlockDiagonal(items) is the one way a layer is made.  An item that is a
-    matrix is copied, checked and frozen; an item that is a BlockDiagonal
-    contributes its blocks as they are, since they are already checked and
-    read-only, so stacking and splicing layers copies nothing.
+    matrix is copied, checked and frozen into a run of one; an item that is a
+    BlockDiagonal contributes its runs as they are, since their blocks are
+    already checked and read-only, and a run whose block is the previous
+    run's (the same array object) joins it.  So stacking and splicing layers
+    copies nothing, and the copies parallel() stacks of one network are one
+    run, stored, multiplied and serialized once.  blocks is the expanded
+    tuple, one entry per copy.
     """
 
-    __slots__ = ("blocks", "shape")
+    __slots__ = ("runs", "shape")
 
     def __init__(self, items):
-        bs = []
+        runs = []
         rows = cols = 0
         for item in items:
             if isinstance(item, BlockDiagonal):
-                bs.extend(item.blocks)
+                for b, k in item.runs:
+                    if runs and runs[-1][0] is b:
+                        runs[-1] = (b, runs[-1][1] + k)
+                    else:
+                        runs.append((b, k))
             else:
                 item = np.array(item, dtype=np.float64, order="C")
                 if item.ndim != 2 or item.size == 0:
@@ -114,13 +124,26 @@ class BlockDiagonal:
                 if not np.isfinite(item).all():
                     raise NetworkError("matrix entries must be finite")
                 item.setflags(write=False)
-                bs.append(item)
+                runs.append((item, 1))
             rows += item.shape[0]
             cols += item.shape[1]
-        if not bs:
+        if not runs:
             raise NetworkError("a layer needs at least one block")
-        self.blocks = tuple(bs)
+        self.runs = tuple(runs)
         self.shape = (rows, cols)
+
+    @classmethod
+    def repeat(cls, block, count):
+        """count copies of one matrix, checked once, as a single run."""
+        lay = cls([block])
+        ((b, _),) = lay.runs
+        lay.runs = ((b, count),)
+        lay.shape = (b.shape[0] * count, b.shape[1] * count)
+        return lay
+
+    @property
+    def blocks(self):
+        return tuple(b for b, k in self.runs for _ in range(k))
 
     def to_dense(self):
         out = np.zeros(self.shape)
@@ -151,7 +174,7 @@ class Network:
     def __init__(self, activation, weights, meta=None):
         if not isinstance(activation, Activation):
             raise NetworkError("activation must be an Activation instance")
-        layers = tuple(BlockDiagonal([w]) for w in weights)
+        layers = tuple(w if isinstance(w, BlockDiagonal) else BlockDiagonal([w]) for w in weights)
         if not layers:
             raise NetworkError("a network needs at least one matrix")
         for i in range(len(layers) - 1):
@@ -253,26 +276,29 @@ def path_norm(net):
 def network_stats(net):
     """The structure of net in one JSON-ready report.
 
-    Per layer: its shape, its number of blocks, the entries its blocks store,
-    how many of those are nonzero and their l1 norm.  The totals add these
-    up, next to the depth, the max width and dense_entries, the rows * cols
-    of every layer (structural zeros included).  The product of the layer
-    l1 norms bounds the path norm.
+    Per layer: its shape, its number of blocks and of runs (one matmul per
+    run, so the runs add up to the matmuls of one evaluation), the entries
+    its blocks store, how many of those are nonzero and their l1 norm; every
+    copy in a run counts.  The totals add these up, next to the depth, the
+    max width and dense_entries, the rows * cols of every layer (structural
+    zeros included).  The product of the layer l1 norms bounds the path norm.
     """
     layers = [
         {
             "shape": list(lay.shape),
-            "blocks": len(lay.blocks),
-            "stored_entries": sum(b.size for b in lay.blocks),
-            "nnz": sum(int(np.count_nonzero(b)) for b in lay.blocks),
-            "l1": float(sum(np.sum(np.abs(b)) for b in lay.blocks)),
+            "blocks": sum(k for _, k in lay.runs),
+            "runs": len(lay.runs),
+            "stored_entries": sum(b.size * k for b, k in lay.runs),
+            "nnz": sum(int(np.count_nonzero(b)) * k for b, k in lay.runs),
+            # added copy by copy, as the blocks one after the other
+            "l1": float(sum(s for b, k in lay.runs for s in [np.sum(np.abs(b))] * k)),
         }
         for lay in net.layers
     ]
     return {
         "depth": net.depth,
         "max_width": net.max_width,
-        **{k: sum(lay[k] for lay in layers) for k in ("blocks", "stored_entries", "nnz")},
+        **{k: sum(lay[k] for lay in layers) for k in ("blocks", "runs", "stored_entries", "nnz")},
         "dense_entries": sum(r * c for r, c in (lay["shape"] for lay in layers)),
         "l1": float(sum(lay["l1"] for lay in layers)),
         "layers": layers,
@@ -313,39 +339,49 @@ def parallel(nets):
     for n in nets[1:]:
         _check_same_activation(act, n.activation)
     depth = max(len(n.layers) for n in nets)
-    padded = [
-        (BlockDiagonal([np.eye(n.in_dim)]),) * (depth - len(n.layers)) + n.layers for n in nets
-    ]
+    # one identity layer per input width, so that the padding forms runs
+    pads = {w: BlockDiagonal([np.eye(w)]) for w in {n.in_dim for n in nets if len(n.layers) < depth}}
+    padded = [(pads.get(n.in_dim),) * (depth - len(n.layers)) + n.layers for n in nets]
     return Network(act, [BlockDiagonal([lays[i] for lays in padded]) for i in range(depth)])
 
 
 # ---------------------------------------------------------------------------
 # JSON wire format
 #
-# {"format": 2, "activation", "layers": [[block, ...], ...], "meta"}, one list
-# of row-major dense blocks per layer.  A dict without "format": 2 (such as
-# the dense version-1 layout, one matrix per layer under "weights") is
-# rejected.
+# {"format": 3, "activation", "layers": [[[count, block], ...], ...], "meta"}:
+# per layer its runs, each a count and one row-major dense block.  The block
+# of a run is checked once and shared by its copies, so a decoded network has
+# the runs of the one encoded.  Any other format, such as version 2 (every
+# copy written out) or the dense version 1 under "weights", is rejected.
 
 
 def network_to_dict(net):
     if net.activation.name not in ACTIVATIONS:
         raise NetworkError("only abs/relu/identity networks serialize to JSON")
     return {
-        "format": 2,
+        "format": 3,
         "activation": net.activation.name,
-        "layers": [[b.tolist() for b in lay.blocks] for lay in net.layers],
+        "layers": [[[k, b.tolist()] for b, k in lay.runs] for lay in net.layers],
         "meta": net.meta,
     }
 
 
+def _decode_run(run):
+    if not isinstance(run, list) or len(run) != 2:
+        raise NetworkError(f"a run must be a [count, block] pair, got {run!r:.60}")
+    count, block = run
+    if type(count) is not int or count < 1:
+        raise NetworkError(f"a run count must be a positive integer, got {count!r:.60}")
+    return BlockDiagonal.repeat(block, count)
+
+
 def network_from_dict(d):
     fmt = d.get("format") if isinstance(d, dict) else None
-    if fmt != 2:
-        raise NetworkError(f"unsupported network format {fmt!r}; only format 2 is read")
+    if fmt != 3:
+        raise NetworkError(f"unsupported network format {fmt!r}; only format 3 is read")
     try:
         act = ACTIVATIONS[d["activation"]]
-        layers = [BlockDiagonal(blocks) for blocks in d["layers"]]
+        layers = [BlockDiagonal([_decode_run(run) for run in runs]) for runs in d["layers"]]
         return Network(act, layers, meta=d.get("meta"))
     except NetworkError:
         raise

@@ -172,17 +172,27 @@ def test_mult_parameters_in_minus_two_two():
 
 @pytest.mark.parametrize(
     "d, eps, totals",
-    [(1, 2.0**-10, (97, 41, 775, 7485, 3322, 61723)), (2, 2.0**-6, (49, 132, 1120, 13901, 5340, 324497))],
+    [
+        (1, 2.0**-10, (97, 41, 1028, 282, 5875, 3322, 61723)),
+        (2, 2.0**-6, (49, 132, 1390, 140, 10841, 5340, 324497)),
+    ],
     ids=["d1", "d2"],
 )
 def test_cheb_net_structure_is_pinned(d, eps, totals):
-    # the cheb_pipeline benchmark nets: depth, max width, blocks, stored
+    # the cheb_pipeline benchmark nets: depth, max width, blocks, runs, stored
     # entries, nonzeros and dense entries
     net, cert = build_cheb_net(target_exp_sum(d), eps, "rescaled")
     stats = network_stats(net)
-    keys = ("depth", "max_width", "blocks", "stored_entries", "nnz", "dense_entries")
+    keys = ("depth", "max_width", "blocks", "runs", "stored_entries", "nnz", "dense_entries")
     assert tuple(stats[k] for k in keys) == totals
     assert (stats["depth"], stats["max_width"]) == (cert["depth"], cert["max_width"])
+    # a run is a maximal sequence of copies of one block object
+    seqs = [
+        sum(i == 0 or b is not bs[i - 1] for i, b in enumerate(bs))
+        for bs in (lay.blocks for lay in net.layers)
+    ]
+    assert [lay["runs"] for lay in stats["layers"]] == seqs
+    assert stats["runs"] == sum(seqs)
 
 
 def test_certificate_and_meta_keys():

@@ -279,6 +279,20 @@ def test_pairing_level_splices_mult_blocks(monkeypatch, k):
         assert lay.blocks[0] is lay.blocks[1] is lay.blocks[2]
 
 
+def test_carried_channels_are_one_run():
+    # build_mon(2, 3, 3) carries x_1, x_2, x_3 through its first pairing
+    # level on one shared 1x1 identity block, and all 18 squaring chains of
+    # its 6 products run on one block per layer
+    m = 2
+    net = build_mon(m, 3, 3)
+    for lay in net.layers[1 : 2 * m + 4]:
+        carry, k = lay.runs[-1]
+        assert k == 3 and np.array_equal(carry, np.eye(1))
+    for lay in net.layers[2 : 2 * m + 3]:
+        assert [k for _, k in lay.runs] == [1, 18, 3]
+    assert network_stats(net)["runs"] == 1 + 3 * (2 * m + 3) + 1
+
+
 def test_pairing_k1_matches_mult(rng=np.random.default_rng(1)):
     pair = build_pairing_layer(3, 1, RESCALED)
     mult = build_mult(3, RESCALED)

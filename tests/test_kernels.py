@@ -4,6 +4,8 @@ import pytest
 from nnapprox import (
     ABS,
     IDENTITY,
+    BlockDiagonal,
+    Network,
     RELU,
     build_mon,
     build_multr,
@@ -73,6 +75,68 @@ def test_tiles_match_one_tile_and_dense_chain(act, pooled, rng, monkeypatch):
         monkeypatch.setattr(_kernels, "TILE", 10**9)
         assert np.array_equal(tiled, evaluate(net, x[:n])), n
         np.testing.assert_allclose(tiled, dense_chain(net, x[:n]), rtol=1e-13, atol=1e-13)
+
+
+def run_net(rng, act):
+    """Net whose layers hold runs of shared blocks: runs of length 1 and
+    more, blocks of mixed shapes, and a last layer that is one run."""
+    def block(r, c):
+        return BlockDiagonal([rng.uniform(-1, 1, (r, c))])
+
+    a, b, c = block(3, 2), block(2, 3), block(1, 1)
+    layers = [
+        BlockDiagonal([a, a, a, c, b]),  # (12, 10)
+        BlockDiagonal([block(2, 4), c, c, c, c, block(5, 4)]),  # (11, 12)
+        BlockDiagonal([b, c, c, b, b]),  # (8, 11)
+        BlockDiagonal([block(2, 1)] * 8),  # (16, 8), one run
+    ]
+    return Network(act, layers)
+
+
+def loop_chain(layers, cur, act, absolute):
+    """Oracle: one matmul per copy over lay.blocks, with no tiles."""
+    x = cur
+    for i, lay in enumerate(layers):
+        out = np.empty((lay.shape[0], x.shape[1]))
+        ro = co = 0
+        for b in lay.blocks:
+            r, c = b.shape
+            np.matmul(np.abs(b) if absolute else b, x[co : co + c], out=out[ro : ro + r])
+            ro += r
+            co += c
+        x = out if act is None or i == len(layers) - 1 else act(out)
+    return x
+
+
+@pytest.mark.parametrize("absolute", [False, True], ids=["w", "abs-w"])
+@pytest.mark.parametrize("act", ACTIVATIONS, ids=["abs", "relu", "identity", "dead-zone"])
+def test_runs_match_one_matmul_per_block(act, absolute, rng, monkeypatch):
+    # each run is one broadcast matmul over (k, c, m) views of the tile,
+    # which must equal the per-copy products bit for bit on every tile
+    t = SMALL_TILE
+    monkeypatch.setattr(_kernels, "TILE", t)
+    net = run_net(rng, act)
+    assert [len(lay.runs) for lay in net.layers] == [3, 3, 3, 1]
+    assert [len(lay.blocks) for lay in net.layers] == [5, 6, 5, 8]
+    x = rng.normal(size=(3 * t + 5, net.in_dim))
+    for n in (1, 2, t - 1, t, t + 1, 2 * t - 1, 2 * t, 2 * t + 1, 3 * t + 5):
+        want = loop_chain(net.layers, x[:n].T, act.inplace, absolute)
+        got = _kernels.eval_chain(net.layers, x[:n].T, act.inplace, absolute)
+        assert np.array_equal(got, want), n
+    # a column-strided input, as a tile of a wider array is
+    xs = x[: 2 * t + 1].T[:, ::2]
+    assert np.array_equal(
+        _kernels.eval_chain(net.layers, xs, act.inplace, absolute),
+        loop_chain(net.layers, xs, act.inplace, absolute),
+    )
+
+
+def test_runs_of_builders_match_one_matmul_per_block(rng, monkeypatch):
+    monkeypatch.setattr(_kernels, "TILE", SMALL_TILE)
+    for net, x in block_nets(rng)[:2]:
+        assert sum(len(lay.runs) for lay in net.layers) < sum(len(lay.blocks) for lay in net.layers)
+        assert np.array_equal(evaluate(net, x), loop_chain(net.layers, x.T, ABS.inplace, False).T)
+        assert np.array_equal(path_matrix(net), loop_chain(net.layers, np.eye(net.in_dim), None, True))
 
 
 def test_multi_tile_call_makes_one_tile_sized_pair(rng, monkeypatch):

@@ -158,11 +158,13 @@ def test_network_stats_counts_entries():
     stats = network_stats(Network(ABS, [np.ones((2, 3))]))
     assert (stats["dense_entries"], stats["stored_entries"], stats["nnz"]) == (6, 6, 6)
     assert stats["l1"] == 6.0
-    assert stats["layers"] == [{"shape": [2, 3], "blocks": 1, "stored_entries": 6, "nnz": 6, "l1": 6.0}]
+    assert stats["layers"] == [
+        {"shape": [2, 3], "blocks": 1, "runs": 1, "stored_entries": 6, "nnz": 6, "l1": 6.0}
+    ]
     half = Network(ABS, [np.array([[1.0, 0.0]])])
     stats = network_stats(parallel([half, half]))
     assert (stats["dense_entries"], stats["stored_entries"], stats["nnz"]) == (8, 4, 2)
-    assert (stats["depth"], stats["max_width"], stats["blocks"]) == (0, 4, 2)
+    assert (stats["depth"], stats["max_width"], stats["blocks"], stats["runs"]) == (0, 4, 2, 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -351,6 +353,19 @@ def test_combinators_splice_blocks_by_reference(rng):
     assert all(same(x.blocks, y.blocks) for x, y in zip(app.layers, a.layers))
 
 
+def test_parallel_pads_with_one_identity_run_per_width(rng):
+    a = random_block_net(rng, ABS, n_layers=3, in_dim=2)
+    b = random_block_net(rng, ABS, n_layers=1, in_dim=2)
+    c = random_block_net(rng, ABS, n_layers=2, in_dim=3)
+    par = parallel([c, a, b, b])
+    pad2 = par.layers[0].runs[-1][0]
+    assert np.array_equal(pad2, np.eye(2)) and np.array_equal(par.layers[0].runs[0][0], np.eye(3))
+    for lay in par.layers[:2]:
+        assert lay.runs[-1][0] is pad2 and lay.runs[-1][1] == 2
+    x = rng.uniform(0, 1, (9, par.in_dim))
+    np.testing.assert_allclose(evaluate(par, x), dense_chain(par, x), rtol=1e-13, atol=1e-13)
+
+
 def test_compose_with_one_matrix_nets():
     net = Network(ABS, [np.array([[1.0, 1.0]])])
     net2 = compose(Network(ABS, [np.eye(2)]), net)
@@ -410,17 +425,60 @@ def test_json_round_trip_random_block_nets(seed, act):
         '{"activation": "abs", "weights": [[[1.0, -1.0]], [[0.5]]], "meta": {"m": 1}}',
         '{"activation": "abs", "weights": [[[1.0, 2.0], [3.0]]]}',
         '{"activation": "abs", "weights": [[[Infinity]]]}',
-        '{"format": 2, "activation": "abs", "layers": [[[[1.0, 2.0], [3.0]]]]}',
-        '{"format": 2, "activation": "abs", "layers": [[[[NaN]]]]}',
-        '{"format": 2, "activation": "abs", "layers": [[[1.0, 2.0]]]}',
+        # version 2, every copy written out as a block, is not read either
+        '{"format": 2, "activation": "abs", "layers": [[[[1.0]], [[1.0]]]]}',
+        '{"format": 3, "activation": "abs", "layers": [[[1, [[1.0, 2.0], [3.0]]]]]}',
+        '{"format": 3, "activation": "abs", "layers": [[[1, [[NaN]]]]]}',
+        '{"format": 3, "activation": "abs", "layers": [[[2, [[1.0], [-Infinity]]]]]}',
+        '{"format": 3, "activation": "abs", "layers": [[[1, [1.0, 2.0]]]]}',
+        '{"format": 3, "activation": "abs", "layers": [[[0, [[1.0]]]]]}',
+        '{"format": 3, "activation": "abs", "layers": [[[-1, [[1.0]]]]]}',
+        '{"format": 3, "activation": "abs", "layers": [[[1.5, [[1.0]]]]]}',
+        '{"format": 3, "activation": "abs", "layers": [[[true, [[1.0]]]]]}',
+        '{"format": 3, "activation": "abs", "layers": [[["2", [[1.0]]]]]}',
         '{"format": 3, "activation": "abs", "layers": [[[[1.0]]]]}',
-        "[2]",
+        '{"format": 3, "activation": "abs", "layers": [[[1, [[1.0]], 1]]]}',
+        '{"format": 3, "activation": "abs", "layers": [[{"1": [[1.0]]}]]}',
+        '{"format": 3, "activation": "abs", "layers": [[]]}',
+        '{"format": 4, "activation": "abs", "layers": [[[1, [[1.0]]]]]}',
+        "[3]",
     ],
-    ids=["v1", "v1-ragged", "v1-inf", "v2-ragged", "v2-nan", "v2-vector-block", "unknown-format", "not-a-dict"],
+    ids=[
+        "v1", "v1-ragged", "v1-inf", "v2", "v3-ragged", "v3-nan", "v3-inf", "v3-vector-block",
+        "count-0", "count-negative", "count-float", "count-bool", "count-string", "run-not-a-pair",
+        "run-of-three", "run-a-dict", "layer-without-runs", "unknown-format", "not-a-dict",
+    ],
 )
 def test_json_malformed_raises_network_error(wire):
     with pytest.raises(NetworkError):
         network_from_json(wire)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: build_mult(4), lambda: build_mon(2, 3, 3), lambda: build_cheb_net(target_exp_sum(1), 2**-6, "rescaled")[0]],
+    ids=["mult", "mon", "cheb_d1"],
+)
+def test_json_round_trip_keeps_runs(make):
+    # a run is written once and decoded as one block shared by its copies
+    net = make()
+    wire = network_to_json(net)
+    layers = json.loads(wire)["layers"]
+    assert [[count for count, _ in runs] for runs in layers] == [
+        [k for _, k in lay.runs] for lay in net.layers
+    ]
+    back = network_from_json(wire)
+    assert network_stats(back) == network_stats(net)
+    for lay, lay_back in zip(net.layers, back.layers, strict=True):
+        assert [(b.shape, k) for b, k in lay_back.runs] == [(b.shape, k) for b, k in lay.runs]
+        assert all(np.array_equal(b, c) for (b, _), (c, _) in zip(lay.runs, lay_back.runs))
+        blocks = lay_back.blocks
+        i = 0
+        for b, k in lay_back.runs:
+            assert all(c is b for c in blocks[i : i + k])
+            i += k
+    assert any(k > 1 for lay in back.layers for _, k in lay.runs)
+    assert network_to_json(back) == wire
 
 
 def test_json_keeps_meta():
