@@ -95,12 +95,13 @@ def eval_chain(layers, cur, act=None, absolute=False):
             for b, k in lay.runs:
                 r, c = b.shape
                 # the run's rows as k stacked (r, m) and (c, m) views, so one
-                # broadcast matmul writes every copy in place (copy=False
-                # raises rather than hand matmul a copy to write into)
+                # broadcast matmul writes every copy in place; splitting the
+                # leading axis of a row slice is always a view, also of a
+                # column-sliced tile, so no copy can take the write
                 np.matmul(
                     np.abs(b) if absolute else b,
-                    x[co : co + k * c].reshape(k, c, m, copy=False),
-                    out=out[ro : ro + k * r].reshape(k, r, m, copy=False),
+                    x[co : co + k * c].reshape(k, c, m),
+                    out=out[ro : ro + k * r].reshape(k, r, m),
                 )
                 ro += k * r
                 co += k * c

@@ -135,19 +135,16 @@ CHUNK_VALUES = 8192
 def _stacks(nets):
     """nets grouped by activation and runs (block shape and count), in order
     of first appearance: (activation, trial indices, layers) per group, where
-    layers[i] holds layer i's blocks, each stacked over the group as an
-    array (k, rows, cols), once per copy in its run."""
+    layers[i] holds layer i's blocks, one per copy, each stacked over the
+    group as an array (k, rows, cols).  It reads the runs, not the expanded
+    blocks property, which would build a tuple per layer per network."""
     groups = {}
     for t, net in enumerate(nets):
-        key = (net.activation, tuple(tuple([(b.shape, k) for b, k in lay.runs]) for lay in net.layers))
+        key = (net.activation, tuple(tuple([(b.shape, n) for b, n in lay.runs]) for lay in net.layers))
         groups.setdefault(key, []).append(t)
     return [
         (act, ts, [
-            [
-                s
-                for j, (_, k) in enumerate(runs)
-                for s in [np.stack([nets[t].layers[i].runs[j][0] for t in ts])] * k
-            ]
+            [np.stack([nets[t].layers[i].runs[j][0] for t in ts]) for j, (_, n) in enumerate(runs) for _ in range(n)]
             for i, runs in enumerate(shapes)
         ])
         for (act, shapes), ts in groups.items()

@@ -132,15 +132,6 @@ class BlockDiagonal:
         self.runs = tuple(runs)
         self.shape = (rows, cols)
 
-    @classmethod
-    def repeat(cls, block, count):
-        """count copies of one matrix, checked once, as a single run."""
-        lay = cls([block])
-        ((b, _),) = lay.runs
-        lay.runs = ((b, count),)
-        lay.shape = (b.shape[0] * count, b.shape[1] * count)
-        return lay
-
     @property
     def blocks(self):
         return tuple(b for b, k in self.runs for _ in range(k))
@@ -354,6 +345,12 @@ def parallel(nets):
 # the runs of the one encoded.  Any other format, such as version 2 (every
 # copy written out) or the dense version 1 under "weights", is rejected.
 
+# Rows or columns a decoded layer may have at most.  A count is one number in
+# the file, so without a bound a few bytes could declare a layer 10^12 wide,
+# which evaluation would then try to allocate.  For scale, the cheb net at
+# d=3, eps=2^-16 is 7,401 wide.
+MAX_DECODED_WIDTH = 2**16
+
 
 def network_to_dict(net):
     if net.activation.name not in ACTIVATIONS:
@@ -366,13 +363,22 @@ def network_to_dict(net):
     }
 
 
-def _decode_run(run):
-    if not isinstance(run, list) or len(run) != 2:
-        raise NetworkError(f"a run must be a [count, block] pair, got {run!r:.60}")
-    count, block = run
-    if type(count) is not int or count < 1:
-        raise NetworkError(f"a run count must be a positive integer, got {count!r:.60}")
-    return BlockDiagonal.repeat(block, count)
+def _decode_layer(runs):
+    items = []
+    rows = cols = 0
+    for run in runs:
+        if not isinstance(run, list) or len(run) != 2:
+            raise NetworkError(f"a run must be a [count, block] pair, got {run!r:.60}")
+        count, block = run
+        if type(count) is not int or count < 1:
+            raise NetworkError(f"a run count must be a positive integer, got {count!r:.60}")
+        one = BlockDiagonal([block])
+        rows += count * one.shape[0]
+        cols += count * one.shape[1]
+        if max(rows, cols) > MAX_DECODED_WIDTH:
+            raise NetworkError(f"a layer wider than {MAX_DECODED_WIDTH} is not read")
+        items += [one] * count
+    return BlockDiagonal(items)
 
 
 def network_from_dict(d):
@@ -381,7 +387,7 @@ def network_from_dict(d):
         raise NetworkError(f"unsupported network format {fmt!r}; only format 3 is read")
     try:
         act = ACTIVATIONS[d["activation"]]
-        layers = [BlockDiagonal([_decode_run(run) for run in runs]) for runs in d["layers"]]
+        layers = [_decode_layer(runs) for runs in d["layers"]]
         return Network(act, layers, meta=d.get("meta"))
     except NetworkError:
         raise

@@ -234,6 +234,8 @@ BAD_INPUTS = [
     ("eval network file not JSON", ["eval", "{not_json}", "--input", "1,0.5"]),
     ("eval network in format 1", ["eval", "{v1_net}", "--input", "1,0.5"]),
     ("eval network in format 2", ["eval", "{v2_net}", "--input", "1,0.5"]),
+    ("eval network with a huge run count", ["eval", "{huge_net}", "--input", "1,0.5"]),
+    ("path-norm network with a huge run count", ["path-norm", "{huge_net}"]),
     ("entropy bound non-integer width",
      ["entropy", "bound", "--eps", "1", "--l", "0", "--p", "1,x", "--b", "1", "--r", "1", "--n", "8"]),
     ("entropy empirical spec without n", ["entropy", "empirical", "--spec", "{spec_no_n}"]),
@@ -304,6 +306,7 @@ def test_bad_input_is_usage_error(runner, tmp_path, args):
         "not_json": tmp_path / "not.json",
         "v1_net": tmp_path / "v1.json",
         "v2_net": tmp_path / "v2.json",
+        "huge_net": tmp_path / "huge.json",
         "spec_no_n": tmp_path / "spec_no_n.json",
         "spec_short_p": tmp_path / "spec_short_p.json",
         "spec_act_list": tmp_path / "spec_act_list.json",
@@ -319,6 +322,7 @@ def test_bad_input_is_usage_error(runner, tmp_path, args):
     files["not_json"].write_text("{not json")
     files["v1_net"].write_text(json.dumps({"activation": "abs", "weights": [[[1.0, 0.0]]]}))
     files["v2_net"].write_text(json.dumps({"format": 2, "activation": "abs", "layers": [[[[1.0, 0.0]]]]}))
+    files["huge_net"].write_text(json.dumps({"format": 3, "activation": "abs", "layers": [[[10**12, [[1.0]]]]]}))
     files["spec_no_n"].write_text(json.dumps({k: v for k, v in spec.items() if k != "n"}))
     files["spec_short_p"].write_text(json.dumps(dict(spec, p=[1, 2])))
     files["spec_act_list"].write_text(json.dumps(dict(spec, activation=["abs"])))

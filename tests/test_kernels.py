@@ -123,8 +123,10 @@ def test_runs_match_one_matmul_per_block(act, absolute, rng, monkeypatch):
         want = loop_chain(net.layers, x[:n].T, act.inplace, absolute)
         got = _kernels.eval_chain(net.layers, x[:n].T, act.inplace, absolute)
         assert np.array_equal(got, want), n
-    # a column-strided input, as a tile of a wider array is
+    # a column-strided input, as a tile of a wider array is; the kernel's
+    # (k, r, m) views of such row slices must share its memory
     xs = x[: 2 * t + 1].T[:, ::2]
+    assert np.shares_memory(xs[2:8].reshape(3, 2, xs.shape[1]), xs)
     assert np.array_equal(
         _kernels.eval_chain(net.layers, xs, act.inplace, absolute),
         loop_chain(net.layers, xs, act.inplace, absolute),

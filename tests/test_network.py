@@ -31,6 +31,7 @@ from nnapprox import (
     with_ones,
 )
 from nnapprox import _kernels
+from nnapprox import network as _network
 from conftest import dense_chain, dense_path_matrix, random_block_net, random_dense_net
 
 
@@ -440,18 +441,33 @@ def test_json_round_trip_random_block_nets(seed, act):
         '{"format": 3, "activation": "abs", "layers": [[[1, [[1.0]], 1]]]}',
         '{"format": 3, "activation": "abs", "layers": [[{"1": [[1.0]]}]]}',
         '{"format": 3, "activation": "abs", "layers": [[]]}',
+        '{"format": 3, "activation": "abs", "layers": [[[1000000000000, [[1.0]]]]]}',
+        '{"format": 3, "activation": "abs", "layers": [[[40000, [[1.0]]], [40000, [[2.0]]]]]}',
+        '{"format": 3, "activation": "abs", "layers": [[[40000, [[1.0, 1.0]]]]]}',
         '{"format": 4, "activation": "abs", "layers": [[[1, [[1.0]]]]]}',
         "[3]",
     ],
     ids=[
         "v1", "v1-ragged", "v1-inf", "v2", "v3-ragged", "v3-nan", "v3-inf", "v3-vector-block",
         "count-0", "count-negative", "count-float", "count-bool", "count-string", "run-not-a-pair",
-        "run-of-three", "run-a-dict", "layer-without-runs", "unknown-format", "not-a-dict",
+        "run-of-three", "run-a-dict", "layer-without-runs", "count-huge", "runs-too-wide",
+        "run-too-many-columns", "unknown-format", "not-a-dict",
     ],
 )
 def test_json_malformed_raises_network_error(wire):
     with pytest.raises(NetworkError):
         network_from_json(wire)
+
+
+def test_json_reads_layers_up_to_the_width_bound():
+    # a count is one number in the file: the decoder reads a layer exactly
+    # MAX_DECODED_WIDTH wide as one shared block and refuses one more copy
+    wide = _network.MAX_DECODED_WIDTH
+    net = _network.network_from_dict({"format": 3, "activation": "identity", "layers": [[[wide, [[2.0]]]]]})
+    assert net.widths == (wide, wide)
+    assert [k for _, k in net.layers[0].runs] == [wide]
+    with pytest.raises(NetworkError, match="wider than"):
+        _network.network_from_dict({"format": 3, "activation": "identity", "layers": [[[wide - 1, [[2.0]]], [2, [[1.0]]]]]})
 
 
 @pytest.mark.parametrize(
