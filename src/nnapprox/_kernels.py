@@ -1,16 +1,17 @@
 """Numeric kernels: block-layer chain evaluation and greedy covering, numpy only.
 
-eval_chain walks block-diagonal layers (network.BlockDiagonal) with
-feature-major activations of shape (width, n_points), so each run of k
-copies of one (r, c) block multiplies a contiguous row range of the previous
-activations, viewed as k stacked (c, n) slices, into the k stacked (r, n)
-slices of the next ones: one broadcast np.matmul per run.  It runs the whole
-chain on one tile of TILE to 2 * TILE - 1 points (columns) at a time, each
-tile into its columns of the result, so a tile's activations stay in cache
-from layer to layer; a call on fewer than 2 * TILE points is one tile.  From POOLED_POINTS
-points on, hidden activations alternate between two line-aligned heap buffers
-of the widest hidden layer's width, sized for the largest tile and made once
-per call; smaller calls allocate each layer's activations.
+eval_chain walks block-diagonal layers, a network's or the entropy oracle's
+stacks of sampled networks, with feature-major activations of shape (width,
+n_points): each run of k copies of one (r, c) block, or of k blocks stacked
+as (k, r, c), multiplies a contiguous row range of the previous activations,
+viewed as k stacked (c, n) slices, into the k stacked (r, n) slices of the
+next ones: one broadcast np.matmul per run.  It runs the whole chain on one
+tile of TILE to 2 * TILE - 1 points (columns) at a time, each tile into its
+columns of the result, so a tile's activations stay in cache from layer to
+layer; a call on fewer than 2 * TILE points is one tile.  From POOLED_POINTS
+points on, hidden activations alternate between two line-aligned heap
+buffers of the widest hidden layer's width, sized for the largest tile and
+made once per call; smaller calls allocate each layer's activations.
 
 greedy_cover scans the rows in order and makes a row a center when no
 earlier center is closer than eps; its decisions are those of comparing
@@ -65,6 +66,8 @@ def _line_aligned(size):
 def eval_chain(layers, cur, act=None, absolute=False):
     """Run block-diagonal layers on feature-major activations cur of shape (p0, n).
 
+    A layer has runs and shape, as network.BlockDiagonal: a run (b, k) is k
+    copies of an (r, c) block b, or k blocks stacked as b of shape (k, r, c).
     act maps each hidden pre-activation array to its activation and may work
     in place; it is never applied after the last layer, and None means a
     linear chain.  absolute=True multiplies by |W| instead of W.  Returns
@@ -93,7 +96,7 @@ def eval_chain(layers, cur, act=None, absolute=False):
                 out = bufs[i % 2][: lay.shape[0] * m].reshape(lay.shape[0], m)
             ro = co = 0
             for b, k in lay.runs:
-                r, c = b.shape
+                r, c = b.shape[-2:]
                 # the run's rows as k stacked (r, m) and (c, m) views, so one
                 # broadcast matmul writes every copy in place; splitting the
                 # leading axis of a row slice is always a view, also of a

@@ -9,12 +9,13 @@ B, on n sample points of sup norm at most r, is
 with P the product of the hidden widths and d = p_0.  At L = 0 it collapses
 to the linear-class bound ceil(b^2 r^2 / eps^2) log2(2d + 1).
 
-The empirical oracle draws networks from the class, evaluates them on the
-sample points (a chunk of networks at a time, stacked) and greedily builds
-an eps-net in the metric
-dist(f, g) = sqrt(mean_i (f(z_i) - g(z_i))^2).  Greedy centers are an upper
-bound on the minimal cover of the sampled functions, so their log2 count
-must stay below the closed-form bound; the check is one-sided.
+The empirical oracle draws networks from the class, evaluates their first
+outputs on the sample points (a chunk of networks at a time, each group of
+like networks as one block-diagonal chain through _kernels.eval_chain) and
+greedily builds an eps-net in the metric dist(f, g) = sqrt(mean_i (f(z_i) -
+g(z_i))^2).  Greedy centers are an upper bound on the minimal cover of the
+sampled functions, so their log2 count must stay below the closed-form
+bound; the check is one-sided.
 """
 
 from __future__ import annotations
@@ -132,43 +133,31 @@ CHUNK_TRIALS = 64
 CHUNK_VALUES = 8192
 
 
+_Layer = NamedTuple("_Layer", [("runs", tuple), ("shape", tuple)])
+
+
 def _stacks(nets):
     """nets grouped by activation and runs (block shape and count), in order
-    of first appearance: (activation, trial indices, layers) per group, where
-    layers[i] holds layer i's blocks, one per copy, each stacked over the
-    group as an array (k, rows, cols).  It reads the runs, not the expanded
-    blocks property, which would build a tuple per layer per network."""
+    of first appearance: (activation, trial indices, layers) per group, each
+    layer a _Layer for _kernels.eval_chain.  A layer that is one block in
+    every network is one run of the s blocks stacked as an (s, r, c) array;
+    any other layer lists each network's runs in turn.  It reads the runs,
+    not the expanded blocks property, which would build a tuple per layer
+    per network."""
     groups = {}
     for t, net in enumerate(nets):
         key = (net.activation, tuple(tuple([(b.shape, n) for b, n in lay.runs]) for lay in net.layers))
         groups.setdefault(key, []).append(t)
-    return [
-        (act, ts, [
-            [np.stack([nets[t].layers[i].runs[j][0] for t in ts]) for j, (_, n) in enumerate(runs) for _ in range(n)]
-            for i, runs in enumerate(shapes)
-        ])
-        for (act, shapes), ts in groups.items()
-    ]
+    return [(act, ts, [_stack([nets[t].layers[i] for t in ts]) for i in range(len(shapes))])
+            for (act, shapes), ts in groups.items()]
 
 
-def _stacked_chain(layers, x, act=None, absolute=False):
-    """_kernels.eval_chain on one of _stacks' layer stacks of k networks.
-
-    x of shape (p0, n) is shared by the stack.  Each network meets the same
-    matrix products as in eval_chain on one tile, so its slice of the
-    (k, p_{L+1}, n) result equals its own evaluation bit for bit."""
-    last = len(layers) - 1
-    for i, blocks in enumerate(layers):
-        rows = sum(b.shape[1] for b in blocks)
-        out = np.empty((len(blocks[0]), rows, x.shape[-1]))
-        ro = co = 0
-        for b in blocks:
-            _, r, c = b.shape
-            np.matmul(np.abs(b) if absolute else b, x[..., co : co + c, :], out=out[:, ro : ro + r])
-            ro += r
-            co += c
-        x = out if act is None or i == last else act(out)
-    return x
+def _stack(lays):
+    """The layers lays, one per network, as one block-diagonal _Layer."""
+    s, (r, c), runs = len(lays), lays[0].shape, lays[0].runs
+    if len(runs) == 1 and runs[0][1] == 1:
+        return _Layer(((np.stack([lay.runs[0][0] for lay in lays]), s),), (s * r, s * c))
+    return _Layer(tuple(run for lay in lays for run in lay.runs), (s * r, s * c))
 
 
 def empirical_covering(sampler, points, eps, trials, path_norm_cap=None):
@@ -177,13 +166,17 @@ def empirical_covering(sampler, points, eps, trials, path_norm_cap=None):
     sampler() must return a Network whose input dimension matches the point
     dimension.  It is called a chunk of trials at a time, in order; the
     chunk's networks are grouped by activation and block shapes and each
-    group is evaluated as one stack, bit for bit as network.evaluate does.
-    When path_norm_cap is given every sample is checked against it, with
-    one |W| pass per group, and a violation raises SamplerViolation naming
-    the first offending sample, once its chunk has been drawn.  A network
-    of the wrong input dimension raises ShapeMismatchError and non-finite
-    points raise NetworkError, as in evaluate; non-finite outputs make
-    greedy_cover raise ValueError."""
+    group runs through _kernels.eval_chain as one block-diagonal chain on
+    the points repeated once per network, bit for bit as network.evaluate
+    does.  Only each network's first output is covered; the check stays
+    one-sided, since output 0 is a network of the same widths up to p_{L+1},
+    which the bound does not read, and path norm at most the capped total.
+    When path_norm_cap is given every sample is checked against it, with one
+    |W| pass per group, and a violation raises SamplerViolation naming the
+    first offending sample, once its chunk has been drawn.  A network of the
+    wrong input dimension raises ShapeMismatchError and non-finite points
+    raise NetworkError, as in evaluate; non-finite outputs make greedy_cover
+    raise ValueError."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 1:
         points = points[:, None]
@@ -194,14 +187,17 @@ def empirical_covering(sampler, points, eps, trials, path_norm_cap=None):
     n, d = points.shape
     vectors = np.empty((trials, n))
     chunk = max(1, min(CHUNK_TRIALS, CHUNK_VALUES // max(n, 1)))
+    # network t of a stack reads rows t*d to (t+1)*d; transposed like the
+    # points.T that evaluate passes, so the matmuls take the same BLAS path
+    repeated = np.tile(points, (1, chunk)).T
     for start in range(0, trials, chunk):
         nets = [sampler() for _ in range(min(chunk, trials - start))]
         groups = _stacks(nets)
         if path_norm_cap is not None:
             pn = np.empty(len(nets))
             for _, ts, layers in groups:
-                pm = _stacked_chain(layers, np.eye(nets[ts[0]].in_dim), absolute=True)
-                pn[ts] = pm.reshape(len(ts), -1).sum(axis=1)
+                eye = np.tile(np.eye(nets[ts[0]].in_dim), (len(ts), 1))
+                pn[ts] = _kernels.eval_chain(layers, eye, absolute=True).reshape(len(ts), -1).sum(axis=1)
             bad = np.flatnonzero(pn > path_norm_cap * (1.0 + 1e-9))
             if bad.size:
                 t = int(bad[0])
@@ -213,7 +209,8 @@ def empirical_covering(sampler, points, eps, trials, path_norm_cap=None):
                 raise ShapeMismatchError(
                     f"layer 0 expects input of length {nets[ts[0]].in_dim}, got {d}"
                 )
-            vectors[[start + t for t in ts]] = _stacked_chain(layers, points.T, act.inplace)[:, 0]
+            out = _kernels.eval_chain(layers, repeated[: len(ts) * d], act.inplace)
+            vectors[[start + t for t in ts]] = out.reshape(len(ts), -1, n)[:, 0]
     centers = _kernels.greedy_cover(vectors, eps)
     size = int(len(centers))
     return CoverResult(size, math.log2(size) if size else float("-inf"))

@@ -15,12 +15,12 @@ the paper's parallelisation and composition, or chain the layers of such
 stacks into one Network; all of these splice the layers of their networks
 that way (build_mon's pairing levels reuse one multiplication net's blocks
 for every product, so each of its blocks is one run per layer), so those
-networks never materialize their mostly-zero dense form.  Evaluation and
-the path matrix run on the runs through _kernels.eval_chain, one matrix
-product per run, applying the activation's in-place map between layers,
-and the JSON wire format (version 3) stores the runs of each layer, so a
-decoded network is the same chain of runs.  The dense view of any layer is
-available through Network.weights.
+networks never materialize their mostly-zero dense form.  Evaluation, the
+path matrix and the entropy oracle's stacked samples run on the runs
+through _kernels.eval_chain, one matrix product per run, with the
+activation's in-place map between layers; the JSON wire format (version 3)
+stores the runs of each layer, so a decoded network is the same chain of
+runs.  The dense view of any layer is available through Network.weights.
 
 network_stats(net) is the one structural report: depth, widths, blocks,
 stored and nonzero entries and l1 norms, per layer and in total.

@@ -5,6 +5,7 @@ import pytest
 
 from nnapprox import (
     ABS,
+    BlockDiagonal,
     IDENTITY,
     RELU,
     EntropyBoundSpec,
@@ -23,7 +24,7 @@ from nnapprox import (
     sample_network,
 )
 from nnapprox import entropy
-from conftest import random_block_net
+from conftest import random_block_net, random_dense_net
 
 DEAD_ZONE = general_activation(lambda x: np.where(np.abs(x) < 0.1, 0.0, np.sign(x)))
 
@@ -190,9 +191,9 @@ def covered_vectors(monkeypatch, sampler, points, trials, **kwargs):
         seen.append(np.array(vectors))
         return cover(vectors, eps)
 
-    monkeypatch.setattr(entropy._kernels, "greedy_cover", capture)
-    empirical_covering(sampler, points, 0.1, trials, **kwargs)
-    monkeypatch.undo()
+    with monkeypatch.context() as mp:
+        mp.setattr(entropy._kernels, "greedy_cover", capture)
+        empirical_covering(sampler, points, 0.1, trials, **kwargs)
     return seen[0]
 
 
@@ -204,40 +205,74 @@ CHUNK = entropy.CHUNK_TRIALS
 @pytest.mark.parametrize("act", [ABS, RELU, IDENTITY, DEAD_ZONE], ids=["abs", "relu", "identity", "dead-zone"])
 def test_stacked_oracle_equals_per_net_evaluate(act, L, trials, monkeypatch):
     # a sampler alternating two width vectors makes two stacks per chunk;
-    # the rows must come back in trial order
+    # the rows must come back in trial order.  With TILE 64, 300 points run
+    # each stack of 27 networks in four tiles through the pooled buffers.
+    assert entropy.CHUNK_VALUES // 7 >= CHUNK and entropy.CHUNK_VALUES // 300 == 27
+    assert 300 >= max(2 * 64, entropy._kernels.POOLED_POINTS)
     rng = np.random.default_rng(L * 1000 + trials)
-    points = rng.uniform(-1.5, 1.5, (7, 2))
-    assert entropy.CHUNK_VALUES // len(points) >= CHUNK
     widths = ((2,) + (3,) * L + (1,), (2,) + (2,) * L + (2,))
-    nets = []
+    for n, tile in ((7, entropy._kernels.TILE), (300, 64)):
+        monkeypatch.setattr(entropy._kernels, "TILE", tile)
+        points = rng.uniform(-1.5, 1.5, (n, 2))
+        nets = []
 
-    def sampler():
-        nets.append(sample_network(widths[len(nets) % 2], 1.3, act, rng))
-        return nets[-1]
+        def sampler():
+            nets.append(sample_network(widths[len(nets) % 2], 1.3, act, rng))
+            return nets[-1]
 
-    got = covered_vectors(monkeypatch, sampler, points, trials, path_norm_cap=1.3)
-    assert len(nets) == trials
-    want = np.array([evaluate(net, points)[:, 0] for net in nets])
-    assert np.array_equal(got, want)
+        got = covered_vectors(monkeypatch, sampler, points, trials, path_norm_cap=1.3)
+        assert len(nets) == trials
+        want = np.array([evaluate(net, points)[:, 0] for net in nets])
+        assert np.array_equal(got, want)
+
+
+def twin(net, scale):
+    """net with every block scaled: the same runs, so it joins net's stack."""
+    return Network(net.activation, [BlockDiagonal([scale * b for b in lay.blocks]) for lay in net.layers])
 
 
 def test_stacked_oracle_groups_block_diagonal_nets(monkeypatch):
     rng = np.random.default_rng(5)
     nets = [random_block_net(rng, act, in_dim=4) for act in (ABS, RELU, DEAD_ZONE) for _ in range(30)]
+    # each net next to a rescaled twin of the same runs, so multi-block
+    # layers of two or more nets are listed run by run in one chain
+    nets = [x for net in nets for x in (net, twin(net, 0.5))]
     points = rng.uniform(-1, 1, (9, 4))
+    # and two copies of a 2-input net side by side: a one-block layer
+    # becomes a run of count 2, which is listed, not stacked
+    for net in [random_block_net(rng, act, in_dim=2) for act in (ABS, RELU) for _ in range(10)]:
+        nets += [Network(n.activation, [BlockDiagonal([lay, lay]) for lay in n.layers]) for n in (net, twin(net, 0.5))]
     it = iter(nets)
     got = covered_vectors(monkeypatch, lambda: next(it), points, len(nets), path_norm_cap=1e9)
     assert np.array_equal(got, np.array([evaluate(net, points)[:, 0] for net in nets]))
 
 
 def test_stacked_path_norm_equals_path_matrix():
+    # the oracle's cap check: one |W| pass of eval_chain over a group's stack
+    # on the identity repeated once per network; block nets list their runs,
+    # dense nets are one stacked run per layer
     rng = np.random.default_rng(6)
-    for _ in range(20):
-        net = random_block_net(rng, ABS, in_dim=3)
-        stacks = [[np.stack([b, -2 * b]) for b in lay.blocks] for lay in net.layers]
-        pm = entropy._stacked_chain(stacks, np.eye(net.in_dim), absolute=True)
-        assert np.array_equal(pm[0], path_matrix(net))
+    for i in range(20):
+        net = (random_block_net if i % 2 else random_dense_net)(rng, ABS, n_layers=int(rng.integers(1, 5)))
+        [(_, ts, layers)] = entropy._stacks([net, twin(net, -2.0)])
+        assert ts == [0, 1]
+        pm = entropy._kernels.eval_chain(layers, np.tile(np.eye(net.in_dim), (2, 1)), absolute=True)
+        assert np.array_equal(pm[: net.out_dim], path_matrix(net))
         assert pm.reshape(2, -1).sum(axis=1)[0] == path_norm(net)
+
+
+def test_covers_only_the_first_output():
+    # output 0 is 0 for every net, output 1 is s |x| for 50 distinct s: the
+    # oracle covers output 0 alone, so one center covers them all
+    rng = np.random.default_rng(7)
+    points = rng.uniform(-1, 1, (8, 1))
+
+    def cover(rows):
+        nets = iter([Network(ABS, [np.ones((1, 1)), np.array(rows) * s]) for s in np.linspace(0.1, 1, 50)])
+        return empirical_covering(lambda: next(nets), points, 0.01, 50, path_norm_cap=1.0).size
+
+    assert cover([[0.0], [1.0]]) == 1
+    assert cover([[1.0], [0.0]]) > 1
 
 
 def test_sampler_violation_names_first_bad_sample(rng):
