@@ -5,13 +5,14 @@ stacks of sampled networks, with feature-major activations of shape (width,
 n_points): each run of k copies of one (r, c) block, or of k blocks stacked
 as (k, r, c), multiplies a contiguous row range of the previous activations,
 viewed as k stacked (c, n) slices, into the k stacked (r, n) slices of the
-next ones: one broadcast np.matmul per run.  It runs the whole chain on one
-tile of TILE to 2 * TILE - 1 points (columns) at a time, each tile into its
-columns of the result, so a tile's activations stay in cache from layer to
-layer; a call on fewer than 2 * TILE points is one tile.  From POOLED_POINTS
-points on, hidden activations alternate between two line-aligned heap
-buffers of the widest hidden layer's width, sized for the largest tile and
-made once per call; smaller calls allocate each layer's activations.
+next ones: one broadcast np.matmul per run, or np.multiply for a
+one-column block.  It runs the whole chain on one tile of TILE to
+2 * TILE - 1 points (columns) at a time, each tile into its columns of the
+result, so a tile's activations stay in cache from layer to layer; a call
+on fewer than 2 * TILE points is one tile.  From POOLED_POINTS points on,
+hidden activations alternate between two line-aligned heap buffers of the
+widest hidden layer's width, sized for the largest tile and made once per
+call; smaller calls allocate each layer's activations.
 
 greedy_cover scans the rows in order and makes a row a center when no
 earlier center is closer than eps; its decisions are those of comparing
@@ -100,8 +101,11 @@ def eval_chain(layers, cur, act=None, absolute=False):
                 # the run's rows as k stacked (r, m) and (c, m) views, so one
                 # broadcast matmul writes every copy in place; splitting the
                 # leading axis of a row slice is always a view, also of a
-                # column-sliced tile, so no copy can take the write
-                np.matmul(
+                # column-sliced tile, so no copy can take the write.  A
+                # one-column block's products are single multiplications,
+                # which a broadcast multiply makes in a fast loop where
+                # matmul takes a slow one (the carried 1x1 channels)
+                (np.multiply if c == 1 else np.matmul)(
                     np.abs(b) if absolute else b,
                     x[co : co + k * c].reshape(k, c, m),
                     out=out[ro : ro + k * r].reshape(k, r, m),

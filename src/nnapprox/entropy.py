@@ -190,13 +190,19 @@ def empirical_covering(sampler, points, eps, trials, path_norm_cap=None):
     # network t of a stack reads rows t*d to (t+1)*d; transposed like the
     # points.T that evaluate passes, so the matmuls take the same BLAS path
     repeated = np.tile(points, (1, chunk)).T
+    # the identity of each input width repeated chunk times, made once per
+    # call; a group of s networks reads its first s copies
+    eyes = {}
     for start in range(0, trials, chunk):
         nets = [sampler() for _ in range(min(chunk, trials - start))]
         groups = _stacks(nets)
         if path_norm_cap is not None:
             pn = np.empty(len(nets))
             for _, ts, layers in groups:
-                eye = np.tile(np.eye(nets[ts[0]].in_dim), (len(ts), 1))
+                p0 = nets[ts[0]].in_dim
+                if p0 not in eyes:
+                    eyes[p0] = np.tile(np.eye(p0), (chunk, 1))
+                eye = eyes[p0][: len(ts) * p0]
                 pn[ts] = _kernels.eval_chain(layers, eye, absolute=True).reshape(len(ts), -1).sum(axis=1)
             bad = np.flatnonzero(pn > path_norm_cap * (1.0 + 1e-9))
             if bad.size:

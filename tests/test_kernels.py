@@ -79,7 +79,8 @@ def test_tiles_match_one_tile_and_dense_chain(act, pooled, rng, monkeypatch):
 
 def run_net(rng, act):
     """Net whose layers hold runs of shared blocks: runs of length 1 and
-    more, blocks of mixed shapes, and a last layer that is one run."""
+    more, blocks of mixed shapes, one-column blocks (1x1 and 2x1, which
+    eval_chain multiplies by np.multiply), and a last layer that is one run."""
     def block(r, c):
         return BlockDiagonal([rng.uniform(-1, 1, (r, c))])
 

@@ -7,15 +7,17 @@ import pytest
 from nnapprox import (
     AnalyticTarget,
     RegressionConfig,
+    builtin_target,
     fit,
     generate_data,
     lambda_auto,
     oracle_rhs,
+    oracle_rhs_terms,
     path_norm_grads,
     target_inv_two_minus_x,
 )
 from nnapprox.network import with_ones
-from nnapprox.regression import _objective, _path_norm_prefix, _risk_grads
+from nnapprox.regression import LEARNING_RATE, _lambda, _objective, _path_norm_prefix, _risk_grads
 
 
 def _linear_target():
@@ -217,6 +219,100 @@ def test_fit_lambda_path_monotone():
         assert b <= a + 1e-12
 
 
+def _reference_fit(config, dataset):
+    """The fit loop written per layer on point-major (n, width) activations:
+    a list of weight matrices, a gradient per layer and every step taken
+    matrix by matrix.  Returns (epochs, objective, risk, path norm)."""
+    rng = np.random.default_rng(config.seed)
+    arch = config.architecture
+    weights = []
+    for i in range(len(arch) - 1):
+        s = 1.0 / math.sqrt(arch[i])
+        weights.append(rng.uniform(-s, s, size=(arch[i + 1], arch[i])))
+    lam = _lambda(config, arch)
+    xa = with_ones(dataset.X)
+    y = np.asarray(dataset.Y, dtype=np.float64)
+
+    def objective(ws):
+        acts, pres, cur = [xa], [], xa
+        for i, w in enumerate(ws):
+            pres.append(cur @ w.T)
+            if i < len(ws) - 1:
+                cur = np.abs(pres[-1])
+                acts.append(cur)
+        res = pres[-1][:, 0] - y
+        risk = float(res @ res / len(y))
+        absw = [np.abs(w) for w in ws]
+        v = [np.ones(arch[0])]
+        for a in absw[:-1]:
+            v.append(a @ v[-1])
+        pn = float(np.sum(absw[-1] @ v[-1]))
+        return risk + lam * pn, risk, pn, (acts, pres, res, absw, v)
+
+    def grads(ws, acts, pres, res, absw, v):
+        out = [None] * len(ws)
+        delta = (2.0 / len(res)) * res[:, None]
+        for i in range(len(ws) - 1, -1, -1):
+            out[i] = delta.T @ acts[i]
+            if i > 0:
+                delta = (delta @ ws[i]) * np.sign(pres[i - 1])
+        u = [np.ones(1)]
+        for a in reversed(absw[1:]):
+            u.insert(0, a.T @ u[0])
+        for i, w in enumerate(ws):
+            out[i] += lam * (np.sign(w) * np.outer(u[i], v[i]))
+        return out
+
+    obj, risk, pn, inputs = objective(weights)
+    lr, epochs = LEARNING_RATE, 0
+    for _ in range(config.max_epochs):
+        gs = grads(weights, *inputs)
+        if sum(float(np.sum(g * g)) for g in gs) == 0.0:
+            break
+        trial_lr = lr
+        for _ in range(60):
+            cand = [w - trial_lr * g for w, g in zip(weights, gs)]
+            cand_obj, cand_risk, cand_pn, cand_inputs = objective(cand)
+            if cand_obj <= obj:
+                break
+            trial_lr *= 0.5
+        else:
+            break
+        improvement = obj - cand_obj
+        weights, obj, risk, pn, inputs = cand, cand_obj, cand_risk, cand_pn, cand_inputs
+        lr = trial_lr * 2.0
+        epochs += 1
+        if improvement < 1e-10 * max(abs(obj), 1e-300):
+            break
+    return epochs, obj, risk, pn
+
+
+@pytest.mark.parametrize(
+    "target,d,widths,lam,scale",
+    [
+        ("inv2mx", 1, (8, 8), 1e-4, 1.0),
+        ("exp-sum", 2, (8, 8), 1e-3, 1.0),
+        ("inv2mx", 1, (), 1e-4, 1.0),
+        ("exp-sum", 2, (8, 8), "auto", 1e-4),
+    ],
+)
+def test_fit_matches_per_layer_point_major_reference(target, d, widths, lam, scale):
+    # fit runs on one flat parameter vector with feature-major activations;
+    # it must take the reference's steps: the same epochs, and the
+    # objective, risk and path norm up to the summation order of the products
+    cfg = RegressionConfig(
+        n=256, d=d, target=builtin_target(target, d), noise_sd=0.1, widths=widths,
+        lam=lam, lambda_scale=scale, max_epochs=400, seed=0,
+    )
+    ds = generate_data(cfg)
+    _, rep = fit(cfg, ds)
+    epochs, obj, risk, pn = _reference_fit(cfg, ds)
+    assert rep.epochs == epochs > 0
+    assert rep.objective == pytest.approx(obj, rel=1e-12, abs=0)
+    assert rep.risk == pytest.approx(risk, rel=1e-12, abs=0)
+    assert rep.path_norm == pytest.approx(pn, rel=1e-12, abs=0)
+
+
 # ---------------------------------------------------------------------------
 # oracle RHS
 
@@ -251,3 +347,24 @@ def test_oracle_rhs_finite_for_plugin(rng):
     cfg = RegressionConfig(n=128, d=1, target=f0, widths=tuple(net.widths[1:-1]), lam="auto", seed=0)
     val = oracle_rhs(cfg, net)
     assert np.isfinite(val) and val > 0
+
+
+def test_oracle_rhs_sums_its_terms():
+    f0 = _square_target()
+    cfg = RegressionConfig(n=128, d=1, target=f0, lam=0.1, widths=(4, 4), oracle_c=1.5)
+    from nnapprox import Network, ABS, path_norm
+
+    rng = np.random.default_rng(1)
+    cand = Network(ABS, [rng.uniform(-1, 1, (4, 2)), rng.uniform(-1, 1, (4, 4)), rng.uniform(-1, 1, (1, 4))])
+    terms = oracle_rhs_terms(cfg, cand)
+    assert terms.penalty == 0.1 * path_norm(cand)
+    assert terms.remainder == 1.5 * 8 * math.log2(128) ** 3 / 128
+    assert oracle_rhs(cfg, cand) == 2.0 * (terms.mc_error + terms.penalty) + terms.remainder
+
+
+def test_fit_report_carries_oracle_terms():
+    cfg = RegressionConfig(n=64, d=1, target=_square_target(), noise_sd=0.1, widths=(4,), lam=0.01, max_epochs=50)
+    net, rep = fit(cfg, generate_data(cfg))
+    terms = oracle_rhs_terms(cfg, net)
+    assert (rep.oracle_mc_error, rep.oracle_penalty, rep.oracle_remainder) == tuple(terms)
+    assert rep.oracle_rhs == oracle_rhs(cfg, net)
