@@ -149,7 +149,9 @@ def greedy_cover(vectors, eps):
     dist(u, v) = sqrt(mean((u - v)^2)); a row is covered when dist < eps.
 
     A non-finite row raises ValueError: NaN compares false, so it would
-    silently become a center that covers nothing.
+    silently become a center that covers nothing.  So does an eps that is
+    not a finite number > 0: a negative one would cover by |eps|, and NaN
+    would make every row a center.
 
     The guard band.  A row is covered by a center when e < T = eps^2 m,
     with e = sum((c - r)^2) computed by direct differences.  Let u = 2^-53,
@@ -174,6 +176,8 @@ def greedy_cover(vectors, eps):
     compared directly: the decisions are exactly those of comparing every
     row with every earlier center directly.
     """
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"eps must be a finite number > 0, got {eps!r}")
     v = np.ascontiguousarray(vectors, dtype=np.float64)
     if not np.isfinite(v).all():
         raise ValueError("vectors must be finite: a non-finite row is never covered")

@@ -100,9 +100,9 @@ def sample_network(widths, cap, activation=ABS, rng=None):
     When the raw draw exceeds the cap every layer is scaled by
     (cap / path_norm)^(1/(L+1)), which lands exactly on the boundary, the
     hard regime for the bound.  All layers come from one draw, the same
-    stream as one draw per layer, and the raw path norm is computed on the
-    arrays by the matrix products of path_matrix, so the network is built
-    once."""
+    stream as one draw per layer, and the raw path norm is the sum of the
+    dense path matrix |W_L| ... |W_0|, computed on the arrays, so the
+    network is built once."""
     rng = np.random.default_rng(rng)
     shapes = list(zip(widths[1:], widths[:-1]))
     flat = rng.uniform(-1.0, 1.0, sum(r * c for r, c in shapes))
@@ -172,11 +172,12 @@ def empirical_covering(sampler, points, eps, trials, path_norm_cap=None):
     one-sided, since output 0 is a network of the same widths up to p_{L+1},
     which the bound does not read, and path norm at most the capped total.
     When path_norm_cap is given every sample is checked against it, with one
-    |W| pass per group, and a violation raises SamplerViolation naming the
-    first offending sample, once its chunk has been drawn.  A network of the
-    wrong input dimension raises ShapeMismatchError and non-finite points
-    raise NetworkError, as in evaluate; non-finite outputs make greedy_cover
-    raise ValueError."""
+    |W| pass per group on ones, bit for bit as network.path_norm, and a
+    violation raises SamplerViolation naming the first offending sample,
+    once its chunk has been drawn.  A network of the wrong input dimension
+    raises ShapeMismatchError and non-finite points raise NetworkError, as
+    in evaluate; an eps that is not a finite number > 0 and non-finite
+    outputs make greedy_cover raise ValueError."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 1:
         points = points[:, None]
@@ -190,20 +191,14 @@ def empirical_covering(sampler, points, eps, trials, path_norm_cap=None):
     # network t of a stack reads rows t*d to (t+1)*d; transposed like the
     # points.T that evaluate passes, so the matmuls take the same BLAS path
     repeated = np.tile(points, (1, chunk)).T
-    # the identity of each input width repeated chunk times, made once per
-    # call; a group of s networks reads its first s copies
-    eyes = {}
     for start in range(0, trials, chunk):
         nets = [sampler() for _ in range(min(chunk, trials - start))]
         groups = _stacks(nets)
         if path_norm_cap is not None:
             pn = np.empty(len(nets))
             for _, ts, layers in groups:
-                p0 = nets[ts[0]].in_dim
-                if p0 not in eyes:
-                    eyes[p0] = np.tile(np.eye(p0), (chunk, 1))
-                eye = eyes[p0][: len(ts) * p0]
-                pn[ts] = _kernels.eval_chain(layers, eye, absolute=True).reshape(len(ts), -1).sum(axis=1)
+                ones = np.ones((len(ts) * nets[ts[0]].in_dim, 1))
+                pn[ts] = _kernels.eval_chain(layers, ones, absolute=True).reshape(len(ts), -1).sum(axis=1)
             bad = np.flatnonzero(pn > path_norm_cap * (1.0 + 1e-9))
             if bad.size:
                 t = int(bad[0])

@@ -16,11 +16,11 @@ stacks into one Network; all of these splice the layers of their networks
 that way (build_mon's pairing levels reuse one multiplication net's blocks
 for every product, so each of its blocks is one run per layer), so those
 networks never materialize their mostly-zero dense form.  Evaluation, the
-path matrix and the entropy oracle's stacked samples run on the runs
-through _kernels.eval_chain, one matrix product per run, with the
-activation's in-place map between layers; the JSON wire format (version 3)
-stores the runs of each layer, so a decoded network is the same chain of
-runs.  The dense view of any layer is available through Network.weights.
+path norm (the |W| chain at (1, ..., 1)), the path matrix and the entropy
+oracle's stacked samples run on the runs through _kernels.eval_chain, one
+matrix product per run; the JSON wire format (version 3) stores the runs of
+each layer, so a decoded network is the same chain of runs.  The dense view
+of any layer is available through Network.weights.
 
 network_stats(net) is the one structural report: depth, widths, blocks,
 stored and nonzero entries and l1 norms, per layer and in total.
@@ -249,18 +249,20 @@ def with_ones(points):
 def path_matrix(net):
     """|WL| @ |W_{L-1}| @ ... @ |W0|, dense, of shape (p_{L+1}, p_0).
 
-    One forward pass of the |W| chain on the identity (Gonon et al., ICLR
-    2024), block by block."""
+    One forward pass of the |W| chain on the identity, block by block, for
+    callers that read its entries, such as the builders' max-entry asserts."""
     return _kernels.eval_chain(net.layers, np.eye(net.in_dim), absolute=True)
 
 
 def path_norm(net):
-    """Sum of the entries of the path matrix (the l1 norm of the p0-vector
-    for scalar outputs, summed over output coordinates otherwise).
+    """The |W| network at (1, ..., 1), its outputs summed: one forward pass
+    of the |W| chain on a ones column (Gonon et al., ICLR 2024).  It equals
+    the sum of the path matrix's entries up to rounding.
 
     Computed on the first call and cached on the immutable network."""
     if net._path_norm is None:
-        net._path_norm = float(np.sum(path_matrix(net)))
+        ones = np.ones((net.in_dim, 1))
+        net._path_norm = float(np.sum(_kernels.eval_chain(net.layers, ones, absolute=True)))
     return net._path_norm
 
 

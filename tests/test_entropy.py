@@ -142,6 +142,16 @@ def test_greedy_cover_monotone_in_eps_via_oracle(rng):
     assert sizes == sorted(sizes, reverse=True)
 
 
+@pytest.mark.parametrize("eps", [-0.5, 0.0, math.nan, math.inf, -math.inf])
+def test_eps_not_finite_and_positive_is_value_error(rng, eps):
+    # unchecked, -0.5 would give the 0.5 cover and NaN make every sample a center
+    pts = rng.uniform(-1, 1, (8, 1))
+    with pytest.raises(ValueError, match="eps"):
+        entropy._kernels.greedy_cover(rng.normal(size=(20, 8)), eps)
+    with pytest.raises(ValueError, match="eps"):
+        empirical_covering(lambda: sample_network((1, 2, 1), 1.0, rng=rng), pts, eps, trials=20)
+
+
 def test_relu_and_identity_classes_also_under_bound():
     for act in (RELU, IDENTITY):
         spec = EntropyBoundSpec(eps=0.4, L=2, p=(2, 2, 2, 1), B=1.2, r=1.0, n=12)
@@ -150,14 +160,15 @@ def test_relu_and_identity_classes_also_under_bound():
 
 
 def test_sample_network_matches_per_layer_draws():
-    # the parent construction: one draw per layer, a Network, its path norm,
-    # and a second Network of the scaled weights when over the cap
+    # the per-layer construction: one draw per layer, a Network, the sum of
+    # its path matrix, and a second Network of the scaled weights when over
+    # the cap
     for widths in ((1, 1), (2, 3, 1), (3, 2, 2, 1), (2, 3, 3, 3, 2)):
         for cap in (0.05, 1.0, 50.0):
             r1, r2 = np.random.default_rng(11), np.random.default_rng(11)
             for _ in range(20):
                 ws = [r1.uniform(-1.0, 1.0, size=(widths[i + 1], widths[i])) for i in range(len(widths) - 1)]
-                pn = path_norm(Network(ABS, ws))
+                pn = float(np.sum(path_matrix(Network(ABS, ws))))
                 if pn > cap:
                     ws = [w * (cap / pn) ** (1.0 / len(ws)) for w in ws]
                 net = sample_network(widths, cap, ABS, r2)
@@ -248,9 +259,10 @@ def test_stacked_oracle_groups_block_diagonal_nets(monkeypatch):
 
 
 def test_stacked_path_norm_equals_path_matrix():
-    # the oracle's cap check: one |W| pass of eval_chain over a group's stack
-    # on the identity repeated once per network; block nets list their runs,
-    # dense nets are one stacked run per layer
+    # one |W| pass of eval_chain over a group's stack on the identity repeated
+    # once per network gives each path matrix, and the oracle's cap check, the
+    # pass on ones, each path norm; block nets list their runs, dense nets are
+    # one stacked run per layer
     rng = np.random.default_rng(6)
     for i in range(20):
         net = (random_block_net if i % 2 else random_dense_net)(rng, ABS, n_layers=int(rng.integers(1, 5)))
@@ -258,7 +270,8 @@ def test_stacked_path_norm_equals_path_matrix():
         assert ts == [0, 1]
         pm = entropy._kernels.eval_chain(layers, np.tile(np.eye(net.in_dim), (2, 1)), absolute=True)
         assert np.array_equal(pm[: net.out_dim], path_matrix(net))
-        assert pm.reshape(2, -1).sum(axis=1)[0] == path_norm(net)
+        at_ones = entropy._kernels.eval_chain(layers, np.ones((2 * net.in_dim, 1)), absolute=True)
+        assert at_ones.reshape(2, -1).sum(axis=1)[0] == path_norm(net)
 
 
 def test_covers_only_the_first_output():
