@@ -9,10 +9,10 @@ next ones: one broadcast np.matmul per run, or np.multiply for a
 one-column block.  It runs the whole chain on one tile of TILE to
 2 * TILE - 1 points (columns) at a time, each tile into its columns of the
 result, so a tile's activations stay in cache from layer to layer; a call
-on fewer than 2 * TILE points is one tile.  From POOLED_POINTS points on,
-hidden activations alternate between two line-aligned heap buffers of the
-widest hidden layer's width, sized for the largest tile and made once per
-call; smaller calls allocate each layer's activations.
+on fewer than 2 * TILE points is one tile.  Hidden activations alternate
+between two line-aligned heap buffers of the widest hidden layer's width,
+sized for the largest tile and made once per call: per-layer arrays left
+holes in the malloc heap that made peak RSS creep over repeated calls.
 
 greedy_cover scans the rows in order and makes a row a center when no
 earlier center is closer than eps; its decisions are those of comparing
@@ -47,12 +47,6 @@ def backend_name():
 # A short last tile joins the one before it: a one-column tile would take
 # numpy's matrix-vector kernel, whose sums differ in the last bits.
 TILE = 4096
-# From this many points on, hidden activations reuse two buffers per call:
-# per-layer (width, n) arrays left holes in the malloc heap that made peak RSS
-# creep by 2-6 MiB over repeated cheb pipeline evaluations, differently in
-# each run.  Smaller calls (path matrices, the entropy oracle's tiny nets)
-# are cheaper with per-layer arrays.
-POOLED_POINTS = 256
 
 
 def _line_aligned(size):
@@ -77,24 +71,13 @@ def eval_chain(layers, cur, act=None, absolute=False):
     last = len(layers) - 1
     n = cur.shape[1]
     res = np.empty((layers[last].shape[0], n))
-    if n < 2 * TILE:
-        tiles = ((cur, res),)
-    else:
-        stops = list(range(TILE, n - TILE + 1, TILE)) + [n]
-        tiles = [(cur[:, a:b], res[:, a:b]) for a, b in zip([0] + stops, stops)]
-    bufs = None
-    if n >= POOLED_POINTS:
-        size = max((lay.shape[0] for lay in layers[:last]), default=0) * min(n, 2 * TILE - 1)
-        bufs = _line_aligned(size), _line_aligned(size)
-    for x, y in tiles:
-        m = x.shape[1]
+    stops = list(range(TILE, n - TILE + 1, TILE)) + [n]
+    size = max((lay.shape[0] for lay in layers[:last]), default=0) * min(n, 2 * TILE - 1)
+    bufs = _line_aligned(size), _line_aligned(size)
+    for lo, hi in zip([0] + stops, stops):
+        x, m = cur[:, lo:hi], hi - lo
         for i, lay in enumerate(layers):
-            if i == last:
-                out = y
-            elif bufs is None:
-                out = np.empty((lay.shape[0], m))
-            else:
-                out = bufs[i % 2][: lay.shape[0] * m].reshape(lay.shape[0], m)
+            out = res[:, lo:hi] if i == last else bufs[i % 2][: lay.shape[0] * m].reshape(lay.shape[0], m)
             ro = co = 0
             for b, k in lay.runs:
                 r, c = b.shape[-2:]

@@ -176,8 +176,11 @@ def empirical_covering(sampler, points, eps, trials, path_norm_cap=None):
     violation raises SamplerViolation naming the first offending sample,
     once its chunk has been drawn.  A network of the wrong input dimension
     raises ShapeMismatchError and non-finite points raise NetworkError, as
-    in evaluate; an eps that is not a finite number > 0 and non-finite
-    outputs make greedy_cover raise ValueError."""
+    in evaluate; an eps that is not a finite number > 0 raises ValueError
+    before any sample is drawn, and non-finite outputs make greedy_cover
+    raise it."""
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"eps must be a finite number > 0, got {eps!r}")
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 1:
         points = points[:, None]

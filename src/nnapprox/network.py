@@ -10,12 +10,13 @@ the width vector is p = (p_0, ..., p_{L+1}) and depth L counts activations.
 Every layer is a BlockDiagonal: its diagonal blocks, in order (a plain
 matrix is a single block), stored as runs of copies of one block.  A layer
 made from other layers reuses their checked, read-only blocks instead of
-copying them.  The builders stack networks with parallel() and compose(),
-the paper's parallelisation and composition, or chain the layers of such
-stacks into one Network; all of these splice the layers of their networks
-that way (build_mon's pairing levels reuse one multiplication net's blocks
-for every product, so each of its blocks is one run per layer), so those
-networks never materialize their mostly-zero dense form.  Evaluation, the
+copying them.  The builders stack networks with parallel(), the paper's
+parallelisation, and chain the layers of such stacks into one Network
+where the paper composes (no builder calls compose()); both splice the
+layers of their networks that way (build_mon's pairing levels reuse one
+multiplication net's blocks for every product, so each of its blocks is
+one run per layer), so those networks never materialize their
+mostly-zero dense form.  Evaluation, the
 path norm (the |W| chain at (1, ..., 1)), the path matrix and the entropy
 oracle's stacked samples run on the runs through _kernels.eval_chain, one
 matrix product per run; the JSON wire format (version 3) stores the runs of

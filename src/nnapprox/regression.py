@@ -272,7 +272,6 @@ def fit(config, dataset):
         else:
             converged = True
             break
-        assert cand_obj <= obj, "line search accepted an increasing step"
         improvement = obj - cand_obj
         cur, trial = trial, cur
         obj, risk, pn, grad_inputs = cand_obj, cand_risk, cand_pn, cand_inputs
@@ -287,10 +286,7 @@ def fit(config, dataset):
     xh = hold_rng.uniform(0.0, 1.0, size=(HOLDOUT_POINTS, config.d))
     pred = evaluate(net, with_ones(xh))[:, 0]
     holdout = float(np.mean((pred - config.target.evaluate(xh)) ** 2))
-    # the report's oracle_rhs comes from oracle_rhs itself, which evaluates
-    # the Monte Carlo term again (0.4 ms on 8 x 8 nets), so a trace of
-    # oracle_rhs (the benchmark's regression.oracle_rhs) still times the bound
-    terms = oracle_rhs_terms(config, net)
+    terms = oracle_rhs(config, net)
     report = FitReport(
         objective=obj,
         risk=risk,
@@ -298,7 +294,7 @@ def fit(config, dataset):
         path_norm=pn,
         holdout_mse=holdout,
         lambda_used=lam,
-        oracle_rhs=oracle_rhs(config, net),
+        oracle_rhs=terms.rhs,
         oracle_mc_error=terms.mc_error,
         oracle_penalty=terms.penalty,
         oracle_remainder=terms.remainder,
@@ -318,12 +314,19 @@ class OracleTerms(NamedTuple):
 
     @property
     def rhs(self):
-        """2 (mc_error + penalty) + remainder, the value of oracle_rhs."""
+        """2 (mc_error + penalty) + remainder, the value of the bound."""
         return 2.0 * (self.mc_error + self.penalty) + self.remainder
 
 
-def oracle_rhs_terms(config, candidate):
-    """The separate terms of oracle_rhs(config, candidate), as OracleTerms."""
+def oracle_rhs(config, candidate):
+    """The terms of 2 [ mc-estimate of |f - f0|^2 + lambda * pathnorm(f) ]
+    + C sum_i p_i log2(n)^3 / n, evaluated at the candidate network, as
+    OracleTerms; their rhs is the sum.
+
+    An upper bound on the oracle-inequality right-hand side's infimum term;
+    reported, never asserted.  Hidden widths come from the candidate, which
+    represents the class containing it; lambda is that class's penalty
+    weight and C is config.oracle_c."""
     n = config.n
     rng = np.random.default_rng(config.seed + 2)
     xm = rng.uniform(0.0, 1.0, size=(ORACLE_MC_POINTS, config.d))
@@ -332,14 +335,3 @@ def oracle_rhs_terms(config, candidate):
     hidden = candidate.widths[1:-1]
     remainder = config.oracle_c * sum(hidden) * math.log2(n) ** 3 / n
     return OracleTerms(mc, _lambda(config, candidate.widths) * path_norm(candidate), remainder)
-
-
-def oracle_rhs(config, candidate):
-    """2 [ mc-estimate of |f - f0|^2 + lambda * pathnorm(f) ]
-    + C sum_i p_i log2(n)^3 / n, evaluated at the candidate network.
-
-    An upper bound on the oracle-inequality right-hand side's infimum term;
-    reported, never asserted.  Hidden widths come from the candidate, which
-    represents the class containing it; lambda is that class's penalty
-    weight and C is config.oracle_c."""
-    return oracle_rhs_terms(config, candidate).rhs

@@ -148,8 +148,15 @@ def test_eps_not_finite_and_positive_is_value_error(rng, eps):
     pts = rng.uniform(-1, 1, (8, 1))
     with pytest.raises(ValueError, match="eps"):
         entropy._kernels.greedy_cover(rng.normal(size=(20, 8)), eps)
+    drawn = []
+
+    def sampler():
+        drawn.append(sample_network((1, 2, 1), 1.0, rng=rng))
+        return drawn[-1]
+
     with pytest.raises(ValueError, match="eps"):
-        empirical_covering(lambda: sample_network((1, 2, 1), 1.0, rng=rng), pts, eps, trials=20)
+        empirical_covering(sampler, pts, eps, trials=20)
+    assert drawn == []  # rejected on entry, before any sample is drawn
 
 
 def test_relu_and_identity_classes_also_under_bound():
@@ -219,7 +226,7 @@ def test_stacked_oracle_equals_per_net_evaluate(act, L, trials, monkeypatch):
     # the rows must come back in trial order.  With TILE 64, 300 points run
     # each stack of 27 networks in four tiles through the pooled buffers.
     assert entropy.CHUNK_VALUES // 7 >= CHUNK and entropy.CHUNK_VALUES // 300 == 27
-    assert 300 >= max(2 * 64, entropy._kernels.POOLED_POINTS)
+    assert 300 >= 2 * 64
     rng = np.random.default_rng(L * 1000 + trials)
     widths = ((2,) + (3,) * L + (1,), (2,) + (2,) * L + (2,))
     for n, tile in ((7, entropy._kernels.TILE), (300, 64)):

@@ -61,11 +61,8 @@ def test_path_matrix_matches_product_of_dense_abs(rng):
 SMALL_TILE = 64
 
 
-@pytest.mark.parametrize("pooled", [False, True], ids=["heap", "pooled"])
 @pytest.mark.parametrize("act", [ABS, RELU, DEAD_ZONE], ids=["abs", "relu", "dead-zone"])
-def test_tiles_match_one_tile_and_dense_chain(act, pooled, rng, monkeypatch):
-    # heap: a fresh array per layer; pooled: the two buffers made once per call.
-    monkeypatch.setattr(_kernels, "POOLED_POINTS", 0 if pooled else np.inf)
+def test_tiles_match_one_tile_and_dense_chain(act, rng, monkeypatch):
     t = SMALL_TILE
     net = random_block_net(rng, act, n_layers=4)
     x = rng.normal(size=(3 * t + 5, net.in_dim))
@@ -144,8 +141,6 @@ def test_runs_of_builders_match_one_matmul_per_block(rng, monkeypatch):
 
 def test_multi_tile_call_makes_one_tile_sized_pair(rng, monkeypatch):
     t = SMALL_TILE
-    monkeypatch.setattr(_kernels, "TILE", t)
-    monkeypatch.setattr(_kernels, "POOLED_POINTS", 0)
     asked = []
 
     class CountingNumpy:
@@ -156,19 +151,24 @@ def test_multi_tile_call_makes_one_tile_sized_pair(rng, monkeypatch):
             asked.append(shape)
             return np.empty(shape)
 
-    monkeypatch.setattr(_kernels, "np", CountingNumpy())
     net = random_block_net(rng, ABS, n_layers=4)
-    x = rng.normal(size=(10 * t + 7, net.in_dim))
-    got = _kernels.eval_chain(net.layers, x.T, ABS.inplace)
-    pair = max(w for w in net.widths[1:-1]) * (2 * t - 1)
-    # the result, then one pair for the largest tile (plus at most 7 entries
-    # of alignment slack), never for all 647 points, and no per-layer arrays
-    assert asked[0] == (net.out_dim, 10 * t + 7)
-    assert len(asked) == 3 and asked[1] == asked[2] and pair <= asked[1] < pair + 8
-    assert got.base is None  # the result never lives in a buffer
-    monkeypatch.setattr(_kernels, "np", np)
-    monkeypatch.setattr(_kernels, "TILE", 10**9)
-    assert np.array_equal(got.T, evaluate(net, x))
+    # one point and a few make one tile as 647 points make ten: every call
+    # asks for the result, then one pair for the largest tile (plus at most
+    # 7 entries of alignment slack), never for all 647 points, and no
+    # per-layer arrays
+    for n in (1, 5, 10 * t + 7):
+        x = rng.normal(size=(n, net.in_dim))
+        asked.clear()
+        monkeypatch.setattr(_kernels, "TILE", t)
+        monkeypatch.setattr(_kernels, "np", CountingNumpy())
+        got = _kernels.eval_chain(net.layers, x.T, ABS.inplace)
+        pair = max(w for w in net.widths[1:-1]) * min(n, 2 * t - 1)
+        assert asked[0] == (net.out_dim, n), n
+        assert len(asked) == 3 and asked[1] == asked[2] and pair <= asked[1] < pair + 8, (n, asked)
+        assert got.base is None  # the result never lives in a buffer
+        monkeypatch.setattr(_kernels, "np", np)
+        monkeypatch.setattr(_kernels, "TILE", 10**9)
+        assert np.array_equal(got.T, evaluate(net, x)), n
 
 
 @pytest.mark.parametrize("size", [1, 7, 8, 1000, 30 * 8191])

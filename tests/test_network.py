@@ -60,11 +60,11 @@ def test_eval_batch_matches_single(rng):
 
 @pytest.mark.parametrize("n", [255, 256, 500])
 @pytest.mark.parametrize("act", [RELU, general_activation(lambda x: np.where(x >= 0, 1.0, 0.0))])
-def test_pooled_buffers_keep_outputs_exact(act, n, rng, monkeypatch):
+def test_pooled_buffers_keep_outputs_exact(act, n, rng):
     # two parallel nets of hidden widths 300, 20, 300: every layer has two
-    # blocks, and a narrow layer sits between wide ones.  255 points take
-    # per-layer arrays, 256 and more the pooled pair; each is checked
-    # against the other path
+    # blocks, and a narrow layer sits between wide ones, so the pooled pair
+    # holds activations of different widths in turn; checked against each
+    # sub-network on its own
     widths = [3, 300, 20, 300, 1]
     nets = [
         Network(act, [rng.normal(size=(widths[i + 1], widths[i])) / widths[i] for i in range(4)])
@@ -72,11 +72,8 @@ def test_pooled_buffers_keep_outputs_exact(act, n, rng, monkeypatch):
     ]
     net = parallel(nets)
     xs = rng.normal(size=(n, 6))
-    pooled = n >= _kernels.POOLED_POINTS
-    assert pooled == (n > 255)
     got = _kernels.eval_chain(net.layers, xs.T, act.inplace)
     assert got.base is None  # the result never is a view into a buffer
-    monkeypatch.setattr(_kernels, "POOLED_POINTS", np.inf if pooled else 0)
     assert np.array_equal(got.T, evaluate(net, xs))
     for k, sub in enumerate(nets):
         assert np.array_equal(got[k], evaluate(sub, xs[:, 3 * k : 3 * k + 3])[:, 0])

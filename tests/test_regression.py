@@ -12,7 +12,6 @@ from nnapprox import (
     generate_data,
     lambda_auto,
     oracle_rhs,
-    oracle_rhs_terms,
     path_norm_grads,
     target_inv_two_minus_x,
 )
@@ -323,7 +322,7 @@ def test_oracle_rhs_zero_for_representable_target():
     f0 = _linear_target()
     cand = Network(ABS, [np.array([[1.0, 2.0]])])  # exactly f0 on (1, x)
     cfg = RegressionConfig(n=128, d=1, target=f0, lam=0.0, oracle_c=0.0)
-    assert oracle_rhs(cfg, cand) == pytest.approx(0.0, abs=1e-24)
+    assert oracle_rhs(cfg, cand).rhs == pytest.approx(0.0, abs=1e-24)
 
 
 def test_oracle_rhs_c_doubling_adds_exact_term():
@@ -333,8 +332,8 @@ def test_oracle_rhs_c_doubling_adds_exact_term():
 
     rng = np.random.default_rng(0)
     cand = Network(ABS, [rng.uniform(-1, 1, (4, 2)), rng.uniform(-1, 1, (4, 4)), rng.uniform(-1, 1, (1, 4))])
-    r1 = oracle_rhs(dataclasses.replace(cfg, oracle_c=1.0), cand)
-    r2 = oracle_rhs(dataclasses.replace(cfg, oracle_c=2.0), cand)
+    r1 = oracle_rhs(dataclasses.replace(cfg, oracle_c=1.0), cand).rhs
+    r2 = oracle_rhs(dataclasses.replace(cfg, oracle_c=2.0), cand).rhs
     hidden_sum = 8
     assert r2 - r1 == pytest.approx(hidden_sum * math.log2(128) ** 3 / 128)
 
@@ -345,7 +344,7 @@ def test_oracle_rhs_finite_for_plugin(rng):
     f0 = target_inv_two_minus_x()
     net, _ = build_cheb_net(f0, 1.0 / 128, "rescaled", measure_grid=2)
     cfg = RegressionConfig(n=128, d=1, target=f0, widths=tuple(net.widths[1:-1]), lam="auto", seed=0)
-    val = oracle_rhs(cfg, net)
+    val = oracle_rhs(cfg, net).rhs
     assert np.isfinite(val) and val > 0
 
 
@@ -356,15 +355,15 @@ def test_oracle_rhs_sums_its_terms():
 
     rng = np.random.default_rng(1)
     cand = Network(ABS, [rng.uniform(-1, 1, (4, 2)), rng.uniform(-1, 1, (4, 4)), rng.uniform(-1, 1, (1, 4))])
-    terms = oracle_rhs_terms(cfg, cand)
+    terms = oracle_rhs(cfg, cand)
     assert terms.penalty == 0.1 * path_norm(cand)
     assert terms.remainder == 1.5 * 8 * math.log2(128) ** 3 / 128
-    assert oracle_rhs(cfg, cand) == 2.0 * (terms.mc_error + terms.penalty) + terms.remainder
+    assert terms.rhs == 2.0 * (terms.mc_error + terms.penalty) + terms.remainder
 
 
 def test_fit_report_carries_oracle_terms():
     cfg = RegressionConfig(n=64, d=1, target=_square_target(), noise_sd=0.1, widths=(4,), lam=0.01, max_epochs=50)
     net, rep = fit(cfg, generate_data(cfg))
-    terms = oracle_rhs_terms(cfg, net)
+    terms = oracle_rhs(cfg, net)
     assert (rep.oracle_mc_error, rep.oracle_penalty, rep.oracle_remainder) == tuple(terms)
-    assert rep.oracle_rhs == oracle_rhs(cfg, net)
+    assert rep.oracle_rhs == terms.rhs
