@@ -61,8 +61,22 @@ def test_path_matrix_matches_product_of_dense_abs(rng):
 SMALL_TILE = 64
 
 
+def off_line(size):
+    """float64 buffer of size entries 16 bytes past a 64-byte cache line,
+    where malloc puts large blocks."""
+    raw = np.empty(size + 8)
+    a = (-raw.ctypes.data % 64 // 8 + 2) % 8
+    return raw[a : a + size]
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["heap", "pooled"])
 @pytest.mark.parametrize("act", [ABS, RELU, DEAD_ZONE], ids=["abs", "relu", "dead-zone"])
-def test_tiles_match_one_tile_and_dense_chain(act, rng, monkeypatch):
+def test_tiles_match_one_tile_and_dense_chain(act, pooled, rng, monkeypatch):
+    # heap: the buffer pair placed as malloc places it, 16 bytes past a cache
+    # line; pooled: line-aligned, as eval_chain makes it.  Where the buffers
+    # start must not change a bit of the result.
+    if not pooled:
+        monkeypatch.setattr(_kernels, "_line_aligned", off_line)
     t = SMALL_TILE
     net = random_block_net(rng, act, n_layers=4)
     x = rng.normal(size=(3 * t + 5, net.in_dim))
