@@ -10,9 +10,10 @@ one-column block.  It runs the whole chain on one tile of TILE to
 2 * TILE - 1 points (columns) at a time, each tile into its columns of the
 result, so a tile's activations stay in cache from layer to layer; a call
 on fewer than 2 * TILE points is one tile.  Hidden activations alternate
-between two line-aligned heap buffers of the widest hidden layer's width,
-sized for the largest tile and made once per call: per-layer arrays left
-holes in the malloc heap that made peak RSS creep over repeated calls.
+between the two halves of one heap allocation, each of the widest hidden
+layer's width, sized for the largest tile, starting on a cache line and made
+once per call: per-layer arrays left holes in the malloc heap that made
+peak RSS creep over repeated calls.
 
 greedy_cover scans the rows in order and makes a row a center when no
 earlier center is closer than eps; its decisions are those of comparing
@@ -49,13 +50,17 @@ def backend_name():
 TILE = 4096
 
 
-def _line_aligned(size):
-    """float64 buffer of size entries starting on a 64-byte cache line.  malloc
-    puts large blocks 16 bytes past a line, where every row of the pooled
-    activations straddled two lines: verify_sweep ran 7% slower (BENCH_pr11.json)."""
-    raw = np.empty(size + 7)
+def _line_aligned_pair(size):
+    """Two disjoint float64 buffers of size entries, each starting on a 64-byte
+    cache line, cut from one allocation.  malloc puts large blocks 16 bytes
+    past a line, where every row of the pooled activations straddled two
+    lines: verify_sweep ran 7% slower (BENCH_pr11.json).  One allocation
+    reads its address once (raw.ctypes.data, about 2 us), where a buffer
+    apiece read it twice."""
+    step = -(-size // 8) * 8
+    raw = np.empty(2 * step + 7)
     a = -raw.ctypes.data % 64 // 8
-    return raw[a : a + size]
+    return raw[a : a + size], raw[a + step : a + step + size]
 
 
 def eval_chain(layers, cur, act=None, absolute=False):
@@ -73,7 +78,7 @@ def eval_chain(layers, cur, act=None, absolute=False):
     res = np.empty((layers[last].shape[0], n))
     stops = list(range(TILE, n - TILE + 1, TILE)) + [n]
     size = max((lay.shape[0] for lay in layers[:last]), default=0) * min(n, 2 * TILE - 1)
-    bufs = _line_aligned(size), _line_aligned(size)
+    bufs = _line_aligned_pair(size)
     for lo, hi in zip([0] + stops, stops):
         x, m = cur[:, lo:hi], hi - lo
         for i, lay in enumerate(layers):

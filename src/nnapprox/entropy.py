@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .network import ABS, Network, NetworkError, ShapeMismatchError
+from .network import ABS, NetworkError, ShapeMismatchError, _network_from_vector, _views
 
 
 class SamplerViolation(ValueError):
@@ -99,25 +99,22 @@ def sample_network(widths, cap, activation=ABS, rng=None):
 
     When the raw draw exceeds the cap every layer is scaled by
     (cap / path_norm)^(1/(L+1)), which lands exactly on the boundary, the
-    hard regime for the bound.  All layers come from one draw, the same
-    stream as one draw per layer, and the raw path norm is the sum of the
-    dense path matrix |W_L| ... |W_0|, computed on the arrays, so the
-    network is built once."""
+    hard regime for the bound.  All layers come from one draw theta, the
+    same stream as one draw per layer, and the raw path norm is the sum of
+    the dense path matrix |W_L| ... |W_0|, computed on views of |theta|, so
+    the network is built once, from theta."""
     rng = np.random.default_rng(rng)
     shapes = list(zip(widths[1:], widths[:-1]))
-    flat = rng.uniform(-1.0, 1.0, sum(r * c for r, c in shapes))
-    ws, a = [], 0
-    for r, c in shapes:
-        ws.append(flat[a : a + r * c].reshape(r, c))
-        a += r * c
+    theta = rng.uniform(-1.0, 1.0, sum(r * c for r, c in shapes))
+    absw = _views(np.abs(theta), shapes)
     # |W0| @ I is |W0| exactly, so the product starts there
-    pm = np.abs(ws[0])
-    for w in ws[1:]:
-        pm = np.abs(w) @ pm
+    pm = absw[0]
+    for a in absw[1:]:
+        pm = a @ pm
     pn = float(pm.sum())
     if pn > cap:
-        flat *= (cap / pn) ** (1.0 / len(ws))
-    return Network(activation, ws)
+        theta *= (cap / pn) ** (1.0 / len(shapes))
+    return _network_from_vector(activation, theta, widths)
 
 
 class CoverResult(NamedTuple):
@@ -156,7 +153,8 @@ def _stack(lays):
     """The layers lays, one per network, as one block-diagonal _Layer."""
     s, (r, c), runs = len(lays), lays[0].shape, lays[0].runs
     if len(runs) == 1 and runs[0][1] == 1:
-        return _Layer(((np.stack([lay.runs[0][0] for lay in lays]), s),), (s * r, s * c))
+        # np.array makes the same (s, r, c) stack as np.stack, in less time
+        return _Layer(((np.array([lay.runs[0][0] for lay in lays]), s),), (s * r, s * c))
     return _Layer(tuple(run for lay in lays for run in lay.runs), (s * r, s * c))
 
 

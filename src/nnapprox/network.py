@@ -10,7 +10,10 @@ the width vector is p = (p_0, ..., p_{L+1}) and depth L counts activations.
 Every layer is a BlockDiagonal: its diagonal blocks, in order (a plain
 matrix is a single block), stored as runs of copies of one block.  A layer
 made from other layers reuses their checked, read-only blocks instead of
-copying them.  The builders stack networks with parallel(), the paper's
+copying them.  A network given as one flat parameter vector, as the entropy
+sampler draws it and the fit holds it, is copied and checked once and its
+layers are read-only views of that copy (_network_from_vector).  The
+builders stack networks with parallel(), the paper's
 parallelisation, and chain the layers of such stacks into one Network
 where the paper composes (no builder calls compose()); both splice the
 layers of their networks that way (build_mon's pairing levels reuse one
@@ -96,14 +99,17 @@ class BlockDiagonal:
     """A block-diagonal matrix stored as runs (block, count): count copies of
     one read-only block, one after the other along the diagonal.
 
-    BlockDiagonal(items) is the one way a layer is made.  An item that is a
-    matrix is copied, checked and frozen into a run of one; an item that is a
-    BlockDiagonal contributes its runs as they are, since their blocks are
-    already checked and read-only, and a run whose block is the previous
-    run's (the same array object) joins it.  So stacking and splicing layers
-    copies nothing, and the copies parallel() stacks of one network are one
-    run, stored, multiplied and serialized once.  blocks is the expanded
-    tuple, one entry per copy.
+    BlockDiagonal(items) is the one way a layer is made from matrices and
+    layers.  An item that is a matrix is copied, checked and frozen into a
+    run of one; an item that is a BlockDiagonal contributes its runs as they
+    are, since their blocks are already checked and read-only, and a run
+    whose block is the previous run's (the same array object) joins it.  So
+    stacking and splicing layers copies nothing, and the copies parallel()
+    stacks of one network are one run, stored, multiplied and serialized
+    once.  The one other way is _network_from_vector's: a read-only view of
+    a parameter vector that was copied and checked as a whole becomes a run
+    of one as it is (_of_block).  blocks is the expanded tuple, one entry
+    per copy.
     """
 
     __slots__ = ("runs", "shape")
@@ -132,6 +138,15 @@ class BlockDiagonal:
             raise NetworkError("a layer needs at least one block")
         self.runs = tuple(runs)
         self.shape = (rows, cols)
+
+    @classmethod
+    def _of_block(cls, block):
+        """The layer that is block alone, a finite, read-only float64
+        matrix, which is not copied or checked again."""
+        lay = cls.__new__(cls)
+        lay.runs = ((block, 1),)
+        lay.shape = block.shape
+        return lay
 
     @property
     def blocks(self):
@@ -217,6 +232,33 @@ class Network:
 
     def __call__(self, x):
         return evaluate(self, x)
+
+
+def _views(flat, shapes):
+    """Matrices of the given shapes as row-major views of consecutive ranges
+    of the flat vector flat."""
+    views, a = [], 0
+    for r, c in shapes:
+        views.append(flat[a : a + r * c].reshape(r, c))
+        a += r * c
+    return views
+
+
+def _network_from_vector(activation, theta, widths, meta=None):
+    """The network of these widths whose matrices W0, ..., WL are, in order,
+    the row-major ranges of the flat parameter vector theta.
+
+    theta is copied once, checked once (its length is sum p_{i+1} p_i and
+    every entry is finite) and frozen; each layer is a read-only view of
+    the copy, so later writes to theta do not reach the network."""
+    shapes = list(zip(widths[1:], widths[:-1]))
+    flat = np.array(theta, dtype=np.float64)
+    if min(widths, default=0) < 1 or flat.shape != (sum(r * c for r, c in shapes),):
+        raise NetworkError(f"a vector of shape {flat.shape} is not the weights of widths {tuple(widths)}")
+    if not np.isfinite(flat).all():
+        raise NetworkError("matrix entries must be finite")
+    flat.setflags(write=False)
+    return Network(activation, [BlockDiagonal._of_block(w) for w in _views(flat, shapes)], meta)
 
 
 def evaluate(net, x):

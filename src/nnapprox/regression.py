@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .network import ABS, Network, evaluate, path_norm, with_ones
+from .network import ABS, _network_from_vector, _views, evaluate, path_norm, with_ones
 
 
 LEARNING_RATE = 0.25  # first trial step of the line search
@@ -120,16 +120,6 @@ def generate_data(config):
     if config.noise_sd:
         y = y + config.noise_sd * rng.standard_normal(config.n)
     return Dataset(x, y)
-
-
-def _views(flat, shapes):
-    """Matrices of the given shapes as reshaped views of consecutive ranges
-    of the flat vector flat."""
-    views, a = [], 0
-    for r, c in shapes:
-        views.append(flat[a : a + r * c].reshape(r, c))
-        a += r * c
-    return views
 
 
 def _forward(weights, xa):
@@ -251,37 +241,42 @@ def fit(config, dataset):
     lr = LEARNING_RATE
     epochs = 0
     converged = False
-    for _ in range(config.max_epochs):
-        acts, pres, res, absw, v = grad_inputs
-        _risk_grads(cur.weights, acts, pres, res, out=g_views)
-        path_norm_grads(cur.weights, absw, v, out=pg_views)
-        g += lam * pg
-        # exact: only compared with 0, and a sum of squares is 0 only when
-        # every entry is
-        if g @ g == 0.0:
-            converged = True
-            break
-        trial_lr = lr
-        for _ in range(60):
-            np.subtract(cur.flat, trial_lr * g, out=trial.flat)
-            np.abs(trial.flat, out=trial.absflat)
-            cand_obj, cand_risk, cand_pn, cand_inputs = _objective(trial.weights, xa, y, lam, trial.absw)
-            if cand_obj <= obj:
+    # a trial step may overflow; its objective is then inf or NaN, which
+    # fails cand_obj <= obj and is rejected like any other increasing step,
+    # so the overflow is no fault to warn of.  One errstate for the whole
+    # loop: one per trial would cost more than the trial's own numpy calls
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.max_epochs):
+            acts, pres, res, absw, v = grad_inputs
+            _risk_grads(cur.weights, acts, pres, res, out=g_views)
+            path_norm_grads(cur.weights, absw, v, out=pg_views)
+            g += lam * pg
+            # exact: only compared with 0, and a sum of squares is 0 only when
+            # every entry is
+            if g @ g == 0.0:
+                converged = True
                 break
-            trial_lr *= 0.5
-        else:
-            converged = True
-            break
-        improvement = obj - cand_obj
-        cur, trial = trial, cur
-        obj, risk, pn, grad_inputs = cand_obj, cand_risk, cand_pn, cand_inputs
-        lr = trial_lr * 2.0
-        epochs += 1
-        if improvement < 1e-10 * max(abs(obj), 1e-300):
-            converged = True
-            break
+            trial_lr = lr
+            for _ in range(60):
+                np.subtract(cur.flat, trial_lr * g, out=trial.flat)
+                np.abs(trial.flat, out=trial.absflat)
+                cand_obj, cand_risk, cand_pn, cand_inputs = _objective(trial.weights, xa, y, lam, trial.absw)
+                if cand_obj <= obj:
+                    break
+                trial_lr *= 0.5
+            else:
+                converged = True
+                break
+            improvement = obj - cand_obj
+            cur, trial = trial, cur
+            obj, risk, pn, grad_inputs = cand_obj, cand_risk, cand_pn, cand_inputs
+            lr = trial_lr * 2.0
+            epochs += 1
+            if improvement < 1e-10 * max(abs(obj), 1e-300):
+                converged = True
+                break
 
-    net = Network(ABS, cur.weights, meta={"construction": "fitted", "widths": list(arch)})
+    net = _network_from_vector(ABS, cur.flat, arch, meta={"construction": "fitted", "widths": list(arch)})
     hold_rng = np.random.default_rng(config.seed + 1)
     xh = hold_rng.uniform(0.0, 1.0, size=(HOLDOUT_POINTS, config.d))
     pred = evaluate(net, with_ones(xh))[:, 0]

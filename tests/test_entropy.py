@@ -200,6 +200,18 @@ def test_sample_network_builds_one_network(monkeypatch):
         assert all(path_norm(n) <= cap * (1 + 1e-12) for n in nets)
 
 
+def test_sample_network_layers_are_views_of_one_copy():
+    # the draw is copied once: every block is a read-only view of one base
+    rng = np.random.default_rng(3)
+    for widths in ((1, 1), (2, 3, 1), (2, 3, 3, 3, 2)):
+        for cap in (0.01, 100.0):
+            net = sample_network(widths, cap, ABS, rng)
+            blocks = [b for lay in net.layers for b, _ in lay.runs]
+            assert len(blocks) == len(widths) - 1
+            assert all(b.base is blocks[0].base and not b.flags.writeable for b in blocks)
+            assert blocks[0].base.size == sum(b.size for b in blocks)
+
+
 def covered_vectors(monkeypatch, sampler, points, trials, **kwargs):
     """The rows empirical_covering hands to greedy_cover."""
     seen = []

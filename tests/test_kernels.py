@@ -62,11 +62,12 @@ SMALL_TILE = 64
 
 
 def off_line(size):
-    """float64 buffer of size entries 16 bytes past a 64-byte cache line,
-    where malloc puts large blocks."""
-    raw = np.empty(size + 8)
+    """Two disjoint float64 buffers of size entries, each 16 bytes past a
+    64-byte cache line, where malloc puts large blocks."""
+    step = -(-size // 8) * 8
+    raw = np.empty(2 * step + 8)
     a = (-raw.ctypes.data % 64 // 8 + 2) % 8
-    return raw[a : a + size]
+    return raw[a : a + size], raw[a + step : a + step + size]
 
 
 @pytest.mark.parametrize("pooled", [False, True], ids=["heap", "pooled"])
@@ -76,7 +77,7 @@ def test_tiles_match_one_tile_and_dense_chain(act, pooled, rng, monkeypatch):
     # line; pooled: line-aligned, as eval_chain makes it.  Where the buffers
     # start must not change a bit of the result.
     if not pooled:
-        monkeypatch.setattr(_kernels, "_line_aligned", off_line)
+        monkeypatch.setattr(_kernels, "_line_aligned_pair", off_line)
     t = SMALL_TILE
     net = random_block_net(rng, act, n_layers=4)
     x = rng.normal(size=(3 * t + 5, net.in_dim))
@@ -167,9 +168,9 @@ def test_multi_tile_call_makes_one_tile_sized_pair(rng, monkeypatch):
 
     net = random_block_net(rng, ABS, n_layers=4)
     # one point and a few make one tile as 647 points make ten: every call
-    # asks for the result, then one pair for the largest tile (plus at most
-    # 7 entries of alignment slack), never for all 647 points, and no
-    # per-layer arrays
+    # asks for the result, then one allocation that holds the pair for the
+    # largest tile (each half rounded up to 8 entries, plus 7 entries of
+    # alignment slack), never for all 647 points, and no per-layer arrays
     for n in (1, 5, 10 * t + 7):
         x = rng.normal(size=(n, net.in_dim))
         asked.clear()
@@ -178,7 +179,7 @@ def test_multi_tile_call_makes_one_tile_sized_pair(rng, monkeypatch):
         got = _kernels.eval_chain(net.layers, x.T, ABS.inplace)
         pair = max(w for w in net.widths[1:-1]) * min(n, 2 * t - 1)
         assert asked[0] == (net.out_dim, n), n
-        assert len(asked) == 3 and asked[1] == asked[2] and pair <= asked[1] < pair + 8, (n, asked)
+        assert len(asked) == 2 and asked[1] == 2 * (-(-pair // 8) * 8) + 7, (n, asked)
         assert got.base is None  # the result never lives in a buffer
         monkeypatch.setattr(_kernels, "np", np)
         monkeypatch.setattr(_kernels, "TILE", 10**9)
@@ -187,9 +188,12 @@ def test_multi_tile_call_makes_one_tile_sized_pair(rng, monkeypatch):
 
 @pytest.mark.parametrize("size", [1, 7, 8, 1000, 30 * 8191])
 def test_pooled_buffers_start_on_cache_lines(size):
-    buf = _kernels._line_aligned(size)
-    assert buf.size == size and buf.dtype == np.float64
-    assert buf.ctypes.data % 64 == 0
+    a, b = _kernels._line_aligned_pair(size)
+    for buf in (a, b):
+        assert buf.size == size and buf.dtype == np.float64
+        assert buf.ctypes.data % 64 == 0
+    assert not np.shares_memory(a, b)
+    assert a.base is b.base  # one allocation
 
 
 def test_greedy_cover_strict_inequality():

@@ -520,6 +520,58 @@ def test_networks_immutable():
         net.layers[0].blocks[0][0, 0] = 5.0
 
 
+@pytest.mark.parametrize("widths", [(1, 1), (2, 3, 1), (3, 2, 2, 1), (2, 3, 3, 3, 2)])
+@pytest.mark.parametrize("act", [ABS, RELU, IDENTITY], ids=["abs", "relu", "identity"])
+def test_network_from_vector_matches_per_layer_network(widths, act, rng):
+    shapes = list(zip(widths[1:], widths[:-1]))
+    theta = rng.uniform(-1, 1, sum(r * c for r, c in shapes))
+    views = _network._views(theta, shapes)
+    want = Network(act, views, meta={"k": 1})
+    got = _network._network_from_vector(act, theta, widths, meta={"k": 1})
+    assert got.widths == want.widths == tuple(widths)
+    assert [len(lay.runs) for lay in got.layers] == [1] * len(shapes)
+    assert all(np.array_equal(a, b) for a, b in zip(got.weights, want.weights))
+    x = rng.normal(size=(9, widths[0]))
+    assert np.array_equal(evaluate(got, x), evaluate(want, x))
+    assert path_norm(got) == path_norm(want)
+    assert network_to_json(got) == network_to_json(want)
+    back = network_from_json(network_to_json(got))
+    assert all(np.array_equal(a, b) for a, b in zip(back.weights, got.weights))
+
+
+def test_network_from_vector_copies_once_into_read_only_views(rng):
+    theta = rng.uniform(-1, 1, 6 + 3)
+    net = _network._network_from_vector(ABS, theta, (2, 3, 1))
+    before = net.weights
+    theta[:] = 7.0  # the caller's vector is not the network's
+    assert all(np.array_equal(a, b) for a, b in zip(net.weights, before))
+    blocks = [b for lay in net.layers for b, _ in lay.runs]
+    base = blocks[0].base
+    assert all(b.base is base for b in blocks) and not np.shares_memory(base, theta)
+    for b in blocks:
+        assert not b.flags.writeable
+        with pytest.raises(ValueError):
+            b[0, 0] = 5.0
+
+
+@pytest.mark.parametrize(
+    "theta, widths, match",
+    [
+        (np.zeros(5), (2, 3), "not the weights"),  # 6 entries needed
+        (np.zeros(7), (2, 3), "not the weights"),
+        (np.zeros((2, 3)), (2, 3), "not the weights"),  # not flat
+        (np.zeros(0), (0, 3), "not the weights"),  # no entries for a zero width
+        (np.array([0.0, np.nan, 0.0]), (1, 3), "must be finite"),
+        (np.array([0.0, 0.0, np.inf, 0.0]), (2, 1, 2), "must be finite"),
+        (np.array([-np.inf, 0.0]), (1, 1, 1), "must be finite"),
+    ],
+    ids=["short", "long", "matrix", "zero-width", "nan", "inf", "-inf"],
+)
+def test_network_from_vector_rejects_bad_vectors(theta, widths, match):
+    with pytest.raises(NetworkError, match=match):
+        _network._network_from_vector(ABS, theta, widths)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_with_ones_puts_the_constant_first(rng, d):
     x = rng.uniform(0.0, 1.0, (7, d))

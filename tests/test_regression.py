@@ -15,6 +15,7 @@ from nnapprox import (
     path_norm_grads,
     target_inv_two_minus_x,
 )
+from nnapprox import regression
 from nnapprox.network import with_ones
 from nnapprox.regression import LEARNING_RATE, _lambda, _objective, _path_norm_prefix, _risk_grads
 
@@ -367,3 +368,18 @@ def test_fit_report_carries_oracle_terms():
     terms = oracle_rhs(cfg, net)
     assert (rep.oracle_mc_error, rep.oracle_penalty, rep.oracle_remainder) == tuple(terms)
     assert rep.oracle_rhs == terms.rhs
+
+
+def test_fit_rejects_overflowing_trial_steps_without_warning(monkeypatch):
+    # at a first step of 1e250 every trial overflows, even after the line
+    # search's 60 halvings; an inf or NaN objective is a rejected step, and
+    # the overflow must not warn (warnings are errors under pytest)
+    cfg = RegressionConfig(
+        n=64, d=1, target=target_inv_two_minus_x(), noise_sd=0.1, widths=(8, 8), lam=1e-3, max_epochs=50,
+    )
+    ds = generate_data(cfg)
+    _, start = fit(dataclasses.replace(cfg, max_epochs=0), ds)
+    monkeypatch.setattr(regression, "LEARNING_RATE", 1e250)
+    _, rep = fit(cfg, ds)
+    assert rep.converged and rep.epochs == 0
+    assert rep.objective == start.objective
