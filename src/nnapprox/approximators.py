@@ -117,7 +117,7 @@ def _coefficient_row(series, d, gamma):
 
 def power_series_path_bound(d, F, gamma, variant):
     bound = 144.0 * (d + 1) * F * (gamma + 2) ** 5
-    if MultVariant.parse(variant) is not LITERAL:
+    if MultVariant(variant) is not LITERAL:
         bound *= 16.0 * (gamma + 2)
     return bound
 
@@ -151,7 +151,7 @@ def build_power_series_net(series, eps, delta, variant, d=None, F=None):
     """
     if not (0.0 < eps < 1.0 and 0.0 < delta < 1.0):
         raise ValueError("eps and delta must lie in (0, 1)")
-    variant = MultVariant.parse(variant)
+    variant = MultVariant(variant)
     if isinstance(series, MonomialPolynomial):
         d = series.d
     elif d is None:
@@ -160,18 +160,25 @@ def build_power_series_net(series, eps, delta, variant, d=None, F=None):
     m = max(1, math.ceil(math.log2(1.0 / eps)))
     row = _coefficient_row(series, d, gamma)
     if F is None:
-        F = float(np.sum(np.abs(row)))
+        with np.errstate(over="ignore"):  # an infinite sum is rejected below
+            F = float(np.sum(np.abs(row)))
         if isinstance(series, MonomialPolynomial):
             F = max(F, series.coeff_l1())
-    net, shared = _polynomial_net("power-series-net", d, gamma, m, variant, row, F=F)
+    claimed_error = (2.0 if variant is LITERAL else 6.0) * F * eps / delta**2
     bound = power_series_path_bound(d, F, gamma, variant)
+    if not (F >= 0.0 and math.isfinite(claimed_error) and math.isfinite(bound)):
+        raise ValueError(
+            f"F = {F} must be finite and >= 0 and give a finite claimed error ({claimed_error}) "
+            f"and path-norm bound ({bound})"
+        )
+    net, shared = _polynomial_net("power-series-net", d, gamma, m, variant, row, F=F)
     assert shared["path_norm"] <= bound or F == 0.0
     cert = {
         "route": "power-series",
         "eps": eps,
         "delta": delta,
         "F": F,
-        "claimed_error": (2.0 if variant is LITERAL else 6.0) * F * eps / delta**2,
+        "claimed_error": claimed_error,
         "claimed_domain": f"(0, {min(variant.edge, 1.0 - delta)}]^{d}",
         "path_norm_bound": bound,
         **shared,
@@ -184,7 +191,7 @@ def build_cheb_net(target, eps, variant, measure_grid=513):
     truncation; returns (network, certificate) with the measured sup error."""
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    variant = MultVariant.parse(variant)
+    variant = MultVariant(variant)
     d = target.d
     gamma = m = max(1, math.ceil(math.log2(1.0 / eps)))
     series = cheb_fit(target, (gamma,) * d, domain=((0.0, 1.0),) * d)

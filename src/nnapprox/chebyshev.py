@@ -165,10 +165,11 @@ def cheb_fit(target, degrees, domain=None):
         t = np.cos(np.pi * np.arange(n + 1) / n) if n > 0 else np.array([1.0])
         axes.append(lo + (hi - lo) * (t + 1.0) / 2.0)
     pts = tensor_grid(axes)
-    vals = np.asarray(fn(pts), dtype=np.float64)
+    with np.errstate(all="ignore"):  # a non-finite value is reported below
+        vals = np.asarray(fn(pts), dtype=np.float64)
     if not np.all(np.isfinite(vals)):
         bad = pts[~np.isfinite(vals)][0]
-        raise ValueError(f"target returned a non-finite value at node {tuple(bad)}")
+        raise ValueError(f"target returned a non-finite value at node {tuple(bad.tolist())}")
     coeffs = _contract([_lobatto_transform(n) for n in degrees], vals.reshape([n + 1 for n in degrees]))
     return ChebyshevSeries(coeffs, domain)
 

@@ -26,7 +26,6 @@ from .approximators import (
 from .chebyshev import MonomialPolynomial, cheb_fit, cheb_poly_coeffs
 from .network import (
     ACTIVATIONS,
-    NetworkError,
     evaluate,
     network_from_dict,
     network_stats,
@@ -61,13 +60,6 @@ def _read_json(path):
             raise click.UsageError(f"{path} is not valid JSON: {e}")
 
 
-def _load_net(path):
-    try:
-        return network_from_dict(_read_json(path))
-    except NetworkError as e:
-        raise click.UsageError(f"{path} is not a network: {e}")
-
-
 def _parse_csv(s, kind):
     """Comma-separated values of type kind; a bad entry is a usage error."""
     try:
@@ -86,21 +78,32 @@ def _entropy_spec(raw, source):
         raise click.UsageError(f"bad {source}: {e!r}")
 
 
-def _variant(ctx, param, value):
-    """--variant parsed to a MultVariant; an unknown name is a usage error."""
-    try:
-        return ctor.MultVariant.parse(value)
-    except ValueError as e:
-        raise click.BadParameter(str(e))
-
-
-VARIANT_OPTION = click.option("--variant", default="rescaled", show_default=True, callback=_variant)
+VARIANT_OPTION = click.option(
+    "--variant", type=click.Choice([v.value for v in ctor.MultVariant]), default="rescaled", show_default=True
+)
+OUT_OPTION = click.option("--out", type=click.Path(), default=None, help="write the JSON output here, not to stdout")
+NET_OUT_OPTION = click.option("--net-out", type=click.Path(), default=None, help="also write the network JSON here")
 M_OPTION = click.option("--m", type=click.IntRange(min=1), required=True)
 UNIT_OPEN = click.FloatRange(0.0, 1.0, min_open=True, max_open=True)
 CHEB_D = click.IntRange(1, 3)  # the dimensions cheb_fit supports
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group under which a library ValueError is a usage error.
+
+    Every argument check of the package raises ValueError (NetworkError is
+    one), so bad input exits 2 with one line; any other exception is a bug
+    and keeps its traceback.
+    """
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as e:
+            raise click.UsageError(str(e)) from e
+
+
+@click.group(cls=_Main)
 def main():
     """Constructive abs-activation network toolkit."""
 
@@ -116,7 +119,7 @@ def build():
 
 @build.command("sq")
 @M_OPTION
-@click.option("--out", type=click.Path(), default=None)
+@OUT_OPTION
 def build_sq_cmd(m, out):
     _emit(network_to_dict(ctor.build_sq(m)), out)
 
@@ -124,7 +127,7 @@ def build_sq_cmd(m, out):
 @build.command("mult")
 @M_OPTION
 @VARIANT_OPTION
-@click.option("--out", type=click.Path(), default=None)
+@OUT_OPTION
 def build_mult_cmd(m, variant, out):
     _emit(network_to_dict(ctor.build_mult(m, variant)), out)
 
@@ -133,7 +136,7 @@ def build_mult_cmd(m, variant, out):
 @M_OPTION
 @click.option("--r", type=click.IntRange(min=2), required=True)
 @VARIANT_OPTION
-@click.option("--out", type=click.Path(), default=None)
+@OUT_OPTION
 def build_multr_cmd(m, r, variant, out):
     _emit(network_to_dict(ctor.build_multr(m, r, variant)), out)
 
@@ -143,7 +146,7 @@ def build_multr_cmd(m, r, variant, out):
 @click.option("--gamma", type=click.IntRange(min=2), required=True)
 @click.option("--d", type=click.IntRange(min=1), required=True)
 @VARIANT_OPTION
-@click.option("--out", type=click.Path(), default=None)
+@OUT_OPTION
 def build_mon_cmd(m, gamma, d, variant, out):
     _emit(network_to_dict(ctor.build_mon(m, gamma, d, variant)), out)
 
@@ -155,22 +158,18 @@ def build_mon_cmd(m, gamma, d, variant, out):
 @main.command("eval")
 @click.argument("net_json", type=click.Path(exists=True))
 @click.option("--input", "input_", required=True, help="comma-separated coordinates")
-@click.option("--out", type=click.Path(), default=None)
+@OUT_OPTION
 def eval_cmd(net_json, input_, out):
-    net = _load_net(net_json)
+    net = network_from_dict(_read_json(net_json))
     x = np.asarray(_parse_csv(input_, float))
-    try:
-        y = evaluate(net, x)
-    except NetworkError as e:
-        raise click.UsageError(str(e))
-    _emit({"input": x.tolist(), "output": np.atleast_1d(y).tolist()}, out)
+    _emit({"input": x.tolist(), "output": np.atleast_1d(evaluate(net, x)).tolist()}, out)
 
 
 @main.command("path-norm")
 @click.argument("net_json", type=click.Path(exists=True))
-@click.option("--out", type=click.Path(), default=None)
+@OUT_OPTION
 def path_norm_cmd(net_json, out):
-    net = _load_net(net_json)
+    net = network_from_dict(_read_json(net_json))
     stats = network_stats(net)
     _emit(
         {
@@ -202,26 +201,23 @@ def path_norm_cmd(net_json, out):
               help="random samples (multr)")
 @click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("--bound", type=float, default=None, help="override the claimed bound")
-@click.option("--out", type=click.Path(), default=None)
+@OUT_OPTION
 def verify_cmd(construction, m, r, gamma, d, variant, grid, step, samples, seed, bound, out):
     """Sweep a construction against its claimed error bound; exit 1 on failure."""
     # --grid is passed on only when given, so the default sizes live in verify.py
     size = {} if grid is None else {"n_points" if construction == "sq" else "grid_points": grid}
-    try:
-        if construction == "sq":
-            rep = ver.verify_sq(m, bound=bound, **size)
-        elif construction == "mult":
-            rep = ver.verify_mult(m, variant, step=step, bound=bound)
-        elif construction == "multr":
-            if r is None:
-                raise click.UsageError("multr needs --r")
-            rep = ver.verify_multr(m, r, variant, n_samples=samples, seed=seed, bound=bound)
-        else:
-            if gamma is None or d is None:
-                raise click.UsageError("mon needs --gamma and --d")
-            rep = ver.verify_mon(m, gamma, d, variant, bound=bound, **size)
-    except ValueError as e:  # a --bound that is not a finite number >= 0
-        raise click.UsageError(str(e))
+    if construction == "sq":
+        rep = ver.verify_sq(m, bound=bound, **size)
+    elif construction == "mult":
+        rep = ver.verify_mult(m, variant, step=step, bound=bound)
+    elif construction == "multr":
+        if r is None:
+            raise click.UsageError("multr needs --r")
+        rep = ver.verify_multr(m, r, variant, n_samples=samples, seed=seed, bound=bound)
+    else:
+        if gamma is None or d is None:
+            raise click.UsageError("mon needs --gamma and --d")
+        rep = ver.verify_mon(m, gamma, d, variant, bound=bound, **size)
     _emit(rep.to_dict(), out)
     if not rep.passed:
         sys.exit(1)
@@ -243,7 +239,7 @@ def entropy_group():
 @click.option("--b", "--B", "b_", type=float, required=True)
 @click.option("--r", type=float, required=True)
 @click.option("--n", type=int, required=True)
-@click.option("--out", type=click.Path(), default=None)
+@OUT_OPTION
 def entropy_bound_cmd(eps, l_, p, b_, r, n, out):
     spec = _entropy_spec(dict(eps=eps, L=l_, p=_parse_csv(p, int), B=b_, r=r, n=n), "entropy spec")
     _emit({"spec": spec.to_dict(), "network_bound": ent.network_bound(spec)}, out)
@@ -253,7 +249,7 @@ def entropy_bound_cmd(eps, l_, p, b_, r, n, out):
 @click.option("--spec", "spec_path", type=click.Path(exists=True), required=True)
 @click.option("--trials", type=click.IntRange(min=1), default=5000, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0)
-@click.option("--out", type=click.Path(), default=None)
+@OUT_OPTION
 def entropy_empirical_cmd(spec_path, trials, seed, out):
     """Greedy-cover a sampled class; spec JSON holds eps/L/p/B/r/n[/activation]."""
     raw = _read_json(spec_path)
@@ -311,8 +307,8 @@ def _polynomial_unless_builtin(name, builtins):
 @click.option("--eps", type=UNIT_OPEN, required=True)
 @click.option("--delta", type=UNIT_OPEN, required=True)
 @VARIANT_OPTION
-@click.option("--net-out", type=click.Path(), default=None)
-@click.option("--out", type=click.Path(), default=None)
+@NET_OUT_OPTION
+@OUT_OPTION
 def approx_power_series_cmd(series_name, eps, delta, variant, net_out, out):
     series = _polynomial_unless_builtin(series_name, BUILTIN_SERIES)
     if series is None:
@@ -332,19 +328,14 @@ def approx_power_series_cmd(series_name, eps, delta, variant, net_out, out):
               help="dimension of a builtin target [default: 1]; a polynomial file has its own")
 @click.option("--eps", type=UNIT_OPEN, required=True)
 @VARIANT_OPTION
-@click.option("--net-out", type=click.Path(), default=None)
-@click.option("--out", type=click.Path(), default=None)
+@NET_OUT_OPTION
+@OUT_OPTION
 def approx_cheb_cmd(target_name, d, eps, variant, net_out, out):
     poly = _polynomial_unless_builtin(target_name, BUILTIN_TARGETS)
     if poly is None:
-        try:
-            target = builtin_target(target_name, 1 if d is None else d)
-        except ValueError as e:
-            raise click.UsageError(str(e))
+        target = builtin_target(target_name, 1 if d is None else d)
     elif d is not None and d != poly.d:
         raise click.UsageError(f"--d {d} contradicts {target_name}, which has d={poly.d}")
-    elif not CHEB_D.min <= poly.d <= CHEB_D.max:
-        raise click.UsageError(f"{target_name} has d={poly.d}; Chebyshev fits need 1 <= d <= 3")
     else:
         target = AnalyticTarget(os.path.basename(target_name), poly.d, poly.evaluate)
     net, cert = build_cheb_net(target, eps, variant)
@@ -363,25 +354,18 @@ def cheb_group():
 
 @cheb_group.command("coeffs")
 @click.option("--n", type=int, required=True)
-@click.option("--out", type=click.Path(), default=None)
+@OUT_OPTION
 def cheb_coeffs_cmd(n, out):
-    try:
-        c = cheb_poly_coeffs(n)
-    except ValueError as e:
-        raise click.UsageError(str(e))
-    _emit({"n": n, "monomial_coeffs": c.tolist()}, out)
+    _emit({"n": n, "monomial_coeffs": cheb_poly_coeffs(n).tolist()}, out)
 
 
 @cheb_group.command("fit")
 @click.option("--target", "target_name", default="inv2mx", show_default=True)
 @click.option("--d", type=CHEB_D, default=1, show_default=True)
 @click.option("--degree", type=click.IntRange(min=0), required=True)
-@click.option("--out", type=click.Path(), default=None)
+@OUT_OPTION
 def cheb_fit_cmd(target_name, d, degree, out):
-    try:
-        target = builtin_target(target_name, d)
-    except ValueError as e:
-        raise click.BadParameter(str(e), param_hint="'--target'")
+    target = builtin_target(target_name, d)
     series = cheb_fit(target, (degree,) * target.d, domain=((0.0, 1.0),) * target.d)
     _emit(
         {
@@ -408,26 +392,22 @@ def cheb_fit_cmd(target_name, d, degree, out):
 @click.option("--lambda-scale", type=float, default=1.0, show_default=True)
 @click.option("--epochs", type=int, default=2000, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0)
-@click.option("--net-out", type=click.Path(), default=None)
-@click.option("--out", type=click.Path(), default=None)
+@NET_OUT_OPTION
+@OUT_OPTION
 def regress_cmd(target_name, d, n, noise, arch, lam, lambda_scale, epochs, seed, net_out, out):
     """Fit a penalized least-squares network to synthetic data."""
-    try:
-        target = builtin_target(target_name, d)
-        lam_val = "auto" if lam == "auto" else float(lam)
-        cfg = reg.RegressionConfig(
-            n=n,
-            d=target.d,
-            target=target,
-            noise_sd=noise,
-            widths=tuple(_parse_csv(arch, int)),
-            lam=lam_val,
-            lambda_scale=lambda_scale,
-            max_epochs=epochs,
-            seed=seed,
-        )
-    except ValueError as e:
-        raise click.UsageError(str(e))
+    target = builtin_target(target_name, d)
+    cfg = reg.RegressionConfig(
+        n=n,
+        d=target.d,
+        target=target,
+        noise_sd=noise,
+        widths=tuple(_parse_csv(arch, int)),
+        lam="auto" if lam == "auto" else float(lam),
+        lambda_scale=lambda_scale,
+        max_epochs=epochs,
+        seed=seed,
+    )
     dataset = reg.generate_data(cfg)
     net, report = reg.fit(cfg, dataset)
     _write_net(net, net_out)

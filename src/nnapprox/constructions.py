@@ -31,17 +31,6 @@ class MultVariant(Enum):
     LITERAL = "literal"
     RESCALED = "rescaled"
 
-    @classmethod
-    def parse(cls, v):
-        if isinstance(v, cls):
-            return v
-        key = str(v).strip().lower().replace("-", "").replace("_", "")
-        if key in ("literal", "unscaled"):
-            return cls.LITERAL
-        if key == "rescaled":
-            return cls.RESCALED
-        raise ValueError(f"unknown mult variant {v!r}")
-
     @property
     def edge(self):
         """Edge of the cube [0, edge]^r on which product trees and monomial
@@ -93,14 +82,14 @@ def sq_error_bound(m):
 
 
 def mult_error_bound(m, variant):
-    variant = MultVariant.parse(variant)
+    variant = MultVariant(variant)
     if variant is LITERAL:
         return 3.0 * 2.0 ** (-2 * m - 3)
     return 3.0 * 2.0 ** (-2 * m - 2)
 
 
 def multr_error_bound(m, r, variant):
-    variant = MultVariant.parse(variant)
+    variant = MultVariant(variant)
     if variant is LITERAL:
         return r * r * 4.0**-m
     return 3.0 * r * r * 4.0**-m
@@ -183,7 +172,7 @@ def build_mult(m, variant=RESCALED):
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
-    variant = MultVariant.parse(variant)
+    variant = MultVariant(variant)
     lit = variant is LITERAL
     c = np.zeros((6, 3))
     c[0, 0] = 1.0
@@ -270,7 +259,7 @@ def build_pairing_layer(m, k, variant=RESCALED):
     """Network mapping (1, x_1, ..., x_2k) to (1, ~x1x2, ..., ~x_{2k-1}x_{2k})."""
     if m < 1 or k < 1:
         raise ValueError("m and k must be positive integers")
-    variant = MultVariant.parse(variant)
+    variant = MultVariant(variant)
     net = Network(
         ABS,
         _level(build_mult(m, variant), 2 * k, [(2 * l + 1, 2 * l + 2) for l in range(k)], []),
@@ -298,7 +287,7 @@ def build_multr(m, r, variant=RESCALED):
         raise ValueError("r must be at least 2")
     if m < 1:
         raise ValueError("m must be a positive integer")
-    variant = MultVariant.parse(variant)
+    variant = MultVariant(variant)
     layers = _product_layers(m, variant, r, [range(1, r + 1)])
     q = math.ceil(math.log2(r))
     assert len(layers) == q * (2 * m + 4) + 1
@@ -376,7 +365,7 @@ def build_mon(m, gamma, d, variant=RESCALED):
     """
     if m < 1 or d < 1 or gamma < 2:
         raise ValueError("need m >= 1, d >= 1, gamma >= 2")
-    variant = MultVariant.parse(variant)
+    variant = MultVariant(variant)
     indices = enumerate_multi_indices(d, gamma)
     factor_lists = [[1 + axis for axis, count in enumerate(k) for _ in range(count)] for k in indices]
     meta = {

@@ -70,7 +70,7 @@ def verify_mult(m, variant, step=0.005, bound=None):
     if not 0.0 < step <= 1.0:
         raise ValueError(f"step must lie in (0, 1], got {step!r}")
     t0 = time.perf_counter()
-    variant = ctor.MultVariant.parse(variant)
+    variant = ctor.MultVariant(variant)
     n = int(round(1.0 / step))
     pts = tensor_grid([np.arange(n + 1) / n] * 2)
     if variant is ctor.LITERAL:
@@ -81,7 +81,7 @@ def verify_mult(m, variant, step=0.005, bound=None):
 
 def verify_multr(m, r, variant, n_samples=100000, seed=0, bound=None):
     t0 = time.perf_counter()
-    variant = ctor.MultVariant.parse(variant)
+    variant = ctor.MultVariant(variant)
     net = ctor.build_multr(m, r, variant)
     x = np.random.default_rng(seed).uniform(0.0, variant.edge, size=(n_samples, r))
     grid = {"samples": n_samples, "seed": seed}
@@ -90,7 +90,7 @@ def verify_multr(m, r, variant, n_samples=100000, seed=0, bound=None):
 
 def verify_mon(m, gamma, d, variant, grid_points=51, bound=None):
     t0 = time.perf_counter()
-    variant = ctor.MultVariant.parse(variant)
+    variant = ctor.MultVariant(variant)
     net = ctor.build_mon(m, gamma, d, variant)
     pts = tensor_grid([np.linspace(0.0, variant.edge, grid_points)] * d)
     truth = monomial_values(ctor.enumerate_multi_indices(d, gamma), pts)

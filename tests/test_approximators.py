@@ -120,6 +120,22 @@ def test_power_series_missing_coefficient():
         build_power_series_net(gen, eps=0.01, delta=0.25, variant="rescaled", d=1)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "series, F",
+    [
+        (MonomialPolynomial(1, {(2,): 1e308}), None),
+        (MonomialPolynomial(1, {(1,): 1e308, (2,): 1e308}), None),
+        (series_inv_two_minus_x(), -1.0),
+        (series_inv_two_minus_x(), math.nan),
+    ],
+    ids=["claimed-error-overflows", "coefficient-sum-overflows", "negative-F", "nan-F"],
+)
+def test_power_series_claims_outside_float_range_are_value_errors(series, F):
+    with pytest.raises(ValueError, match="F = "):
+        build_power_series_net(series, eps=0.5, delta=0.5, variant="rescaled", d=1, F=F)
+
+
 def test_path_norm_bound_literal_and_rescaled():
     for variant in ("literal", "rescaled"):
         net, cert = build_power_series_net(

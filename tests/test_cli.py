@@ -1,5 +1,6 @@
 import json
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -293,6 +294,12 @@ BAD_INPUTS = [
     ("approx cheb unknown target", ["approx", "cheb", "--target", "bogus", "--eps", "0.5"]),
     ("approx cheb target a directory", ["approx", "cheb", "--target", "{dir}", "--eps", "0.5"]),
     ("approx power-series unknown series", ["approx", "power-series", "--series", "bogus", "--eps", "0.5", "--delta", "0.5"]),
+    ("approx power-series polynomial file with d 0",
+     ["approx", "power-series", "--series", "{poly_d0}", "--eps", "0.5", "--delta", "0.5"]),
+    ("approx cheb polynomial file whose values overflow", ["approx", "cheb", "--target", "{poly_huge}", "--eps", "0.5"]),
+    ("approx power-series claimed error overflows",
+     ["approx", "power-series", "--series", "{poly_1e308}", "--eps", "0.5", "--delta", "0.5"]),
+    ("verify sq unknown variant", ["verify", "sq", "--m", "2", "--variant", "bogus"]),
 ]
 
 
@@ -314,6 +321,8 @@ def test_bad_input_is_usage_error(runner, tmp_path, args):
         "poly_d4": tmp_path / "poly_d4.json",
         "poly_d0": tmp_path / "poly_d0.json",
         "poly_d1": tmp_path / "p1.json",
+        "poly_huge": tmp_path / "poly_huge.json",
+        "poly_1e308": tmp_path / "poly_1e308.json",
         "dir": tmp_path,
     }
     runner.invoke(main, ["build", "sq", "--m", "1", "--out", str(files["net"])])
@@ -330,9 +339,49 @@ def test_bad_input_is_usage_error(runner, tmp_path, args):
     files["poly_d4"].write_text(json.dumps({"d": 4, "terms": [[[1, 0, 0, 0], 0.5]]}))
     files["poly_d0"].write_text(json.dumps({"d": 0, "terms": [[[], 0.5]]}))
     files["poly_d1"].write_text(json.dumps({"d": 1, "terms": [[[2], 0.5]]}))
+    files["poly_huge"].write_text(json.dumps({"d": 1, "terms": [[[2], 1e308], [[1], 1e308]]}))
+    files["poly_1e308"].write_text(json.dumps({"d": 1, "terms": [[[2], 1e308]]}))
     res = runner.invoke(main, [a.format(**files) for a in args])
     assert res.exit_code == 2, res.output
     assert "Traceback" not in res.output
+
+
+def test_an_error_that_is_not_a_value_error_is_not_a_usage_error(runner, monkeypatch):
+    bug = RuntimeError("a bug, not bad input")
+
+    def broken_build_sq(m):
+        raise bug
+
+    monkeypatch.setattr("nnapprox.constructions.build_sq", broken_build_sq)
+    res = runner.invoke(main, ["build", "sq", "--m", "1"])
+    assert res.exit_code == 1
+    assert res.exception is bug
+
+
+def _command_paths(group, path=()):
+    """Every command path beneath group, groups included."""
+    for name, cmd in group.commands.items():
+        yield (*path, name)
+        if isinstance(cmd, click.Group):
+            yield from _command_paths(cmd, (*path, name))
+
+
+TAKES_OUT = {
+    ("build", "sq"), ("build", "mult"), ("build", "multr"), ("build", "mon"), ("eval",), ("path-norm",),
+    ("verify",), ("entropy", "bound"), ("entropy", "empirical"), ("approx", "power-series"),
+    ("approx", "cheb"), ("cheb", "coeffs"), ("cheb", "fit"), ("regress",),
+}
+TAKES_NET_OUT = {("approx", "power-series"), ("approx", "cheb"), ("regress",)}
+
+
+@pytest.mark.parametrize("path", [(), *_command_paths(main)], ids=lambda p: " ".join(p) or "main")
+def test_every_command_answers_help(runner, path):
+    assert TAKES_OUT | TAKES_NET_OUT <= set(_command_paths(main))
+    res = runner.invoke(main, [*path, "--help"])
+    assert res.exit_code == 0, res.output
+    for option, takers in (("--out", TAKES_OUT), ("--net-out", TAKES_NET_OUT)):
+        if path in takers:
+            assert f"{option} PATH" in res.output
 
 
 def test_unknown_flag_exits_2(runner):

@@ -74,11 +74,11 @@ def test_fm_ref_square_error_bound():
 
 
 def test_variant_parsing():
-    assert MultVariant.parse("literal") is LITERAL
-    assert MultVariant.parse("unscaled") is LITERAL
-    assert MultVariant.parse("rescaled") is RESCALED
+    assert MultVariant("literal") is LITERAL
+    assert MultVariant("rescaled") is RESCALED
+    assert MultVariant(RESCALED) is RESCALED
     with pytest.raises(ValueError):
-        MultVariant.parse("bogus")
+        MultVariant("bogus")
 
 
 # ---------------------------------------------------------------------------
