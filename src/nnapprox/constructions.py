@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .network import ABS, Network, parallel, path_matrix
+from .network import ABS, MAX_DECODED_WIDTH, Network, parallel, path_matrix
 
 
 class MultVariant(Enum):
@@ -328,9 +328,19 @@ def _compositions(d, total):
 
 
 def enumerate_multi_indices(d, gamma):
-    """All multi-indices k with |k|_1 < gamma in graded lexicographic order."""
+    """All multi-indices k with |k|_1 < gamma in graded lexicographic order.
+
+    More than network.MAX_DECODED_WIDTH of them is a ValueError, raised
+    before any list is built: the monomial network would be wider than the
+    decoder reads, and the list alone could exhaust memory."""
     if d < 1 or gamma < 1:
         raise ValueError("d and gamma must be positive integers")
+    count = count_monomials(d, gamma)
+    if count > MAX_DECODED_WIDTH:
+        raise ValueError(
+            f"{count} monomials of degree < {gamma} in d = {d} variables: more than the "
+            f"{MAX_DECODED_WIDTH} outputs a network may have"
+        )
     out = []
     for total in range(gamma):
         out.extend(_compositions(d, total))

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .network import ABS, NetworkError, ShapeMismatchError, _network_from_vector, _views
+from .network import ABS, NetworkError, ShapeMismatchError, _layout, _network_from_vector, _views
 
 
 class SamplerViolation(ValueError):
@@ -102,10 +102,16 @@ def sample_network(widths, cap, activation=ABS, rng=None):
     hard regime for the bound.  All layers come from one draw theta, the
     same stream as one draw per layer, and the raw path norm is the sum of
     the dense path matrix |W_L| ... |W_0|, computed on views of |theta|, so
-    the network is built once, from theta."""
+    the network is built once, from theta.  The draw size and the shapes of
+    the views come from network._layout, worked out once per width vector,
+    and the network carries its stacking key from there.  A cap that is NaN
+    or < 0 raises ValueError and bad widths raise NetworkError, both before
+    the draw; cap 0 gives the zero network and cap inf no rescaling."""
+    if not cap >= 0.0:
+        raise ValueError(f"cap must be a number >= 0, got {cap!r}")
+    shapes, size, _ = _layout(tuple(widths))
     rng = np.random.default_rng(rng)
-    shapes = list(zip(widths[1:], widths[:-1]))
-    theta = rng.uniform(-1.0, 1.0, sum(r * c for r, c in shapes))
+    theta = rng.uniform(-1.0, 1.0, size)
     absw = _views(np.abs(theta), shapes)
     # |W0| @ I is |W0| exactly, so the product starts there
     pm = absw[0]
@@ -138,12 +144,17 @@ def _stacks(nets):
     of first appearance: (activation, trial indices, layers) per group, each
     layer a _Layer for _kernels.eval_chain.  A layer that is one block in
     every network is one run of the s blocks stacked as an (s, r, c) array;
-    any other layer lists each network's runs in turn.  It reads the runs,
-    not the expanded blocks property, which would build a tuple per layer
-    per network."""
+    any other layer lists each network's runs in turn.  A network built
+    from a vector carries its key in _key, set from network._layout when it
+    was built; for any other network the key is read from its runs, not the
+    expanded blocks property, which would build a tuple per layer per
+    network.  The two keys are equal for the same runs, so such networks
+    share a group."""
     groups = {}
     for t, net in enumerate(nets):
-        key = (net.activation, tuple(tuple([(b.shape, n) for b, n in lay.runs]) for lay in net.layers))
+        key = net._key
+        if key is None:
+            key = (net.activation, tuple(tuple([(b.shape, n) for b, n in lay.runs]) for lay in net.layers))
         groups.setdefault(key, []).append(t)
     return [(act, ts, [_stack([nets[t].layers[i] for t in ts]) for i in range(len(shapes))])
             for (act, shapes), ts in groups.items()]

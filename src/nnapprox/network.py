@@ -13,6 +13,9 @@ made from other layers reuses their checked, read-only blocks instead of
 copying them.  A network given as one flat parameter vector, as the entropy
 sampler draws it and the fit holds it, is copied and checked once and its
 layers are read-only views of that copy (_network_from_vector).  The
+shapes, size and runs of a width vector are worked out once (_layout), and
+a network built from a vector carries its stacking key, its activation and
+runs, in _key, so the entropy oracle need not rebuild it per network.  The
 builders stack networks with parallel(), the paper's
 parallelisation, and chain the layers of such stacks into one Network
 where the paper composes (no builder calls compose()); both splice the
@@ -32,7 +35,9 @@ stored and nonzero entries and l1 norms, per layer and in total.
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 
 import numpy as np
 
@@ -173,10 +178,12 @@ class Network:
     as its list of matrices; metadata is a free-form dict recording how the
     network was constructed (name, m, gamma, d, variant, ...).  The layers
     are set only here and their blocks are read-only, so path_norm caches
-    its value in _path_norm; every combinator builds a new network.
+    its value in _path_norm; every combinator builds a new network.  _key is
+    None here; _network_from_vector sets it to (activation, runs key of
+    _layout) for the entropy oracle's grouping.
     """
 
-    __slots__ = ("activation", "layers", "meta", "_path_norm")
+    __slots__ = ("activation", "layers", "meta", "_path_norm", "_key")
 
     def __init__(self, activation, weights, meta=None):
         if not isinstance(activation, Activation):
@@ -194,6 +201,7 @@ class Network:
         self.layers = layers
         self.meta = dict(meta) if meta else {}
         self._path_norm = None
+        self._key = None
 
     # -- structure ---------------------------------------------------------
 
@@ -244,21 +252,42 @@ def _views(flat, shapes):
     return views
 
 
+@functools.lru_cache(maxsize=256)
+def _layout(widths):
+    """(shapes, size, runs) of the dense network of the width tuple widths:
+    the layer shapes (p_{i+1}, p_i), the parameter count sum p_{i+1} p_i and
+    the runs key, one (((p_{i+1}, p_i), 1),) per layer, which is the
+    (block shape, count) tuple of each layer's runs.  Worked out once per
+    width tuple; a tuple of fewer than two widths, or with a width < 1, is
+    a NetworkError."""
+    widths = tuple(map(operator.index, widths))
+    if len(widths) < 2 or min(widths) < 1:
+        raise NetworkError(
+            f"a vector is not the weights of widths {widths}: a network needs two or more widths, each >= 1"
+        )
+    shapes = tuple(zip(widths[1:], widths[:-1]))
+    return shapes, sum(r * c for r, c in shapes), tuple(((s, 1),) for s in shapes)
+
+
 def _network_from_vector(activation, theta, widths, meta=None):
     """The network of these widths whose matrices W0, ..., WL are, in order,
     the row-major ranges of the flat parameter vector theta.
 
-    theta is copied once, checked once (its length is sum p_{i+1} p_i and
-    every entry is finite) and frozen; each layer is a read-only view of
-    the copy, so later writes to theta do not reach the network."""
-    shapes = list(zip(widths[1:], widths[:-1]))
+    The shapes, size and runs key come from _layout.  theta is copied once,
+    checked once (its length is sum p_{i+1} p_i and every entry is finite)
+    and frozen; each layer is a read-only view of the copy, so later writes
+    to theta do not reach the network.  The network's _key is set to
+    (activation, runs key), the key entropy._stacks groups it by."""
+    shapes, size, runs = _layout(tuple(widths))
     flat = np.array(theta, dtype=np.float64)
-    if min(widths, default=0) < 1 or flat.shape != (sum(r * c for r, c in shapes),):
+    if flat.shape != (size,):
         raise NetworkError(f"a vector of shape {flat.shape} is not the weights of widths {tuple(widths)}")
     if not np.isfinite(flat).all():
         raise NetworkError("matrix entries must be finite")
     flat.setflags(write=False)
-    return Network(activation, [BlockDiagonal._of_block(w) for w in _views(flat, shapes)], meta)
+    net = Network(activation, [BlockDiagonal._of_block(w) for w in _views(flat, shapes)], meta)
+    net._key = (activation, runs)
+    return net
 
 
 def evaluate(net, x):

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .network import ABS, _network_from_vector, _views, evaluate, path_norm, with_ones
+from .network import ABS, _layout, _network_from_vector, _views, evaluate, path_norm, with_ones
 
 
 LEARNING_RATE = 0.25  # first trial step of the line search
@@ -223,8 +223,7 @@ def fit(config, dataset):
     second vector, which takes theta's place when accepted."""
     rng = np.random.default_rng(config.seed)
     arch = config.architecture
-    shapes = list(zip(arch[1:], arch[:-1]))
-    size = sum(r * c for r, c in shapes)
+    shapes, size, _ = _layout(arch)
     cur, trial = _params(shapes, size), _params(shapes, size)
     for w in cur.weights:
         s = 1.0 / math.sqrt(w.shape[1])

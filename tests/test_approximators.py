@@ -103,6 +103,13 @@ def test_power_series_degree_one_exact():
     assert np.abs(v - x).max() <= 1e-11
 
 
+def test_power_series_degree_beyond_the_width_bound_is_value_error():
+    # eps = 1/2, delta = 1e-6 gives gamma = 693,148: refused before the
+    # coefficient row or the monomial network is built
+    with pytest.raises(ValueError, match="more than the 65536 outputs"):
+        build_power_series_net(series_inv_two_minus_x(), eps=0.5, delta=1e-6, variant="rescaled", d=1, F=1.0)
+
+
 def test_power_series_parameter_validation():
     with pytest.raises(ValueError):
         build_power_series_net(MonomialPolynomial(1, {}), eps=1.5, delta=0.5, variant="rescaled")

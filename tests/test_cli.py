@@ -300,6 +300,10 @@ BAD_INPUTS = [
     ("approx power-series claimed error overflows",
      ["approx", "power-series", "--series", "{poly_1e308}", "--eps", "0.5", "--delta", "0.5"]),
     ("verify sq unknown variant", ["verify", "sq", "--m", "2", "--variant", "bogus"]),
+    ("approx power-series degree with more monomials than a network may output",
+     ["approx", "power-series", "--eps", "0.5", "--delta", "1e-6"]),
+    ("build mon more monomials than a network may output",
+     ["build", "mon", "--m", "2", "--gamma", "10000", "--d", "3"]),
 ]
 
 

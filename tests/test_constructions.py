@@ -402,6 +402,20 @@ def test_count_monomials():
             assert count < (gamma + 1) ** d
 
 
+def test_more_monomials_than_a_network_may_output_is_value_error(monkeypatch):
+    limit = ctor.MAX_DECODED_WIDTH
+    assert len(enumerate_multi_indices(1, limit)) == limit
+    # the count is checked before any index is made: a list of C(10002, 3)
+    # = 1.7e11 tuples would never finish
+    monkeypatch.setattr(ctor, "_compositions", None)
+    for d, gamma in ((1, limit + 1), (3, 10000), (2, 400)):
+        assert count_monomials(d, gamma) > limit
+        with pytest.raises(ValueError, match="more than the 65536 outputs"):
+            enumerate_multi_indices(d, gamma)
+    with pytest.raises(ValueError, match="more than the 65536 outputs"):
+        build_mon(2, 10000, 3)
+
+
 def test_mon_gamma2_exact():
     net = build_mon(3, 2, 1, RESCALED)
     out = evaluate(net, np.array([[1.0, 0.37], [1.0, 0.9]]))

@@ -24,6 +24,7 @@ from nnapprox import (
     sample_network,
 )
 from nnapprox import entropy
+from nnapprox.network import _layout
 from conftest import random_block_net, random_dense_net
 
 DEAD_ZONE = general_activation(lambda x: np.where(np.abs(x) < 0.1, 0.0, np.sign(x)))
@@ -210,6 +211,59 @@ def test_sample_network_layers_are_views_of_one_copy():
             assert len(blocks) == len(widths) - 1
             assert all(b.base is blocks[0].base and not b.flags.writeable for b in blocks)
             assert blocks[0].base.size == sum(b.size for b in blocks)
+
+
+@pytest.mark.parametrize("cap", [float("nan"), -1.0, -1e-300], ids=["nan", "negative", "tiny-negative"])
+def test_sample_network_rejects_a_bad_cap_before_the_draw(cap):
+    rng = np.random.default_rng(4)
+    with pytest.raises(ValueError, match="cap must be a number >= 0"):
+        sample_network((2, 3, 1), cap, ABS, rng)
+    assert rng.random() == np.random.default_rng(4).random()
+
+
+@pytest.mark.parametrize("widths", [(), (2,), (0, 3), (2, 0, 1), (1, -1)])
+def test_sample_network_rejects_bad_widths_before_the_draw(widths):
+    rng = np.random.default_rng(4)
+    with pytest.raises(NetworkError, match="a network needs two or more widths, each >= 1"):
+        sample_network(widths, 1.0, ABS, rng)
+    assert rng.random() == np.random.default_rng(4).random()
+
+
+def test_sample_network_cap_zero_and_inf():
+    assert all(not w.any() for w in sample_network((2, 3, 1), 0.0, ABS, 0).weights)
+    raw = sample_network((2, 3, 1), np.inf, ABS, 0)
+    assert path_norm(raw) > 1.0
+    assert all(np.array_equal(a, b) for a, b in zip(raw.weights, sample_network((2, 3, 1), 1e300, ABS, 0).weights))
+
+
+def runs_key(net):
+    """The grouping key _stacks reads from a network's runs."""
+    return tuple(tuple([(b.shape, n) for b, n in lay.runs]) for lay in net.layers)
+
+
+@pytest.mark.parametrize("widths", [(1, 1), (2, 3, 1), (2, 3, 3, 3, 2)])
+@pytest.mark.parametrize("act", [ABS, RELU, DEAD_ZONE], ids=["abs", "relu", "dead-zone"])
+def test_vector_built_key_is_the_runs_key(widths, act):
+    net = sample_network(widths, 1.0, act, 8)
+    runs = _layout(widths)[2]
+    hand = Network(act, net.weights)
+    assert runs == runs_key(hand) == runs_key(net)
+    assert net._key == (act, runs)
+    assert hand._key is None
+
+
+@pytest.mark.parametrize("widths", [(1, 1), (2, 3, 1), (2, 3, 3, 3, 2)])
+def test_vector_built_and_hand_built_nets_share_a_stack(widths):
+    # a hand-built net of the same dense weights lands in the sampled nets'
+    # group, in first-appearance order, and the stack evaluates each net
+    rng = np.random.default_rng(9)
+    first = sample_network(widths, 2.0, ABS, rng)
+    nets = [first, Network(ABS, first.weights), sample_network(widths, 2.0, ABS, rng)]
+    [(act, ts, layers)] = entropy._stacks(nets)
+    assert act is ABS and ts == [0, 1, 2]
+    x = rng.uniform(-1, 1, (5, widths[0]))
+    out = entropy._kernels.eval_chain(layers, np.tile(x, (1, 3)).T, ABS.inplace).reshape(3, -1, 5)
+    assert all(np.array_equal(out[t], evaluate(net, x).T) for t, net in enumerate(nets))
 
 
 def covered_vectors(monkeypatch, sampler, points, trials, **kwargs):

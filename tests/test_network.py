@@ -572,6 +572,27 @@ def test_network_from_vector_rejects_bad_vectors(theta, widths, match):
         _network._network_from_vector(ABS, theta, widths)
 
 
+def test_layout_is_worked_out_once_per_width_vector():
+    shapes, size, runs = _network._layout((2, 3, 3, 1))
+    assert shapes == ((3, 2), (3, 3), (1, 3)) and size == 6 + 9 + 3
+    assert runs == ((((3, 2), 1),), (((3, 3), 1),), (((1, 3), 1),))
+    assert _network._layout((2, 3, 3, 1)) is _network._layout((2, 3, 3, 1))
+    assert _network._layout((np.int64(2), np.int64(1)))[0] == ((1, 2),)
+
+
+def test_only_vector_built_networks_carry_a_key(rng):
+    built = _network._network_from_vector(RELU, rng.uniform(-1, 1, 9), (2, 3, 1))
+    assert built._key == (RELU, _network._layout((2, 3, 1))[2])
+    derived = [
+        Network(RELU, built.weights),
+        Network(RELU, built.layers),
+        network_from_json(network_to_json(built)),
+        parallel([built]),
+        compose(built, Network(RELU, [np.eye(1)])),
+    ]
+    assert all(net._key is None for net in derived)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_with_ones_puts_the_constant_first(rng, d):
     x = rng.uniform(0.0, 1.0, (7, d))
