@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .network import ABS, NetworkError, ShapeMismatchError, _layout, _network_from_vector, _views
+from .network import ABS, NetworkError, ShapeMismatchError, _layout, _network_from_views, _vector_views
 
 
 class SamplerViolation(ValueError):
@@ -100,27 +100,29 @@ def sample_network(widths, cap, activation=ABS, rng=None):
     When the raw draw exceeds the cap every layer is scaled by
     (cap / path_norm)^(1/(L+1)), which lands exactly on the boundary, the
     hard regime for the bound.  All layers come from one draw theta, the
-    same stream as one draw per layer, and the raw path norm is the sum of
-    the dense path matrix |W_L| ... |W_0|, computed on views of |theta|, so
-    the network is built once, from theta.  The draw size and the shapes of
-    the views come from network._layout, worked out once per width vector,
-    and the network carries its stacking key from there.  A cap that is NaN
-    or < 0 raises ValueError and bad widths raise NetworkError, both before
-    the draw; cap 0 gives the zero network and cap inf no rescaling."""
+    same stream as one draw per layer.  theta is copied and checked once
+    and sliced once into the layer views of the copy (network._vector_views):
+    the raw path norm, the sum of the dense path matrix |W_L| ... |W_0|, is
+    read through those views, the copy is rescaled in place, and the same
+    views become the network's layers, so the network is built once.  The
+    draw size and the shapes of the views come from network._layout, worked
+    out once per width vector, and the network carries its stacking key from
+    there.  A cap that is NaN or < 0 raises ValueError and bad widths raise
+    NetworkError, both before the draw; cap 0 gives the zero network and cap
+    inf no rescaling."""
     if not cap >= 0.0:
         raise ValueError(f"cap must be a number >= 0, got {cap!r}")
     shapes, size, _ = _layout(tuple(widths))
     rng = np.random.default_rng(rng)
-    theta = rng.uniform(-1.0, 1.0, size)
-    absw = _views(np.abs(theta), shapes)
+    flat, views, runs = _vector_views(rng.uniform(-1.0, 1.0, size), widths)
     # |W0| @ I is |W0| exactly, so the product starts there
-    pm = absw[0]
-    for a in absw[1:]:
-        pm = a @ pm
+    pm = np.abs(views[0])
+    for w in views[1:]:
+        pm = np.abs(w) @ pm
     pn = float(pm.sum())
     if pn > cap:
-        theta *= (cap / pn) ** (1.0 / len(shapes))
-    return _network_from_vector(activation, theta, widths)
+        flat *= (cap / pn) ** (1.0 / len(shapes))
+    return _network_from_views(activation, flat, views, runs)
 
 
 class CoverResult(NamedTuple):

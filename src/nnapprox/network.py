@@ -12,7 +12,9 @@ matrix is a single block), stored as runs of copies of one block.  A layer
 made from other layers reuses their checked, read-only blocks instead of
 copying them.  A network given as one flat parameter vector, as the entropy
 sampler draws it and the fit holds it, is copied and checked once and its
-layers are read-only views of that copy (_network_from_vector).  The
+layers are read-only views of that copy (_network_from_vector; the sampler
+reads the views and rescales the copy before it is frozen, through
+_vector_views).  The
 shapes, size and runs of a width vector are worked out once (_layout), and
 a network built from a vector carries its stacking key, its activation and
 runs, in _key, so the entropy oracle need not rebuild it per network.  The
@@ -269,25 +271,43 @@ def _layout(widths):
     return shapes, sum(r * c for r, c in shapes), tuple(((s, 1),) for s in shapes)
 
 
-def _network_from_vector(activation, theta, widths, meta=None):
-    """The network of these widths whose matrices W0, ..., WL are, in order,
-    the row-major ranges of the flat parameter vector theta.
-
-    The shapes, size and runs key come from _layout.  theta is copied once,
-    checked once (its length is sum p_{i+1} p_i and every entry is finite)
-    and frozen; each layer is a read-only view of the copy, so later writes
-    to theta do not reach the network.  The network's _key is set to
-    (activation, runs key), the key entropy._stacks groups it by."""
+def _vector_views(theta, widths):
+    """(copy, views, runs): the flat parameter vector theta copied once into
+    float64 and checked once (its length is sum p_{i+1} p_i of the widths,
+    from _layout, and every entry is finite), the matrices W0, ..., WL as
+    read-only row-major views of the copy, and the runs key of _layout.  The
+    copy itself stays writable, so a caller may rescale it in place before
+    _network_from_views freezes it."""
     shapes, size, runs = _layout(tuple(widths))
     flat = np.array(theta, dtype=np.float64)
     if flat.shape != (size,):
         raise NetworkError(f"a vector of shape {flat.shape} is not the weights of widths {tuple(widths)}")
     if not np.isfinite(flat).all():
         raise NetworkError("matrix entries must be finite")
+    # views of a read-only alias are read-only: one flag set for all layers
+    frozen = flat.view()
+    frozen.setflags(write=False)
+    return flat, _views(frozen, shapes), runs
+
+
+def _network_from_views(activation, flat, views, runs, meta=None):
+    """The network whose layers are the views of flat, with their runs key,
+    made by _vector_views.  flat is frozen, so no later write reaches the
+    network, and its _key is set to (activation, runs), the key
+    entropy._stacks groups it by."""
     flat.setflags(write=False)
-    net = Network(activation, [BlockDiagonal._of_block(w) for w in _views(flat, shapes)], meta)
+    net = Network(activation, [BlockDiagonal._of_block(w) for w in views], meta)
     net._key = (activation, runs)
     return net
+
+
+def _network_from_vector(activation, theta, widths, meta=None):
+    """The network of these widths whose matrices W0, ..., WL are, in order,
+    the row-major ranges of the flat parameter vector theta: one copy of
+    theta, checked once, whose read-only views are the layers, so later
+    writes to theta do not reach the network (_vector_views and
+    _network_from_views)."""
+    return _network_from_views(activation, *_vector_views(theta, widths), meta)
 
 
 def evaluate(net, x):

@@ -1,5 +1,23 @@
+import warnings
+
 import numpy as np
 import pytest
+
+pytest_plugins = ["pytester"]
+
+# hypothesis's pytest plugin imports hypothesis.extra._patching when a @given
+# test fails, and through it libcst, whose import raises a DeprecationWarning
+# (mypy_extensions.TypedDict).  Under filterwarnings = error that warning,
+# raised inside a report hook, aborts the session after the first failing
+# property test and hides every later failure.  Importing the module once
+# here, with only DeprecationWarning ignored and only for this import, lets
+# the hook find it loaded; every other warning stays an error.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # no libcst: the plugin skips its patch output too
+        pass
 
 
 @pytest.fixture

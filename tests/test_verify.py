@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from nnapprox import LITERAL, RESCALED, evaluate, mult_error_bound, verify_mult, with_ones
 from nnapprox import constructions as ctor
 from nnapprox import verify as ver
-from nnapprox.chebyshev import monomial_values
+from nnapprox.chebyshev import monomial_values, tensor_grid
 
 
 @pytest.mark.parametrize("variant", [LITERAL, RESCALED], ids=["literal", "rescaled"])
@@ -102,3 +103,140 @@ def test_sup_error_matches_the_pointwise_maximum(rng):
     mon = ctor.build_mon(3, 3, 2, RESCALED)
     truth = monomial_values(ctor.enumerate_multi_indices(2, 3), pts)
     assert ver.sup_error(mon, pts, truth) == np.abs(evaluate(mon, with_ones(pts)) - truth).max()
+
+
+# ---------------------------------------------------------------------------
+# block sweeps: the errors of one whole-grid evaluation, bit for bit
+
+B = ver.BLOCK
+# one block short of, at and past one and two blocks, and three blocks and a bit
+EDGE_SIZES = [B - 1, B, B + 1, 2 * B - 1, 2 * B, 3 * B + 5]
+
+
+def whole_grid_error(net, points, truth):
+    """The error as one evaluate on the whole (1, x) grid measures it."""
+    out = evaluate(net, with_ones(points))
+    return np.abs(out - np.reshape(truth, out.shape)).max()
+
+
+def mult_grid(n, variant):
+    pts = tensor_grid([np.arange(n + 1) / n] * 2)
+    return pts[pts[:, 0] + pts[:, 1] <= 1.0] if variant is LITERAL else pts
+
+
+@pytest.mark.parametrize("n", EDGE_SIZES)
+def test_sq_and_multr_sweeps_equal_whole_grid_errors(n):
+    x = np.linspace(0.0, 1.0, n)
+    assert ver.verify_sq(6, n).measured_max_error == whole_grid_error(ctor.build_sq(6), x, x * x)
+    for variant in (LITERAL, RESCALED):
+        x = np.random.default_rng(5).uniform(0.0, variant.edge, size=(n, 4))
+        want = whole_grid_error(ctor.build_multr(5, 4, variant), x, np.prod(x, axis=1))
+        assert ver.verify_multr(5, 4, variant, n_samples=n, seed=5).measured_max_error == want
+
+
+@pytest.mark.parametrize("n", [181, 256, 400])
+@pytest.mark.parametrize("variant", [LITERAL, RESCALED], ids=["literal", "rescaled"])
+def test_mult_sweeps_equal_whole_grid_errors(n, variant):
+    pts = mult_grid(n, variant)
+    want = whole_grid_error(ctor.build_mult(5, variant), pts, pts[:, 0] * pts[:, 1])
+    assert verify_mult(5, variant, step=1.0 / n).measured_max_error == want
+
+
+def test_mon_sweep_equals_whole_grid_error():
+    # 41^3 = 68,921 points: two blocks
+    pts = tensor_grid([np.linspace(0.0, 1.0, 41)] * 3)
+    truth = monomial_values(ctor.enumerate_multi_indices(3, 3), pts)
+    want = whole_grid_error(ctor.build_mon(4, 3, 3, RESCALED), pts, truth)
+    assert ver.verify_mon(4, 3, 3, RESCALED, grid_points=41).measured_max_error == want
+
+
+@pytest.mark.parametrize("n", EDGE_SIZES)
+def test_sup_error_equals_whole_grid_error(n, rng):
+    net = ctor.build_mult(4, RESCALED)
+    pts = rng.uniform(0.0, 1.0, (n, 2))
+    truth = pts[:, 0] * pts[:, 1]
+    assert ver.sup_error(net, pts, truth) == whole_grid_error(net, pts, truth)
+
+
+def recorded_calls(monkeypatch):
+    seen = []
+    evaluate = ver.evaluate
+    monkeypatch.setattr(ver, "evaluate", lambda net, x: seen.append(x) or evaluate(net, x))
+    return seen
+
+
+def assert_bounded_blocks(seen, points):
+    sizes = [len(x) for x in seen]
+    assert max(sizes) <= 2 * B - 1 and 1 not in sizes
+    assert np.array_equal(np.concatenate([x[:, 1:] for x in seen]), np.reshape(points, (len(points), -1)))
+
+
+@pytest.mark.parametrize("variant", [LITERAL, RESCALED], ids=["literal", "rescaled"])
+def test_mult_blocks_are_bounded_and_in_grid_order(monkeypatch, variant):
+    seen = recorded_calls(monkeypatch)
+    verify_mult(2, variant, step=1.0 / 400)  # 160,801 points before the literal filter
+    assert len(seen) == 4
+    assert_bounded_blocks(seen, mult_grid(400, variant))
+
+
+@pytest.mark.parametrize("n", EDGE_SIZES)
+def test_sq_and_multr_blocks_are_bounded_and_in_order(monkeypatch, n):
+    seen = recorded_calls(monkeypatch)
+    ver.verify_sq(2, n)
+    assert_bounded_blocks(seen, np.linspace(0.0, 1.0, n))
+    seen.clear()
+    ver.verify_multr(2, 3, RESCALED, n_samples=n, seed=7)
+    # the blocks' draws are the stream of one (n, 3) draw
+    assert_bounded_blocks(seen, np.random.default_rng(7).uniform(0.0, 1.0, size=(n, 3)))
+    assert len(seen) == max(1, n // B)
+
+
+def test_mon_blocks_are_bounded_and_in_order(monkeypatch):
+    seen = recorded_calls(monkeypatch)
+    ver.verify_mon(2, 2, 3, RESCALED, grid_points=41)
+    assert len(seen) == 2
+    assert_bounded_blocks(seen, tensor_grid([np.linspace(0.0, 1.0, 41)] * 3))
+
+
+def test_one_point_blocks_are_evaluated_with_a_neighbour(monkeypatch):
+    seen = recorded_calls(monkeypatch)
+    net = ctor.build_mult(3, RESCALED)
+    pts = np.random.default_rng(2).uniform(0.0, 1.0, (9, 2))
+    truth = pts[:, 0] * pts[:, 1]
+    cuts = [(0, 1), (1, 1), (1, 6), (6, 7), (7, 8), (8, 8), (8, 9)]
+    got = ver._sup(net, ((pts[lo:hi], truth[lo:hi]) for lo, hi in cuts))
+    # the first lone point goes with the next block, later ones with the point before
+    assert [len(x) for x in seen] == [6, 2, 2, 2]
+    assert np.array_equal(seen[0][:, 1:], pts[:6])
+    assert [x[0, 1:].tolist() for x in seen[1:]] == [pts[5].tolist(), pts[6].tolist(), pts[7].tolist()]
+    assert got == whole_grid_error(net, pts, truth)
+    seen.clear()
+    # a sweep of one point is the one call that gets one point
+    assert ver.verify_sq(3, 1).measured_max_error == 0.0
+    assert [len(x) for x in seen] == [1]
+
+
+def test_sup_error_keeps_a_nan_error():
+    net = ctor.build_mult(3, RESCALED)
+    pts = np.zeros((3 * B, 2))
+    truth = np.zeros(3 * B)
+    truth[B + 7] = np.nan
+    assert math.isnan(ver.sup_error(net, pts, truth))
+
+
+def test_mult_sweep_memory_is_bounded():
+    # 1,002,001 points: the whole-grid sweep peaked at 54.7 MiB under tracemalloc
+    tracemalloc.start()
+    try:
+        verify_mult(8, RESCALED, step=0.001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("rows", [2 * B, 3 * B + 1], ids=["short", "long"])
+def test_sup_error_wants_one_truth_row_per_point(rows):
+    pts = np.zeros((3 * B, 2))
+    with pytest.raises(ValueError, match="rows for"):
+        ver.sup_error(ctor.build_mult(3, RESCALED), pts, np.zeros(rows))
