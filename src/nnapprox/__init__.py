@@ -31,21 +31,15 @@ from .constructions import (
     build_mon,
     build_mult,
     build_multr,
-    build_pairing_layer,
     build_sq,
     count_monomials,
     enumerate_multi_indices,
-    fm_ref,
     mon_depth_bound,
     mon_error_bound,
     mon_width_bound,
     mult_error_bound,
-    mult_path_row,
     multr_error_bound,
     sq_error_bound,
-    sq_path_row,
-    tent,
-    tent_iter,
 )
 from .chebyshev import (
     ChebyshevSeries,
@@ -70,7 +64,6 @@ from .entropy import (
     SamplerViolation,
     empirical_covering,
     empirical_vs_bound,
-    linear_bound,
     network_bound,
     sample_network,
 )

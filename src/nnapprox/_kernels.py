@@ -46,7 +46,8 @@ def backend_name():
 # from one layer to the next instead of streaming through memory.  Tiles of
 # 1024 to 16384 points were timed on the verifier sweeps; 4096 was fastest.
 # A short last tile joins the one before it: a one-column tile would take
-# numpy's matrix-vector kernel, whose sums differ in the last bits.
+# numpy's matrix-vector kernel, whose sums can differ in the last bits from
+# the matrix-matrix kernel's.
 TILE = 4096
 
 
@@ -63,6 +64,14 @@ def _line_aligned_pair(size):
     return raw[a : a + size], raw[a + step : a + step + size]
 
 
+def _cuts(n, size):
+    """(lo, hi) of the pieces of n points cut every size points, the short
+    last piece joined to the one before it: every piece but a lone one has
+    size to 2 * size - 1 points."""
+    stops = list(range(size, n - size + 1, size)) + [n]
+    return zip([0] + stops, stops)
+
+
 def eval_chain(layers, cur, act=None, absolute=False):
     """Run block-diagonal layers on feature-major activations cur of shape (p0, n).
 
@@ -76,10 +85,9 @@ def eval_chain(layers, cur, act=None, absolute=False):
     last = len(layers) - 1
     n = cur.shape[1]
     res = np.empty((layers[last].shape[0], n))
-    stops = list(range(TILE, n - TILE + 1, TILE)) + [n]
     size = max((lay.shape[0] for lay in layers[:last]), default=0) * min(n, 2 * TILE - 1)
     bufs = _line_aligned_pair(size)
-    for lo, hi in zip([0] + stops, stops):
+    for lo, hi in _cuts(n, TILE):
         x, m = cur[:, lo:hi], hi - lo
         for i, lay in enumerate(layers):
             out = res[:, lo:hi] if i == last else bufs[i % 2][: lay.shape[0] * m].reshape(lay.shape[0], m)

@@ -170,11 +170,12 @@ def eval_cmd(net_json, input_, out):
 @OUT_OPTION
 def path_norm_cmd(net_json, out):
     net = network_from_dict(_read_json(net_json))
+    paths = path_matrix(net)  # first: an oversized matrix is refused before any pass
     stats = network_stats(net)
     _emit(
         {
             "path_norm": path_norm(net),
-            "path_matrix": path_matrix(net).tolist(),
+            "path_matrix": paths.tolist(),
             "per_layer_l1": [lay["l1"] for lay in stats["layers"]],
             "l1_total": stats["l1"],
         },

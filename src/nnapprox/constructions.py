@@ -1,5 +1,5 @@
 """Exact builders for the squaring, multiplication, product-tree and
-all-monomials networks, plus their closed-form reference oracles.
+all-monomials networks.
 
 Everything here uses the absolute-value activation.  The squaring chain
 realizes f_m(x) = x - sum_s g_s(x)/4^s where g is the unit tent wave
@@ -42,41 +42,6 @@ LITERAL = MultVariant.LITERAL
 RESCALED = MultVariant.RESCALED
 
 
-# ---------------------------------------------------------------------------
-# closed-form oracles
-
-
-def tent(x):
-    """Unit tent wave 1 - 2|x - 1/2|; total on R, triangle on [0,1]."""
-    return 1.0 - 2.0 * np.abs(np.asarray(x, dtype=np.float64) - 0.5)
-
-
-def tent_iter(s, x):
-    """s-fold composition of the tent wave (2^s teeth on [0,1])."""
-    if s < 1:
-        raise ValueError("s must be a positive integer")
-    y = np.asarray(x, dtype=np.float64)
-    for _ in range(s):
-        y = tent(y)
-    return y
-
-
-def fm_ref(m, x):
-    """Closed-form f_m(x) = x - sum_{s=1..m} g_s(x)/4^s.
-
-    On [0,1] this is the piecewise-linear interpolant of x^2 at step 2^-m
-    and the exact value computed by build_sq(m)."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    y = np.asarray(x, dtype=np.float64)
-    total = y.copy()
-    g = y
-    for s in range(1, m + 1):
-        g = tent(g)
-        total -= g / 4.0**s
-    return total if total.ndim else float(total)
-
-
 def sq_error_bound(m):
     return 2.0 ** (-2 * m - 2)
 
@@ -99,19 +64,6 @@ def mon_error_bound(m, gamma, variant):
     """multr_error_bound(m, gamma, variant): every monomial of build_mon(m,
     gamma, d) is a product tree with fewer than gamma factors."""
     return multr_error_bound(m, gamma, variant)
-
-
-def sq_path_row(m):
-    """Closed form of |S|...|A2| for the squaring chain."""
-    a = sum((2.0 ** (k + 1) - 2.0) / 4.0**k for k in range(1, m + 1))
-    return np.array([a, 2.0 - 2.0**-m])
-
-
-def mult_path_row(m):
-    """Closed form of the 1x3 path matrix of the literal Mult network."""
-    a = 3.0 * sum((2.0**k - 1.0) / 4.0**k for k in range(1, m + 1))
-    b = 2.0 - 2.0**-m
-    return np.array([a, b, b])
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +90,7 @@ def _sq_matrices(m):
 
 
 def build_sq(m):
-    """Network mapping (1, x) to f_m(x); equals fm_ref exactly on [0,1]."""
+    """Network mapping (1, x) to f_m(x), the dyadic interpolant of x^2 on [0,1]."""
     if m < 1:
         raise ValueError("m must be a positive integer")
     mats = _sq_matrices(m)
@@ -255,26 +207,6 @@ def _product_layers(m, variant, n_in, factor_lists):
     return layers + [np.eye(len(chans))[[pos[r] for r in roots]]]
 
 
-def build_pairing_layer(m, k, variant=RESCALED):
-    """Network mapping (1, x_1, ..., x_2k) to (1, ~x1x2, ..., ~x_{2k-1}x_{2k})."""
-    if m < 1 or k < 1:
-        raise ValueError("m and k must be positive integers")
-    variant = MultVariant(variant)
-    net = Network(
-        ABS,
-        _level(build_mult(m, variant), 2 * k, [(2 * l + 1, 2 * l + 2) for l in range(k)], []),
-        meta={
-            "construction": "pairing",
-            "m": m,
-            "k": k,
-            "variant": variant.value,
-        },
-    )
-    assert len(net.layers) == 2 * m + 4
-    assert net.out_dim == k + 1
-    return net
-
-
 def build_multr(m, r, variant=RESCALED):
     """Network mapping (1, x_1, ..., x_r) to an approximation of prod x_i.
 
@@ -306,7 +238,7 @@ def build_multr(m, r, variant=RESCALED):
     )
     assert net.depth <= (2 * m + 5) * q + 1
     assert net.max_width <= 6 * r * (m + 2) + 1
-    pmax = float(np.max(path_matrix(net)))
+    pmax = float(np.max(path_matrix(net, limit=False)))
     if variant is LITERAL:
         assert pmax <= 144.0 * r**4
     else:
@@ -393,7 +325,7 @@ def build_mon(m, gamma, d, variant=RESCALED):
 
     assert net.depth <= mon_depth_bound(m, gamma)
     assert net.max_width <= mon_width_bound(m, gamma, d)
-    pmax = float(np.max(path_matrix(net)))
+    pmax = float(np.max(path_matrix(net, limit=False)))
     if variant is LITERAL:
         assert pmax <= 144.0 * (gamma + 1) ** 5
     else:

@@ -76,13 +76,6 @@ def _ceil_term(b, r, eps):
     return math.ceil(q)
 
 
-def linear_bound(b, r, eps, d):
-    """Entropy bound for linear functionals with |w|_1 <= b on [-r, r]^d."""
-    if b <= 0 or r <= 0 or eps <= 0 or d < 1:
-        raise ValueError("b, r, eps must be positive and d >= 1")
-    return _ceil_term(b, r, eps) * math.log2(2 * d + 1)
-
-
 def network_bound(spec):
     """Closed-form entropy bound for the class with path norm capped at B."""
     hidden = spec.hidden

@@ -338,11 +338,28 @@ def with_ones(points):
 # path norm and structure
 
 
-def path_matrix(net):
+# Entries of the identity and of each layer's activations that path_matrix
+# may hold: 128 MiB apiece.  A decoded input layer may be 2^16 wide, whose
+# identity alone would be 32 GiB.  The builders' max-entry asserts pass
+# limit=False, so the builders make every net they made before:
+# build_multr(1, 2000), 2,001 inputs and max width 9,001, is over the limit
+# and builds (0.7 s, 480 MiB peak).
+MAX_PATH_MATRIX_ENTRIES = 2**24
+
+
+def path_matrix(net, limit=True):
     """|WL| @ |W_{L-1}| @ ... @ |W0|, dense, of shape (p_{L+1}, p_0).
 
     One forward pass of the |W| chain on the identity, block by block, for
-    callers that read its entries, such as the builders' max-entry asserts."""
+    callers that read its entries, such as the builders' max-entry asserts.
+    The pass holds p_0 columns of every layer, so unless limit is False a
+    net whose p_0 times its max width exceeds MAX_PATH_MATRIX_ENTRIES is a
+    NetworkError, raised before anything is allocated."""
+    if limit and net.in_dim * net.max_width > MAX_PATH_MATRIX_ENTRIES:
+        raise NetworkError(
+            f"the path matrix of a net with {net.in_dim} inputs and max width {net.max_width} needs "
+            f"more than {MAX_PATH_MATRIX_ENTRIES} entries per layer"
+        )
     return _kernels.eval_chain(net.layers, np.eye(net.in_dim), absolute=True)
 
 

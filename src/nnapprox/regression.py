@@ -43,6 +43,10 @@ class RegressionConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"n must be at least 2, got {self.n}")
+        if self.d < 1:
+            raise ValueError(f"d must be at least 1, got {self.d}")
+        if getattr(self.target, "d", self.d) != self.d:
+            raise ValueError(f"d = {self.d} but the target takes points with {self.target.d} coordinates")
         if any(w < 1 for w in self.widths):
             raise ValueError(f"hidden widths must be positive, got {tuple(self.widths)}")
         if self.lam != "auto" and not _finite_nonneg(self.lam):

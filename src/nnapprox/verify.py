@@ -17,11 +17,14 @@ it.  So every block starts on a multiple of TILE and its tiles are the
 tiles eval_chain gives the whole sweep; each point's output comes from the
 same products as on the whole grid, and the maximum of the block maxima is
 the maximum, so every measured error is that of one whole-grid evaluation,
-bit for bit.  No evaluate call gets exactly one point unless the whole sweep
-is one point (a one-point tile takes numpy's matrix-vector kernel, whose
-sums differ in the last bits): a one-point block, which only the literal
-mult filter can leave (the last block at step 1/16565, for one), is
-evaluated together with a neighbour.
+bit for bit.  The literal mult filter leaves blocks of any size, one point
+included, and a one-point call takes numpy's matrix-vector kernel.  That
+such a call gives the bits of a larger one is observed on the mult nets,
+not derived: each output sums at most three products, every weight is 0 or
+a signed power of two so every product is exact, and only the order of the
+few additions could differ, which numpy's two kernels were seen to keep.  A
+test pins it for m = 1, 4, 8, so the literal sweeps equal one whole-grid
+evaluation as well.
 """
 
 from __future__ import annotations
@@ -59,16 +62,9 @@ class VerificationReport:
 BLOCK = 8 * _kernels.TILE
 
 
-def _cuts(n):
-    """(lo, hi) of the blocks of a sweep of n points, the short last block
-    joined to the one before it, as eval_chain cuts tiles."""
-    stops = list(range(BLOCK, n - BLOCK + 1, BLOCK)) + [n]
-    return zip([0] + stops, stops)
-
-
 def _slices(a):
     """The blocks of the rows of a, as views."""
-    return (a[lo:hi] for lo, hi in _cuts(len(a)))
+    return (a[lo:hi] for lo, hi in _kernels._cuts(len(a), BLOCK))
 
 
 def _block_error(net, points, truth):
@@ -78,28 +74,9 @@ def _block_error(net, points, truth):
 
 def _sup(net, blocks):
     """max |net(1, x) - truth| over an iterable of (points, truth) blocks,
-    each evaluated as it comes.
-
-    Empty blocks are skipped.  A one-point block is evaluated with the last
-    point before it or, when no point comes before it, with the next block,
-    so evaluate gets one point only when the whole sweep is one point.  A
-    sweep with no points is a ValueError."""
-    worst, lone, last = [], None, None
-    for pts, truth in blocks:
-        if not len(pts):
-            continue
-        if lone is not None or len(pts) == 1:
-            lead = last if lone is None else lone
-            if lead is None:
-                lone = pts, truth
-                continue
-            pts, truth = np.concatenate([lead[0], pts]), np.concatenate([lead[1], truth])
-            lone = None
-        worst.append(_block_error(net, pts, truth))
-        # copies: a view would keep the whole block alive
-        last = pts[-1:].copy(), truth[-1:].copy()
-    if lone is not None:
-        worst.append(_block_error(net, *lone))
+    each evaluated as it comes.  Empty blocks are skipped; a sweep with no
+    points is a ValueError."""
+    worst = [_block_error(net, pts, truth) for pts, truth in blocks if len(pts)]
     if not worst:
         raise ValueError("empty sweep: there are no points to measure the error on")
     # np.max, not max: a NaN block error must give NaN, as one whole-grid max does
@@ -145,7 +122,7 @@ def _mult_blocks(n, literal):
     """The blocks of tensor_grid([np.arange(n + 1) / n] * 2), in its order,
     each with its products; the literal variant keeps x + y <= 1."""
     axis = np.arange(n + 1) / n
-    for lo, hi in _cuts((n + 1) ** 2):
+    for lo, hi in _kernels._cuts((n + 1) ** 2, BLOCK):
         i, j = divmod(np.arange(lo, hi), n + 1)
         pts = np.column_stack([axis[i], axis[j]])
         if literal:
@@ -168,7 +145,7 @@ def verify_multr(m, r, variant, n_samples=100000, seed=0, bound=None):
     net = ctor.build_multr(m, r, variant)
     # one generator drawing block after block: the stream of one (n_samples, r) draw
     rng = np.random.default_rng(seed)
-    draws = (rng.uniform(0.0, variant.edge, size=(hi - lo, r)) for lo, hi in _cuts(n_samples))
+    draws = (rng.uniform(0.0, variant.edge, size=(hi - lo, r)) for lo, hi in _kernels._cuts(n_samples, BLOCK))
     grid = {"samples": n_samples, "seed": seed}
     return _sweep(net, ((x, np.prod(x, axis=1)) for x in draws), grid, bound, t0)
 

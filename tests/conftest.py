@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -74,3 +75,58 @@ def dense_path_matrix(net):
     for w in net.weights:
         p = np.abs(w) @ p
     return p
+
+
+# ---------------------------------------------------------------------------
+# closed-form oracles of the constructions and the entropy bound
+
+
+def tent(x):
+    """Unit tent wave 1 - 2|x - 1/2|; total on R, triangle on [0,1]."""
+    return 1.0 - 2.0 * np.abs(np.asarray(x, dtype=np.float64) - 0.5)
+
+
+def tent_iter(s, x):
+    """s-fold composition of the tent wave (2^s teeth on [0,1])."""
+    if s < 1:
+        raise ValueError("s must be a positive integer")
+    y = np.asarray(x, dtype=np.float64)
+    for _ in range(s):
+        y = tent(y)
+    return y
+
+
+def fm_ref(m, x):
+    """Closed-form f_m(x) = x - sum_{s=1..m} g_s(x)/4^s.
+
+    On [0,1] this is the piecewise-linear interpolant of x^2 at step 2^-m
+    and the exact value computed by build_sq(m)."""
+    if m < 1:
+        raise ValueError("m must be a positive integer")
+    y = np.asarray(x, dtype=np.float64)
+    total = y.copy()
+    g = y
+    for s in range(1, m + 1):
+        g = tent(g)
+        total -= g / 4.0**s
+    return total if total.ndim else float(total)
+
+
+def sq_path_row(m):
+    """Closed form of |S|...|A2| for the squaring chain."""
+    a = sum((2.0 ** (k + 1) - 2.0) / 4.0**k for k in range(1, m + 1))
+    return np.array([a, 2.0 - 2.0**-m])
+
+
+def mult_path_row(m):
+    """Closed form of the 1x3 path matrix of the literal Mult network."""
+    a = 3.0 * sum((2.0**k - 1.0) / 4.0**k for k in range(1, m + 1))
+    b = 2.0 - 2.0**-m
+    return np.array([a, b, b])
+
+
+def linear_bound(b, r, eps, d):
+    """Oracle: the entropy bound ceil(b^2 r^2 / eps^2) log2(2d + 1) of linear
+    functionals with |w|_1 <= b on [-r, r]^d, which network_bound must give
+    at L = 0."""
+    return math.ceil(b * b * r * r / (eps * eps)) * math.log2(2 * d + 1)

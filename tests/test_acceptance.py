@@ -28,7 +28,7 @@ from nnapprox.approximators import power_series_path_bound, series_inv_two_minus
 from nnapprox.chebyshev import monomial_values
 from nnapprox.network import with_ones
 from nnapprox.regression import _objective, _path_norm_prefix, _risk_grads
-from conftest import random_dense_net
+from conftest import linear_bound, mult_path_row, random_dense_net
 
 
 def _aug(x):
@@ -61,7 +61,7 @@ def test_criterion_02_mult_path_vector():
     worst = 0.0
     for m in range(1, 11):
         got = nx.path_matrix(nx.build_mult(m, "literal"))[0]
-        want = nx.mult_path_row(m)
+        want = mult_path_row(m)
         rel = np.abs(got - want).max() / np.abs(want).max()
         worst = max(worst, rel)
         assert rel <= 1e-13, (m, rel)
@@ -203,7 +203,7 @@ def test_criterion_08_entropy_consistency(rng):
         b, r, eps = rng.uniform(0.1, 3, 3)
         n = int(rng.integers(1, 64))
         spec = nx.EntropyBoundSpec(eps=float(eps), L=0, p=(d, 1), B=float(b), r=float(r), n=n)
-        assert nx.network_bound(spec) == nx.linear_bound(float(b), float(r), float(eps), d)
+        assert nx.network_bound(spec) == linear_bound(float(b), float(r), float(eps), d)
     # one-sided empirical check on 20 random small specs
     acts = [nx.ABS, nx.RELU, nx.IDENTITY]
     worst_margin = np.inf

@@ -350,6 +350,21 @@ def test_bad_input_is_usage_error(runner, tmp_path, args):
     assert "Traceback" not in res.output
 
 
+def test_path_norm_refuses_an_oversized_path_matrix(runner, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oversized path matrix was allocated")
+
+    monkeypatch.setattr("nnapprox.network.np.eye", refuse)
+    monkeypatch.setattr("nnapprox._kernels.eval_chain", refuse)
+    net_path = tmp_path / "wide.json"
+    net_path.write_text(json.dumps({"format": 3, "activation": "abs", "layers": [[[65536, [[1.0]]]]]}))
+    res = runner.invoke(main, ["path-norm", str(net_path)])
+    assert res.exit_code == 2, res.output
+    (error,) = [line for line in res.output.splitlines() if line.startswith("Error:")]
+    assert "path matrix" in error
+    assert "Traceback" not in res.output
+
+
 def test_an_error_that_is_not_a_value_error_is_not_a_usage_error(runner, monkeypatch):
     bug = RuntimeError("a bug, not bad input")
 

@@ -14,28 +14,33 @@ from nnapprox import (
     build_mon,
     build_mult,
     build_multr,
-    build_pairing_layer,
     build_sq,
     compose,
     count_monomials,
     enumerate_multi_indices,
     evaluate,
-    fm_ref,
     mon_error_bound,
     mult_error_bound,
-    mult_path_row,
     multr_error_bound,
     network_stats,
     parallel,
     path_matrix,
     path_norm,
     sq_error_bound,
-    sq_path_row,
-    tent,
-    tent_iter,
 )
 from nnapprox import constructions as ctor
 from nnapprox.chebyshev import monomial_values
+from conftest import fm_ref, mult_path_row, sq_path_row, tent, tent_iter
+
+
+def pairing_level(m, k, variant):
+    """The pairing level (1, x_1..x_2k) -> (1, x_1 x_2, ..., x_{2k-1} x_{2k}),
+    made by the level builder of build_multr and build_mon."""
+    pairs = [(2 * l + 1, 2 * l + 2) for l in range(k)]
+    net = Network(ABS, ctor._level(ctor.build_mult(m, variant), 2 * k, pairs, []))
+    assert len(net.layers) == 2 * m + 4
+    assert net.out_dim == k + 1
+    return net
 
 
 def _aug(x):
@@ -49,21 +54,27 @@ def _aug(x):
 # oracles
 
 
+def sq_prefix(s, x):
+    """(1, f_s, g_s) at x: the prefix of build_sq ending at its s-th B block."""
+    return evaluate(Network(ABS, build_sq(s).layers[: 2 * s]), _aug(x))
+
+
 def test_tent_endpoints():
-    assert tent(0.0) == 0.0
-    assert tent(0.5) == 1.0
-    assert tent(1.0) == 0.0
+    # the first prefix's tent channel g_1
+    assert np.array_equal(sq_prefix(1, [0.0, 0.5, 1.0])[:, 2], [0.0, 1.0, 0.0])
+    assert np.array_equal(tent([0.0, 0.5, 1.0]), [0.0, 1.0, 0.0])
 
 
 def test_tent_iter_counts_teeth():
     x = np.linspace(0, 1, 4097)
     for s in (1, 2, 3):
-        v = tent_iter(s, x)
+        v = sq_prefix(s, x)[:, 2]
         peaks = np.sum((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:]))
         assert peaks == 2 ** (s - 1)
 
 
 def test_fm_ref_at_half():
+    assert evaluate(build_sq(1), [1.0, 0.5])[0] == 0.25
     assert fm_ref(1, 0.5) == 0.25
 
 
@@ -236,7 +247,7 @@ def dense_triple(mat):
 def test_builders_equal_dense_triple_assembly(monkeypatch, variant):
     builds = [
         lambda: build_mult(3, variant),
-        lambda: build_pairing_layer(2, 3, variant),
+        lambda: pairing_level(2, 3, variant),
         lambda: build_multr(2, 5, variant),
         lambda: build_mon(2, 4, 2, variant),
     ]
@@ -269,7 +280,7 @@ def test_pairing_level_splices_mult_blocks(monkeypatch, k):
     made = []
     real_mult = ctor.build_mult
     monkeypatch.setattr(ctor, "build_mult", lambda *a: made.append(real_mult(*a)) or made[-1])
-    net = build_pairing_layer(2, k, RESCALED)
+    net = pairing_level(2, k, RESCALED)
     (mult,) = made
     for lay, src in zip(net.layers[1:], mult.layers, strict=True):
         n = len(src.blocks)
@@ -294,7 +305,7 @@ def test_carried_channels_are_one_run():
 
 
 def test_pairing_k1_matches_mult(rng=np.random.default_rng(1)):
-    pair = build_pairing_layer(3, 1, RESCALED)
+    pair = pairing_level(3, 1, RESCALED)
     mult = build_mult(3, RESCALED)
     xy = rng.uniform(0, 1, (200, 2))
     inp = _aug(xy)
@@ -306,7 +317,7 @@ def test_pairing_k1_matches_mult(rng=np.random.default_rng(1)):
 
 def test_pairing_path_matrix_banded():
     m = 3
-    net = build_pairing_layer(m, 2, LITERAL)
+    net = pairing_level(m, 2, LITERAL)
     a = 3 * sum((2.0**k - 1) / 4.0**k for k in range(1, m + 1))
     b = 2 - 2.0**-m
     expect = np.array(
@@ -316,7 +327,7 @@ def test_pairing_path_matrix_banded():
 
 
 def test_pairing_values_close_to_products():
-    net = build_pairing_layer(3, 2, RESCALED)
+    net = pairing_level(3, 2, RESCALED)
     out = evaluate(net, np.array([1.0, 0.2, 0.3, 0.4, 0.5]))
     bound = mult_error_bound(3, RESCALED)
     assert out[0] == 1.0

@@ -16,7 +16,6 @@ from nnapprox import (
     empirical_covering,
     empirical_vs_bound,
     general_activation,
-    linear_bound,
     network_bound,
     evaluate,
     path_matrix,
@@ -25,25 +24,31 @@ from nnapprox import (
 )
 from nnapprox import entropy
 from nnapprox.network import _layout
-from conftest import random_block_net, random_dense_net
+from conftest import linear_bound, random_block_net, random_dense_net
 
 DEAD_ZONE = general_activation(lambda x: np.where(np.abs(x) < 0.1, 0.0, np.sign(x)))
 
 
+def bound_l0(b, r, eps, d):
+    """network_bound of the linear class, L = 0, on d inputs."""
+    return network_bound(EntropyBoundSpec(eps=eps, L=0, p=(d, 1), B=b, r=r, n=1))
+
+
 def test_linear_bound_example():
-    assert linear_bound(1, 1, 1, 1) == pytest.approx(math.log2(3))
+    assert bound_l0(1, 1, 1, 1) == linear_bound(1, 1, 1, 1) == pytest.approx(math.log2(3))
 
 
 def test_linear_bound_ceiling_floor():
     # eps >= b r makes the ceiling 1
     for eps in (1.0, 2.0, 5.0):
-        assert linear_bound(1, 1, eps, 3) == math.log2(7)
+        assert bound_l0(1, 1, eps, 3) == linear_bound(1, 1, eps, 3) == math.log2(7)
 
 
 def test_linear_bound_b_doubling_quadruples_ceiling_argument():
     b, r, eps = 1.3, 0.7, 0.11
-    assert (2 * b) ** 2 * r**2 / eps**2 == pytest.approx(4 * b**2 * r**2 / eps**2)
-    assert linear_bound(2 * b, r, eps, 2) >= linear_bound(b, r, eps, 2)
+    # ceil(b^2 r^2 / eps^2) log2(2d + 1), with b^2 r^2 / eps^2 = 68.4...
+    assert bound_l0(b, r, eps, 2) == pytest.approx(69 * math.log2(5))
+    assert bound_l0(2 * b, r, eps, 2) == pytest.approx(274 * math.log2(5))
 
 
 def test_spec_validation():
@@ -60,7 +65,7 @@ def test_bound_outside_float_range_is_value_error():
     # B^2 r^2 / eps^2 overflows, or eps^2 underflows to 0
     for b, eps in ((1e200, 1.0), (1.0, 1e-300)):
         with pytest.raises(ValueError, match="finite"):
-            linear_bound(b, 1.0, eps, 1)
+            entropy._ceil_term(b, 1.0, eps)
         with pytest.raises(ValueError, match="finite"):
             EntropyBoundSpec(eps=eps, L=0, p=(1, 1), B=b, r=1.0, n=8)
 

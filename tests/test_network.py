@@ -111,6 +111,34 @@ def test_path_matrix_single_layer():
     assert np.array_equal(path_matrix(net), [[2.0, 3.0]])
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("an oversized path matrix was allocated")
+
+
+def test_oversized_path_matrix_is_refused_before_allocating(monkeypatch):
+    # a 2^16-input layer decodes, but its identity alone would be 32 GiB
+    wide = {"format": 3, "activation": "abs", "layers": [[[65536, [[1.0]]]]]}
+    # 257 inputs, one output and a hidden layer 65,535 wide: the pass holds
+    # 257 columns of that layer, 2^24 + 65,279 entries
+    tall = {"format": 3, "activation": "abs", "layers": [[[257, [[1.0]]]], [[257, [[1.0]] * 255]], [[1, [[1.0] * 65535]]]]}
+    nets = [_network.network_from_dict(d) for d in (wide, tall)]
+    assert nets[1].in_dim * max(nets[1].in_dim, nets[1].out_dim) < _network.MAX_PATH_MATRIX_ENTRIES
+    monkeypatch.setattr(_network.np, "eye", _refuse)
+    monkeypatch.setattr(_network._kernels, "eval_chain", _refuse)
+    for net in nets:
+        with pytest.raises(NetworkError, match="path matrix"):
+            path_matrix(net)
+
+
+def test_builders_check_nets_whose_path_matrix_is_refused(monkeypatch):
+    # the builders' max-entry asserts pass limit=False: build_multr(1, 2000),
+    # 2,001 inputs and max width 9,001, builds though path_matrix refuses it
+    monkeypatch.setattr(_network, "MAX_PATH_MATRIX_ENTRIES", 1)
+    for net in (build_multr(1, 3), build_mon(1, 3, 2)):
+        with pytest.raises(NetworkError, match="path matrix"):
+            path_matrix(net)
+
+
 def test_path_norm_trivial():
     assert path_norm(Network(ABS, [np.array([[1.0, -1.0]])])) == 2.0
 

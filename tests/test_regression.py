@@ -164,12 +164,16 @@ def test_zero_hidden_width_rejected():
         ("n", 0),
         ("n", -3),
         ("seed", -1),
+        ("d", 0),
+        ("d", -1),
+        ("d", 2),
     ],
 )
 def test_config_rejects_nonsense_penalty_and_budget(field, value):
     # a negative lam or lambda_scale made the penalty reward path norm, a
     # negative oracle_c made oracle_rhs negative, and n < 2 failed later
-    # inside fit or generate_data, as a negative seed did inside numpy
+    # inside fit or generate_data, as a negative seed did inside numpy; a d
+    # other than the 1-d target's failed in generate_data, d = -1 in numpy
     with pytest.raises(ValueError, match=field):
         RegressionConfig(**{"n": 16, "d": 1, "target": _linear_target(), field: value})
 

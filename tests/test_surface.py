@@ -1,0 +1,49 @@
+"""Every public name of the package is read by the package, the benchmark or
+a documented user path.
+
+A name counts as read where library or benchmark code loads it: a Name or an
+Attribute in a load context, or an import of it.  Docstrings and comments
+are not code, so mentioning a name there does not count.  The package's
+__init__ is left out of the library scan, since importing every exported
+name is its whole job.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "nnapprox"
+
+# Public names that no library code calls but that are documented for users.
+USER_API = {"compose", "general_activation"}
+
+
+def _read_names(paths):
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def _exported():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def test_every_exported_name_is_read_or_documented():
+    library = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    read = _read_names(library) | _read_names(sorted((ROOT / "perfbench").glob("*.py")))
+    unread = sorted(_exported() - read - USER_API)
+    assert not unread, f"exported but read by no library or benchmark code: {unread}"
+
+
+def test_user_api_is_exported_and_documented():
+    readme = (ROOT / "README.md").read_text()
+    assert USER_API <= _exported()
+    assert all(f"`{name}" in readme for name in USER_API)

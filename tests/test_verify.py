@@ -198,20 +198,19 @@ def test_mon_blocks_are_bounded_and_in_order(monkeypatch):
     assert_bounded_blocks(seen, tensor_grid([np.linspace(0.0, 1.0, 41)] * 3))
 
 
-def test_one_point_blocks_are_evaluated_with_a_neighbour(monkeypatch):
+@pytest.mark.parametrize("block", [2, 3, 5, 8, 64])
+def test_literal_mult_sweeps_with_one_point_blocks_equal_whole_grid_errors(monkeypatch, block):
+    # the x + y <= 1 filter leaves blocks of one point, evaluated on their own
+    monkeypatch.setattr(ver, "BLOCK", block)
     seen = recorded_calls(monkeypatch)
-    net = ctor.build_mult(3, RESCALED)
-    pts = np.random.default_rng(2).uniform(0.0, 1.0, (9, 2))
-    truth = pts[:, 0] * pts[:, 1]
-    cuts = [(0, 1), (1, 1), (1, 6), (6, 7), (7, 8), (8, 8), (8, 9)]
-    got = ver._sup(net, ((pts[lo:hi], truth[lo:hi]) for lo, hi in cuts))
-    # the first lone point goes with the next block, later ones with the point before
-    assert [len(x) for x in seen] == [6, 2, 2, 2]
-    assert np.array_equal(seen[0][:, 1:], pts[:6])
-    assert [x[0, 1:].tolist() for x in seen[1:]] == [pts[5].tolist(), pts[6].tolist(), pts[7].tolist()]
-    assert got == whole_grid_error(net, pts, truth)
+    for m, n in ((1, 20), (4, 33), (8, 64)):
+        pts = mult_grid(n, LITERAL)
+        want = whole_grid_error(ctor.build_mult(m, LITERAL), pts, pts[:, 0] * pts[:, 1])
+        got = verify_mult(m, LITERAL, step=1.0 / n).measured_max_error
+        assert float.hex(got) == float.hex(float(want)), (m, n)
+    assert 1 in [len(x) for x in seen]
     seen.clear()
-    # a sweep of one point is the one call that gets one point
+    # a sweep of one point is one call with one point
     assert ver.verify_sq(3, 1).measured_max_error == 0.0
     assert [len(x) for x in seen] == [1]
 
