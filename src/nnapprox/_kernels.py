@@ -6,14 +6,16 @@ n_points): each run of k copies of one (r, c) block, or of k blocks stacked
 as (k, r, c), multiplies a contiguous row range of the previous activations,
 viewed as k stacked (c, n) slices, into the k stacked (r, n) slices of the
 next ones: one broadcast np.matmul per run, or np.multiply for a
-one-column block.  It runs the whole chain on one tile of TILE to
-2 * TILE - 1 points (columns) at a time, each tile into its columns of the
-result, so a tile's activations stay in cache from layer to layer; a call
-on fewer than 2 * TILE points is one tile.  Hidden activations alternate
-between the two halves of one heap allocation, each of the widest hidden
-layer's width, sized for the largest tile, starting on a cache line and made
-once per call: per-layer arrays left holes in the malloc heap that made
-peak RSS creep over repeated calls.
+one-column block.  It runs the whole chain on one tile of t to 2t - 1
+points (columns) at a time, each tile into its columns of the result, so a
+tile's activations stay in cache from layer to layer; a call on fewer than
+2t points is one tile.  The tile t is TILE halved while the widest hidden
+layer times t exceeds TILE_ENTRIES, down to MIN_TILE, so one tile's
+activations fit in one core's L2 cache whatever the width.  Hidden
+activations alternate between the two halves of one heap allocation, each
+of the widest hidden layer's width, sized for the largest tile cut,
+starting on a cache line and made once per call: per-layer arrays left
+holes in the malloc heap that made peak RSS creep over repeated calls.
 
 greedy_cover scans the rows in order and makes a row a center when no
 earlier center is closer than eps; its decisions are those of comparing
@@ -42,13 +44,27 @@ def backend_name():
 # ---------------------------------------------------------------------------
 # chain evaluation
 
-# Points per tile: a tile's activations (32 KiB per channel) stay in cache
-# from one layer to the next instead of streaming through memory.  Tiles of
-# 1024 to 16384 points were timed on the verifier sweeps; 4096 was fastest.
-# A short last tile joins the one before it: a one-column tile would take
-# numpy's matrix-vector kernel, whose sums can differ in the last bits from
-# the matrix-matrix kernel's.
+# Points per tile at most: a tile's activations (32 KiB per channel) stay in
+# cache from one layer to the next instead of streaming through memory.
+# Tiles of 1024 to 16384 points were timed on the (at most 30-wide) verifier
+# sweeps; 4096 was fastest.  A short last tile joins the one before it: a
+# one-column tile would take numpy's matrix-vector kernel, whose sums can
+# differ in the last bits from the matrix-matrix kernel's.
 TILE = 4096
+# Entries of one activation buffer at most (1 MiB), so the pair fits one
+# core's 2 MiB L2: a wider chain halves its tile until widest layer * tile
+# is within this.  Tiles stay powers of two, so each divides TILE and
+# verify.BLOCK and a block's tiles are those of the whole grid.  On 32,768
+# points the halved tiles ran multr(7, 8) (37 wide, 2048 points) about 7%,
+# mon(6, 4, 2) (42 wide, 2048) about 13% and the 132-wide d = 2 Chebyshev
+# net (512) about 28% faster than 4096-point tiles (BENCH_pr29.json).
+TILE_ENTRIES = 2**17
+# Points per tile at least.  Below 512 columns OpenBLAS switches kernels for
+# wide dense blocks: on 4,093 columns, 41 x 41 blocks at tiles of 64 to 256
+# and 132 x 132 blocks at 64 and 128 gave sums differing in the last bits
+# from one whole product, where tiles of 512 did not.  Other shapes and
+# thread splits can still move last bits with the tile (README, Kernels).
+MIN_TILE = 512
 
 
 def _line_aligned_pair(size):
@@ -85,9 +101,13 @@ def eval_chain(layers, cur, act=None, absolute=False):
     last = len(layers) - 1
     n = cur.shape[1]
     res = np.empty((layers[last].shape[0], n))
-    size = max((lay.shape[0] for lay in layers[:last]), default=0) * min(n, 2 * TILE - 1)
-    bufs = _line_aligned_pair(size)
-    for lo, hi in _cuts(n, TILE):
+    width = max((lay.shape[0] for lay in layers[:last]), default=0)
+    tile = TILE
+    while tile > MIN_TILE and width * tile > TILE_ENTRIES:
+        tile //= 2
+    cuts = list(_cuts(n, tile))
+    bufs = _line_aligned_pair(width * max(hi - lo for lo, hi in cuts))
+    for lo, hi in cuts:
         x, m = cur[:, lo:hi], hi - lo
         for i, lay in enumerate(layers):
             out = res[:, lo:hi] if i == last else bufs[i % 2][: lay.shape[0] * m].reshape(lay.shape[0], m)

@@ -251,12 +251,22 @@ def build_multr(m, r, variant=RESCALED):
 
 
 def _compositions(d, total):
-    if d == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(d - 1, total - first):
-            yield (first,) + rest
+    """The d-tuples of nonnegative integers summing to total, in lexicographic
+    order, stepped in place without recursion (a recursion per variable
+    overflowed Python's stack near d = 1000).  The successor of k adds one
+    to the entry before k's last nonzero entry k[j], zeroes k[j] and puts
+    k[j] - 1 last."""
+    k = [0] * (d - 1) + [total]
+    j = d - 1 if total else 0  # the last nonzero entry
+    while True:
+        yield tuple(k)
+        if j == 0:
+            return
+        rest = k[j] - 1
+        k[j] = 0
+        k[j - 1] += 1
+        k[-1] = rest
+        j = d - 1 if rest else j - 1
 
 
 def enumerate_multi_indices(d, gamma):

@@ -13,13 +13,14 @@ the error exist for one block at a time.  The mult grid and the product-tree
 samples are made block by block as well, and verify_mon's truth has one row
 per point of its block only.  Blocks are BLOCK points, cut as
 _kernels.eval_chain cuts tiles: the short last block joins the one before
-it.  So every block starts on a multiple of TILE and its tiles are the
-tiles eval_chain gives the whole sweep; each point's output comes from the
-same products as on the whole grid, and the maximum of the block maxima is
-the maximum, so every measured error is that of one whole-grid evaluation,
-bit for bit.  The literal mult filter leaves blocks of any size, one point
-included, and a one-point call takes numpy's matrix-vector kernel.  That
-such a call gives the bits of a larger one is observed on the mult nets,
+it.  eval_chain's tile is TILE, halved for wide nets: a power of two that
+divides BLOCK.  So every block starts on a tile boundary and its tiles are
+the tiles eval_chain gives the whole sweep; each point's output comes from
+the same products as on the whole grid, and the maximum of the block maxima
+is the maximum, so every measured error is that of one whole-grid
+evaluation, bit for bit.  The literal mult filter leaves blocks of any size,
+one point included, and a one-point call takes numpy's matrix-vector kernel.
+That such a call gives the bits of a larger one is observed on the mult nets,
 not derived: each output sums at most three products, every weight is 0 or
 a signed power of two so every product is exact, and only the order of the
 few additions could differ, which numpy's two kernels were seen to keep.  A
@@ -55,11 +56,15 @@ class VerificationReport:
         return asdict(self)
 
 
-# Points per block of a sweep: 8 tiles.  verify_sweep (perfbench, seed 0)
-# peaked at 49.2, 51.0, 53.2, 60.7 and 62.3 MiB RSS with blocks of 2, 4, 8,
-# 16 and 32 tiles, against 97 MiB for whole-grid sweeps, with pass times
-# equal within host noise; 8 tiles keeps the calls few (37 per pass there).
-BLOCK = 8 * _kernels.TILE
+# Points per block of a sweep: 2 tiles of TILE.  verify_sweep (perfbench,
+# seed 0) peaked at 49.2, 51.0, 53.2, 60.7 and 62.3 MiB RSS with blocks of
+# 2, 4, 8, 16 and 32 tiles, against 97 MiB for whole-grid sweeps, with pass
+# times equal within host noise.  With eval_chain's width-derived tiles as
+# well, 2-tile blocks peaked at 47.6 MiB (median of 11 seeds) where 8-tile
+# blocks and fixed tiles had peaked at 53.4 (BENCH_pr29.json); the calls
+# rose from 37 to 147 per pass there, and the pass time held (0.34 and
+# 0.32 s medians).
+BLOCK = 2 * _kernels.TILE
 
 
 def _slices(a):

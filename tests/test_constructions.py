@@ -405,6 +405,32 @@ def test_enumerate_d1():
     assert enumerate_multi_indices(1, 5) == [(k,) for k in range(5)]
 
 
+def recursive_multi_indices(d, gamma):
+    """Oracle: graded lexicographic multi-indices, one recursion per variable."""
+    def compositions(d, total):
+        if d == 1:
+            return [(total,)]
+        return [(first,) + rest for first in range(total + 1) for rest in compositions(d - 1, total - first)]
+
+    return [k for total in range(gamma) for k in compositions(d, total)]
+
+
+def test_enumerate_matches_recursive_order():
+    for d in range(1, 5):
+        for gamma in range(1, 7):
+            assert enumerate_multi_indices(d, gamma) == recursive_multi_indices(d, gamma), (d, gamma)
+
+
+def test_enumerate_many_variables_without_recursion():
+    # a recursion per variable overflowed the stack near d = 1000
+    d = 1000
+    idx = enumerate_multi_indices(d, 2)
+    assert len(idx) == 1001
+    units = [tuple(int(i == j) for i in range(d)) for j in reversed(range(d))]
+    assert idx == [(0,) * d] + units
+    assert build_mon(1, 2, d).out_dim == 1001
+
+
 def test_count_monomials():
     for d in range(1, 5):
         for gamma in range(1, 11):

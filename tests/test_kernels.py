@@ -7,12 +7,15 @@ from nnapprox import (
     BlockDiagonal,
     Network,
     RELU,
+    build_cheb_net,
     build_mon,
     build_multr,
     evaluate,
     general_activation,
     parallel,
     path_matrix,
+    target_exp_sum,
+    with_ones,
 )
 from nnapprox import _kernels
 from conftest import dense_chain, dense_path_matrix, random_block_net, random_dense_net
@@ -154,6 +157,12 @@ def test_runs_of_builders_match_one_matmul_per_block(rng, monkeypatch):
         assert np.array_equal(path_matrix(net), loop_chain(net.layers, np.eye(net.in_dim), None, True))
 
 
+def largest_tile(n, t):
+    """Points of the largest tile of n points cut every t: the last one,
+    with the short rest joined, or all n when they make one tile."""
+    return n if n < 2 * t else t + n % t
+
+
 def test_multi_tile_call_makes_one_tile_sized_pair(rng, monkeypatch):
     t = SMALL_TILE
     asked = []
@@ -169,21 +178,72 @@ def test_multi_tile_call_makes_one_tile_sized_pair(rng, monkeypatch):
     net = random_block_net(rng, ABS, n_layers=4)
     # one point and a few make one tile as 647 points make ten: every call
     # asks for the result, then one allocation that holds the pair for the
-    # largest tile (each half rounded up to 8 entries, plus 7 entries of
-    # alignment slack), never for all 647 points, and no per-layer arrays
+    # largest tile it cuts (each half rounded up to 8 entries, plus 7 entries
+    # of alignment slack): 71 points, the last tile with the short rest
+    # joined, never all 647 points nor 2t - 1, and no per-layer arrays
     for n in (1, 5, 10 * t + 7):
         x = rng.normal(size=(n, net.in_dim))
         asked.clear()
         monkeypatch.setattr(_kernels, "TILE", t)
         monkeypatch.setattr(_kernels, "np", CountingNumpy())
         got = _kernels.eval_chain(net.layers, x.T, ABS.inplace)
-        pair = max(w for w in net.widths[1:-1]) * min(n, 2 * t - 1)
+        pair = max(w for w in net.widths[1:-1]) * largest_tile(n, t)
         assert asked[0] == (net.out_dim, n), n
         assert len(asked) == 2 and asked[1] == 2 * (-(-pair // 8) * 8) + 7, (n, asked)
         assert got.base is None  # the result never lives in a buffer
         monkeypatch.setattr(_kernels, "np", np)
         monkeypatch.setattr(_kernels, "TILE", 10**9)
         assert np.array_equal(got.T, evaluate(net, x)), n
+
+
+def wide_nets(rng):
+    """(net, inputs, the tile eval_chain should take, whether its outputs
+    must equal those of TILE-point tiles bit for bit): the d = 2 Chebyshev
+    net, 132 wide, the benchmark's multr(7, 8) and mon(6, 4, 2), 37 and 42
+    wide, and dense chains 300, 40 and 32 wide at the widest."""
+    def dense(*widths):
+        return Network(ABS, [rng.normal(size=(r, c)) / c for c, r in zip(widths, widths[1:])])
+
+    n = 3 * _kernels.TILE + 5
+    cheb = build_cheb_net(target_exp_sum(2), 2.0**-6, "rescaled")[0]
+    return [
+        (cheb, with_ones(rng.uniform(0.0, 1.0, (n, 2))), 512, True),
+        (build_multr(7, 8, "literal"), with_ones(rng.uniform(0.0, 0.5, (n, 8))), 2048, True),
+        (build_mon(6, 4, 2, "literal"), with_ones(rng.uniform(0.0, 0.5, (n, 2))), 2048, True),
+        # OpenBLAS picks its kernel and thread split by product size, so
+        # the last bits of a wide dense product can depend on the tile:
+        # with two BLAS threads this chain's outputs at 4,097 and 12,293
+        # points did (with one thread they did not)
+        (dense(3, 300, 132, 300, 1), rng.normal(size=(n, 3)), 512, False),
+        (dense(3, 40, 40, 2), rng.normal(size=(n, 3)), 2048, True),
+        (dense(3, 32, 32, 2), rng.normal(size=(n, 3)), 4096, True),
+    ]
+
+
+def test_tile_is_halved_for_wide_layers(rng, monkeypatch):
+    # a chain wider than TILE_ENTRIES / TILE = 32 halves its tile until a
+    # buffer holds at most 2^17 entries, down to 512 points; the one buffer
+    # request is the widest layer times the largest tile cut.  The outputs
+    # equal those of fixed TILE-point tiles (the budget lifted), which are
+    # one tile below 2 * TILE points
+    assert (_kernels.TILE, _kernels.TILE_ENTRIES, _kernels.MIN_TILE) == (4096, 2**17, 512)
+    sizes = []
+    pair = _kernels._line_aligned_pair
+    monkeypatch.setattr(_kernels, "_line_aligned_pair", lambda size: sizes.append(size) or pair(size))
+    for net, x, tile, exact in wide_nets(rng):
+        width = max(net.widths[1:-1])
+        for n in (511, 512, 1023, 1024, 1025, 2000, 4097, len(x)):
+            sizes.clear()
+            got = evaluate(net, x[:n])
+            assert sizes == [width * largest_tile(n, tile)], (width, n)
+            with monkeypatch.context() as mp:
+                mp.setattr(_kernels, "TILE_ENTRIES", 2**40)
+                want = evaluate(net, x[:n])
+            assert sizes[1] == width * largest_tile(n, _kernels.TILE)
+            if exact:
+                assert np.array_equal(got, want), (width, n)
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize("size", [1, 7, 8, 1000, 30 * 8191])

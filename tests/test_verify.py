@@ -22,12 +22,12 @@ def test_verify_mult_passes_at_coarse_step(variant):
 
 @pytest.mark.parametrize("n", [1, 10, 20, 200])
 def test_verify_mult_grids(monkeypatch, n):
-    seen = []
-    evaluate = ver.evaluate
-    monkeypatch.setattr(ver, "evaluate", lambda net, x: seen.append(x) or evaluate(net, x))
+    seen = recorded_calls(monkeypatch)
     verify_mult(2, LITERAL, step=1.0 / n)
+    literal = np.concatenate(seen)
+    seen.clear()
     verify_mult(2, RESCALED, step=1.0 / n)
-    literal, rescaled = seen
+    rescaled = np.concatenate(seen)
     # the literal grid is every (i/n, j/n) with i + j <= n, the rescaled one all of them
     assert len(literal) == (n + 1) * (n + 2) // 2
     assert np.all(literal[:, 1] + literal[:, 2] <= 1.0)
@@ -109,8 +109,10 @@ def test_sup_error_matches_the_pointwise_maximum(rng):
 # block sweeps: the errors of one whole-grid evaluation, bit for bit
 
 B = ver.BLOCK
-# one block short of, at and past one and two blocks, and three blocks and a bit
+# one block short of, at and past one and two blocks, and three blocks and a
+# bit; then the same edges of four-block spans
 EDGE_SIZES = [B - 1, B, B + 1, 2 * B - 1, 2 * B, 3 * B + 5]
+EDGE_SIZES += [4 * B - 1, 4 * B, 4 * B + 1, 8 * B - 1, 8 * B, 12 * B + 5]
 
 
 def whole_grid_error(net, points, truth):
@@ -124,7 +126,7 @@ def mult_grid(n, variant):
     return pts[pts[:, 0] + pts[:, 1] <= 1.0] if variant is LITERAL else pts
 
 
-@pytest.mark.parametrize("n", EDGE_SIZES)
+@pytest.mark.parametrize("n", [1] + EDGE_SIZES)
 def test_sq_and_multr_sweeps_equal_whole_grid_errors(n):
     x = np.linspace(0.0, 1.0, n)
     assert ver.verify_sq(6, n).measured_max_error == whole_grid_error(ctor.build_sq(6), x, x * x)
@@ -143,7 +145,7 @@ def test_mult_sweeps_equal_whole_grid_errors(n, variant):
 
 
 def test_mon_sweep_equals_whole_grid_error():
-    # 41^3 = 68,921 points: two blocks
+    # 41^3 = 68,921 points: eight blocks
     pts = tensor_grid([np.linspace(0.0, 1.0, 41)] * 3)
     truth = monomial_values(ctor.enumerate_multi_indices(3, 3), pts)
     want = whole_grid_error(ctor.build_mon(4, 3, 3, RESCALED), pts, truth)
@@ -175,7 +177,7 @@ def assert_bounded_blocks(seen, points):
 def test_mult_blocks_are_bounded_and_in_grid_order(monkeypatch, variant):
     seen = recorded_calls(monkeypatch)
     verify_mult(2, variant, step=1.0 / 400)  # 160,801 points before the literal filter
-    assert len(seen) == 4
+    assert len(seen) == 401**2 // B
     assert_bounded_blocks(seen, mult_grid(400, variant))
 
 
@@ -194,7 +196,7 @@ def test_sq_and_multr_blocks_are_bounded_and_in_order(monkeypatch, n):
 def test_mon_blocks_are_bounded_and_in_order(monkeypatch):
     seen = recorded_calls(monkeypatch)
     ver.verify_mon(2, 2, 3, RESCALED, grid_points=41)
-    assert len(seen) == 2
+    assert len(seen) == 41**3 // B
     assert_bounded_blocks(seen, tensor_grid([np.linspace(0.0, 1.0, 41)] * 3))
 
 
