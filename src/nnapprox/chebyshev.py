@@ -211,18 +211,25 @@ class MonomialPolynomial:
         return out
 
 
-def _affine_cheb_monomials(n, lo, hi):
-    """Monomial coefficients of T_n(alpha x + beta) mapping [lo,hi] to [-1,1]."""
+def _cheb_monomial_matrix(size, lo, hi):
+    """The (size, size) matrix whose column k holds the monomial
+    coefficients of T_k(t), t = alpha x + beta mapping [lo, hi] onto
+    [-1, 1], from T_0 = 1, T_1 = t and T_{k+1} = 2t T_k - T_{k-1}; degrees
+    above 60 are rejected, as in cheb_poly_coeffs."""
+    if size > 61:
+        raise ValueError("degree above 60 rejected: coefficients overflow doubles")
     alpha = 2.0 / (hi - lo)
     beta = -(hi + lo) / (hi - lo)
-    base = cheb_poly_coeffs(n)
-    out = np.zeros(n + 1)
-    power = np.array([1.0])
-    for i in range(n + 1):
-        out[: len(power)] += base[i] * power
-        if i < n:
-            power = np.convolve(power, [beta, alpha])
-    return out
+    mat = np.zeros((size, size))
+    mat[0, 0] = 1.0
+    if size > 1:
+        mat[:2, 1] = beta, alpha
+    for k in range(1, size - 1):
+        # 2t T_k: 2 beta T_k plus 2 alpha x T_k, the column moved down a row
+        col = 2.0 * beta * mat[:, k]
+        col[1:] += 2.0 * alpha * mat[:-1, k]
+        mat[:, k + 1] = col - mat[:, k - 1]
+    return mat
 
 
 def cheb_to_monomial(series, gamma):
@@ -235,10 +242,5 @@ def cheb_to_monomial(series, gamma):
     """
     coeffs = series.coeffs[tuple(slice(max(gamma + 1, 0)) for _ in range(series.d))]
     coeffs = np.where(np.indices(coeffs.shape).sum(axis=0) <= gamma, coeffs, 0.0)
-    mats = []
-    for size, (lo, hi) in zip(coeffs.shape, series.domain):
-        mat = np.zeros((size, size))
-        for k in range(size):
-            mat[: k + 1, k] = _affine_cheb_monomials(k, lo, hi)
-        mats.append(mat)
+    mats = [_cheb_monomial_matrix(size, lo, hi) for size, (lo, hi) in zip(coeffs.shape, series.domain)]
     return MonomialPolynomial(series.d, dict(np.ndenumerate(_contract(mats, coeffs))))

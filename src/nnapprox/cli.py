@@ -10,6 +10,7 @@ import sys
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import constructions as ctor
 from . import entropy as ent
@@ -187,12 +188,17 @@ def path_norm_cmd(net_json, out):
 # verify
 
 
+# the options each construction's verifier reads, beside --m, --bound and --out
+VERIFY_READS = {"sq": {"grid"}, "mult": {"variant", "step"}, "multr": {"r", "variant", "samples", "seed"},
+                "mon": {"gamma", "d", "variant", "grid"}}
+
+
 @main.command("verify")
-@click.argument("construction", type=click.Choice(["sq", "mult", "multr", "mon"]))
+@click.argument("construction", type=click.Choice(list(VERIFY_READS)))
 @M_OPTION
-@click.option("--r", type=click.IntRange(min=2), default=None)
-@click.option("--gamma", type=click.IntRange(min=2), default=None)
-@click.option("--d", type=click.IntRange(min=1), default=None)
+@click.option("--r", type=click.IntRange(min=2), default=None, help="factors (multr)")
+@click.option("--gamma", type=click.IntRange(min=2), default=None, help="degree (mon)")
+@click.option("--d", type=click.IntRange(min=1), default=None, help="variables (mon)")
 @VARIANT_OPTION
 @click.option("--grid", type=click.IntRange(min=1), default=None,
               help="points (sq) or points per axis (mon)")
@@ -200,11 +206,15 @@ def path_norm_cmd(net_json, out):
               help="grid step (mult)")
 @click.option("--samples", type=click.IntRange(min=1), default=100000,
               help="random samples (multr)")
-@click.option("--seed", type=click.IntRange(min=0), default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0, help="sample seed (multr)")
 @click.option("--bound", type=float, default=None, help="override the claimed bound")
 @OUT_OPTION
 def verify_cmd(construction, m, r, gamma, d, variant, grid, step, samples, seed, bound, out):
     """Sweep a construction against its claimed error bound; exit 1 on failure."""
+    # an option the construction does not read is refused when given, not ignored
+    for name in sorted(set().union(*VERIFY_READS.values()) - VERIFY_READS[construction]):
+        if click.get_current_context().get_parameter_source(name) is ParameterSource.COMMANDLINE:
+            raise click.UsageError(f"verify {construction} does not read --{name}")
     # --grid is passed on only when given, so the default sizes live in verify.py
     size = {} if grid is None else {"n_points" if construction == "sq" else "grid_points": grid}
     if construction == "sq":
@@ -412,8 +422,10 @@ def regress_cmd(target_name, d, n, noise, arch, lam, lambda_scale, epochs, seed,
     dataset = reg.generate_data(cfg)
     net, report = reg.fit(cfg, dataset)
     _write_net(net, net_out)
-    _emit({"config": {"n": n, "d": target.d, "target": target.name, "noise_sd": noise,
-                      "widths": list(cfg.widths), "lambda": lam, "seed": seed},
+    # the settings as the options take them, so the config re-runs the fit
+    _emit({"config": {"n": n, "d": target.d, "target": target_name, "noise_sd": noise,
+                      "widths": list(cfg.widths), "lambda": lam, "lambda_scale": lambda_scale,
+                      "max_epochs": epochs, "seed": seed},
            "report": report.to_dict()}, out)
 
 

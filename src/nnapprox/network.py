@@ -11,14 +11,13 @@ Every layer is a BlockDiagonal: its diagonal blocks, in order (a plain
 matrix is a single block), stored as runs of copies of one block.  A layer
 made from other layers reuses their checked, read-only blocks instead of
 copying them.  A network given as one flat parameter vector, as the entropy
-sampler draws it and the fit holds it, is copied and checked once and its
-layers are read-only views of that copy (_network_from_vector; the sampler
-reads the views and rescales the copy before it is frozen, through
-_vector_views).  The
-shapes, size and runs of a width vector are worked out once (_layout), and
-a network built from a vector carries its stacking key, its activation and
-runs, in _key, so the entropy oracle need not rebuild it per network.  The
-builders stack networks with parallel(), the paper's
+sampler draws it and the fit holds it, takes that vector over: it is
+checked once, made read-only, and its layers are views of it
+(_network_from_vector, which copies only a vector that is not C-contiguous
+float64).  The shapes, size and runs of a width vector are worked out once
+(_layout), and a network built from a vector carries its stacking key, its
+activation and runs, in _key, so the entropy oracle need not rebuild it per
+network.  The builders stack networks with parallel(), the paper's
 parallelisation, and chain the layers of such stacks into one Network
 where the paper composes (no builder calls compose()); both splice the
 layers of their networks that way (build_mon's pairing levels reuse one
@@ -114,8 +113,8 @@ class BlockDiagonal:
     stacking and splicing layers copies nothing, and the copies parallel()
     stacks of one network are one run, stored, multiplied and serialized
     once.  The one other way is _network_from_vector's: a read-only view of
-    a parameter vector that was copied and checked as a whole becomes a run
-    of one as it is (_of_block).  blocks is the expanded tuple, one entry
+    a parameter vector that was checked as a whole becomes a run of one as
+    it is (_of_block).  blocks is the expanded tuple, one entry
     per copy.
     """
 
@@ -271,43 +270,25 @@ def _layout(widths):
     return shapes, sum(r * c for r, c in shapes), tuple(((s, 1),) for s in shapes)
 
 
-def _vector_views(theta, widths):
-    """(copy, views, runs): the flat parameter vector theta copied once into
-    float64 and checked once (its length is sum p_{i+1} p_i of the widths,
-    from _layout, and every entry is finite), the matrices W0, ..., WL as
-    read-only row-major views of the copy, and the runs key of _layout.  The
-    copy itself stays writable, so a caller may rescale it in place before
-    _network_from_views freezes it."""
+def _network_from_vector(activation, theta, widths, meta=None):
+    """The network of these widths whose matrices W0, ..., WL are, in order,
+    the row-major ranges of the flat parameter vector theta, which it takes
+    over: theta is copied only when it is not C-contiguous float64
+    (np.asarray with order "C"), its length and finiteness are checked once, and
+    it is made read-only and sliced once into the layers, so the caller
+    writes to it no more.  _key is (activation, runs key of _layout), the
+    key entropy._stacks groups the network by."""
     shapes, size, runs = _layout(tuple(widths))
-    flat = np.array(theta, dtype=np.float64)
+    flat = np.asarray(theta, dtype=np.float64, order="C")
     if flat.shape != (size,):
         raise NetworkError(f"a vector of shape {flat.shape} is not the weights of widths {tuple(widths)}")
     if not np.isfinite(flat).all():
         raise NetworkError("matrix entries must be finite")
-    # views of a read-only alias are read-only: one flag set for all layers
-    frozen = flat.view()
-    frozen.setflags(write=False)
-    return flat, _views(frozen, shapes), runs
-
-
-def _network_from_views(activation, flat, views, runs, meta=None):
-    """The network whose layers are the views of flat, with their runs key,
-    made by _vector_views.  flat is frozen, so no later write reaches the
-    network, and its _key is set to (activation, runs), the key
-    entropy._stacks groups it by."""
+    # views of a read-only array are read-only: one flag set for all layers
     flat.setflags(write=False)
-    net = Network(activation, [BlockDiagonal._of_block(w) for w in views], meta)
+    net = Network(activation, [BlockDiagonal._of_block(w) for w in _views(flat, shapes)], meta)
     net._key = (activation, runs)
     return net
-
-
-def _network_from_vector(activation, theta, widths, meta=None):
-    """The network of these widths whose matrices W0, ..., WL are, in order,
-    the row-major ranges of the flat parameter vector theta: one copy of
-    theta, checked once, whose read-only views are the layers, so later
-    writes to theta do not reach the network (_vector_views and
-    _network_from_views)."""
-    return _network_from_views(activation, *_vector_views(theta, widths), meta)
 
 
 def evaluate(net, x):

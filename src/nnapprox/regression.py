@@ -25,6 +25,7 @@ from .network import ABS, _layout, _network_from_vector, _views, evaluate, path_
 LEARNING_RATE = 0.25  # first trial step of the line search
 HOLDOUT_POINTS = 10000  # uniform points for the reported holdout MSE
 ORACLE_MC_POINTS = 4096  # Monte Carlo points for |f - f0|^2 in oracle_rhs
+ORACLE_C = 1.0  # the constant C of oracle_rhs's remainder term
 
 
 @dataclass
@@ -36,7 +37,6 @@ class RegressionConfig:
     widths: tuple = (8,)
     lam: object = "auto"
     lambda_scale: float = 1.0
-    oracle_c: float = 1.0
     max_epochs: int = 2000
     seed: int = 0
 
@@ -51,7 +51,7 @@ class RegressionConfig:
             raise ValueError(f"hidden widths must be positive, got {tuple(self.widths)}")
         if self.lam != "auto" and not _finite_nonneg(self.lam):
             raise ValueError(f"lam must be 'auto' or a finite number >= 0, got {self.lam!r}")
-        for name in ("lambda_scale", "noise_sd", "oracle_c"):
+        for name in ("lambda_scale", "noise_sd"):
             if not _finite_nonneg(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number >= 0, got {getattr(self, name)!r}")
         if self.max_epochs < 0:
@@ -279,6 +279,7 @@ def fit(config, dataset):
                 converged = True
                 break
 
+    # the network takes cur.flat over; nothing writes to cur from here on
     net = _network_from_vector(ABS, cur.flat, arch, meta={"construction": "fitted", "widths": list(arch)})
     hold_rng = np.random.default_rng(config.seed + 1)
     xh = hold_rng.uniform(0.0, 1.0, size=(HOLDOUT_POINTS, config.d))
@@ -324,12 +325,12 @@ def oracle_rhs(config, candidate):
     An upper bound on the oracle-inequality right-hand side's infimum term;
     reported, never asserted.  Hidden widths come from the candidate, which
     represents the class containing it; lambda is that class's penalty
-    weight and C is config.oracle_c."""
+    weight and C is ORACLE_C."""
     n = config.n
     rng = np.random.default_rng(config.seed + 2)
     xm = rng.uniform(0.0, 1.0, size=(ORACLE_MC_POINTS, config.d))
     pred = evaluate(candidate, with_ones(xm))[:, 0]
     mc = float(np.mean((pred - config.target.evaluate(xm)) ** 2))
     hidden = candidate.widths[1:-1]
-    remainder = config.oracle_c * sum(hidden) * math.log2(n) ** 3 / n
+    remainder = ORACLE_C * sum(hidden) * math.log2(n) ** 3 / n
     return OracleTerms(mc, _lambda(config, candidate.widths) * path_norm(candidate), remainder)

@@ -11,7 +11,7 @@ from nnapprox import (
     cheb_poly_coeffs,
     cheb_to_monomial,
 )
-from nnapprox.chebyshev import _affine_cheb_monomials, monomial_values, tensor_grid
+from nnapprox.chebyshev import _cheb_monomial_matrix, monomial_values, tensor_grid
 from nnapprox.constructions import enumerate_multi_indices
 
 
@@ -158,6 +158,36 @@ def test_series_evaluate_shapes():
     assert np.allclose(s.evaluate(x), want)
 
 
+def test_unit_interval_columns_are_integers_summing_to_t_k_of_3():
+    # T_k(2x - 1) has integer coefficients of alternating sign, so their
+    # absolute values sum to |T_k(-3)| = T_k(3), here from T_{k+1} = 6 T_k -
+    # T_{k-1} in integers
+    t3 = [1, 3]
+    while len(t3) < 21:
+        t3.append(6 * t3[-1] - t3[-2])
+    mat = _cheb_monomial_matrix(21, 0.0, 1.0)
+    for k in range(21):
+        col = mat[:, k]
+        assert np.array_equal(col, np.round(col)) and not col[k + 1 :].any(), k
+        assert sum(abs(int(v)) for v in col) == t3[k], k
+
+
+def test_to_monomial_rejects_degree_above_60():
+    assert cheb_to_monomial(ChebyshevSeries(np.eye(1, 61, 60)[0]), 60).degree == 60
+    with pytest.raises(ValueError, match="degree above 60"):
+        cheb_to_monomial(ChebyshevSeries(np.eye(1, 62, 61)[0]), 61)
+
+
+def test_axis_matrix_matches_numpy_conversion():
+    for lo, hi in ((-1.0, 1.0), (0.0, 1.0), (0.0, 0.5), (0.2, 0.9), (2.0, -3.0)):
+        mat = _cheb_monomial_matrix(13, lo, hi)
+        for k in range(13):
+            want = npcheb.Chebyshev.basis(k, domain=[lo, hi]).convert(kind=np.polynomial.Polynomial).coef
+            scale = np.abs(want).max()
+            assert np.abs(mat[: k + 1, k] - want).max() <= 1e-13 * scale, (lo, hi, k)
+            assert not mat[k + 1 :, k].any()
+
+
 def _per_term_expansion(series, gamma):
     """The conversion as a sum over tensor terms: every product
     T_{k1}...T_{kd} with |k|_1 <= gamma expanded into monomials one by one."""
@@ -166,7 +196,7 @@ def _per_term_expansion(series, gamma):
         c = series.coeffs[k]
         if c == 0.0 or sum(k) > gamma:
             continue
-        vecs = [_affine_cheb_monomials(ka, *series.domain[a]) for a, ka in enumerate(k)]
+        vecs = [_cheb_monomial_matrix(ka + 1, *series.domain[a])[:, ka] for a, ka in enumerate(k)]
         for j in np.ndindex(tuple(len(v) for v in vecs)):
             val = c
             for a in range(series.d):

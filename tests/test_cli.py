@@ -229,6 +229,21 @@ def test_regress_smoke(runner):
     assert rep["objective"] == pytest.approx(rep["risk"] + rep["penalty"])
 
 
+def test_regress_config_reruns_to_the_same_report(runner):
+    args = ["regress", "--target", "exp-sum", "--d", "2", "--n", "32", "--noise", "0.2", "--arch", "4,3",
+            "--lambda", "auto", "--lambda-scale", "0.5", "--epochs", "7", "--seed", "3"]
+    first = json.loads(runner.invoke(main, args).output)
+    cfg = first["config"]
+    assert (cfg["target"], cfg["d"], cfg["lambda_scale"], cfg["max_epochs"]) == ("exp-sum", 2, 0.5, 7)
+    rerun = ["regress", "--target", cfg["target"], "--d", str(cfg["d"]), "--n", str(cfg["n"]),
+             "--noise", repr(cfg["noise_sd"]), "--arch", ",".join(map(str, cfg["widths"])),
+             "--lambda", cfg["lambda"], "--lambda-scale", repr(cfg["lambda_scale"]),
+             "--epochs", str(cfg["max_epochs"]), "--seed", str(cfg["seed"])]
+    res = runner.invoke(main, rerun)
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output) == first
+
+
 BAD_INPUTS = [
     ("eval non-numeric input", ["eval", "{net}", "--input", "1,abc"]),
     ("eval network the reader rejects", ["eval", "{ragged_net}", "--input", "1,0.5"]),
@@ -305,6 +320,52 @@ BAD_INPUTS = [
     ("build mon more monomials than a network may output",
      ["build", "mon", "--m", "2", "--gamma", "10000", "--d", "3"]),
 ]
+
+# every option of verify that a construction does not read, given with a
+# valid value: each is a usage error instead of being ignored
+VERIFY_BASE = {
+    "sq": ["verify", "sq", "--m", "2"],
+    "mult": ["verify", "mult", "--m", "2"],
+    "multr": ["verify", "multr", "--m", "2", "--r", "2"],
+    "mon": ["verify", "mon", "--m", "2", "--gamma", "2", "--d", "1"],
+}
+VERIFY_VALUES = {
+    "--r": "2", "--gamma": "2", "--d": "1", "--variant": "literal",
+    "--grid": "100", "--step": "0.05", "--samples": "10", "--seed": "0",
+}
+VERIFY_IGNORED = [
+    ("sq", "--r"), ("sq", "--gamma"), ("sq", "--d"), ("sq", "--variant"),
+    ("sq", "--step"), ("sq", "--samples"), ("sq", "--seed"),
+    ("mult", "--r"), ("mult", "--gamma"), ("mult", "--d"), ("mult", "--grid"),
+    ("mult", "--samples"), ("mult", "--seed"),
+    ("multr", "--gamma"), ("multr", "--d"), ("multr", "--grid"), ("multr", "--step"),
+    ("mon", "--r"), ("mon", "--step"), ("mon", "--samples"), ("mon", "--seed"),
+]
+
+
+@pytest.mark.parametrize("construction, option", VERIFY_IGNORED, ids=[" ".join(p) for p in VERIFY_IGNORED])
+def test_verify_refuses_an_option_its_construction_does_not_read(runner, construction, option):
+    base = VERIFY_BASE[construction]
+    assert runner.invoke(main, base).exit_code == 0
+    res = runner.invoke(main, [*base, option, VERIFY_VALUES[option]])
+    assert res.exit_code == 2, res.output
+    (error,) = [line for line in res.output.splitlines() if line.startswith("Error:")]
+    assert error == f"Error: verify {construction} does not read {option}"
+
+
+def test_verify_accepts_every_option_its_construction_reads(runner):
+    reads = {
+        "sq": ["--grid"],
+        "mult": ["--variant", "--step"],
+        "multr": ["--variant", "--samples", "--seed"],
+        "mon": ["--variant", "--grid"],
+    }
+    for construction, options in reads.items():
+        args = [*VERIFY_BASE[construction]]
+        for option in options:
+            args += [option, VERIFY_VALUES[option]]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
 
 
 @pytest.mark.parametrize("args", [pytest.param(a, id=name) for name, a in BAD_INPUTS])

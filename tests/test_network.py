@@ -568,18 +568,43 @@ def test_network_from_vector_matches_per_layer_network(widths, act, rng):
 
 
 def test_network_from_vector_copies_once_into_read_only_views(rng):
+    # a C-contiguous float64 vector is taken over, not copied: afterwards it
+    # is read-only and every block is a view of it
     theta = rng.uniform(-1, 1, 6 + 3)
+    want = theta.copy()
     net = _network._network_from_vector(ABS, theta, (2, 3, 1))
-    before = net.weights
-    theta[:] = 7.0  # the caller's vector is not the network's
-    assert all(np.array_equal(a, b) for a, b in zip(net.weights, before))
+    assert not theta.flags.writeable
+    with pytest.raises(ValueError):
+        theta[0] = 7.0
     blocks = [b for lay in net.layers for b, _ in lay.runs]
-    base = blocks[0].base
-    assert all(b.base is base for b in blocks) and not np.shares_memory(base, theta)
+    assert all(b.base is theta for b in blocks)
+    assert np.array_equal(np.concatenate([b.ravel() for b in blocks]), want)
     for b in blocks:
         assert not b.flags.writeable
         with pytest.raises(ValueError):
             b[0, 0] = 5.0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda v: np.repeat(v, 2)[::2], lambda v: v.astype(np.float32), list],
+    ids=["strided", "float32", "list"],
+)
+def test_network_from_vector_copies_other_vectors_once(rng, make):
+    # a vector that is not C-contiguous float64 is copied once into one,
+    # whose read-only views are the layers; the caller's vector is untouched
+    theta = make(rng.uniform(-1, 1, 6 + 3))
+    want = np.asarray(theta, dtype=np.float64).copy()
+    net = _network._network_from_vector(ABS, theta, (2, 3, 1))
+    blocks = [b for lay in net.layers for b, _ in lay.runs]
+    base = blocks[0].base
+    assert all(b.base is base and not b.flags.writeable for b in blocks)
+    assert base.flags.c_contiguous and not np.shares_memory(base, np.asarray(theta))
+    assert np.array_equal(base, want)
+    if isinstance(theta, np.ndarray):
+        assert theta.flags.writeable
+        theta[:] = 7.0  # the copy is the network's, not the caller's vector
+        assert np.array_equal(base, want)
 
 
 @pytest.mark.parametrize(
@@ -588,12 +613,13 @@ def test_network_from_vector_copies_once_into_read_only_views(rng):
         (np.zeros(5), (2, 3), "not the weights"),  # 6 entries needed
         (np.zeros(7), (2, 3), "not the weights"),
         (np.zeros((2, 3)), (2, 3), "not the weights"),  # not flat
+        (np.float64(0.0), (1, 1), "not the weights"),  # a scalar, not a vector of one
         (np.zeros(0), (0, 3), "not the weights"),  # no entries for a zero width
         (np.array([0.0, np.nan, 0.0]), (1, 3), "must be finite"),
         (np.array([0.0, 0.0, np.inf, 0.0]), (2, 1, 2), "must be finite"),
         (np.array([-np.inf, 0.0]), (1, 1, 1), "must be finite"),
     ],
-    ids=["short", "long", "matrix", "zero-width", "nan", "inf", "-inf"],
+    ids=["short", "long", "matrix", "scalar", "zero-width", "nan", "inf", "-inf"],
 )
 def test_network_from_vector_rejects_bad_vectors(theta, widths, match):
     with pytest.raises(NetworkError, match=match):

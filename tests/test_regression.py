@@ -17,7 +17,7 @@ from nnapprox import (
 )
 from nnapprox import regression
 from nnapprox.network import with_ones
-from nnapprox.regression import LEARNING_RATE, _lambda, _objective, _path_norm_prefix, _risk_grads
+from nnapprox.regression import LEARNING_RATE, ORACLE_C, _lambda, _objective, _path_norm_prefix, _risk_grads
 
 
 def _linear_target():
@@ -157,9 +157,6 @@ def test_zero_hidden_width_rejected():
         ("noise_sd", -0.1),
         ("noise_sd", float("inf")),
         ("max_epochs", -1),
-        ("oracle_c", -1.0),
-        ("oracle_c", float("nan")),
-        ("oracle_c", float("inf")),
         ("n", 1),
         ("n", 0),
         ("n", -3),
@@ -170,9 +167,8 @@ def test_zero_hidden_width_rejected():
     ],
 )
 def test_config_rejects_nonsense_penalty_and_budget(field, value):
-    # a negative lam or lambda_scale made the penalty reward path norm, a
-    # negative oracle_c made oracle_rhs negative, and n < 2 failed later
-    # inside fit or generate_data, as a negative seed did inside numpy; a d
+    # a negative lam or lambda_scale made the penalty reward path norm, and
+    # n < 2 failed later inside fit or generate_data, as a negative seed did inside numpy; a d
     # other than the 1-d target's failed in generate_data, d = -1 in numpy
     with pytest.raises(ValueError, match=field):
         RegressionConfig(**{"n": 16, "d": 1, "target": _linear_target(), field: value})
@@ -326,21 +322,25 @@ def test_oracle_rhs_zero_for_representable_target():
 
     f0 = _linear_target()
     cand = Network(ABS, [np.array([[1.0, 2.0]])])  # exactly f0 on (1, x)
-    cfg = RegressionConfig(n=128, d=1, target=f0, lam=0.0, oracle_c=0.0)
-    assert oracle_rhs(cfg, cand).rhs == pytest.approx(0.0, abs=1e-24)
+    cfg = RegressionConfig(n=128, d=1, target=f0, lam=0.0)
+    terms = oracle_rhs(cfg, cand)
+    assert terms.mc_error == pytest.approx(0.0, abs=1e-24) and terms.penalty == 0.0
+    # no hidden layer, so the remainder C sum_i p_i log2(n)^3 / n is 0 too
+    assert terms.remainder == 0.0 and terms.rhs == pytest.approx(0.0, abs=1e-24)
 
 
-def test_oracle_rhs_c_doubling_adds_exact_term():
+def test_oracle_rhs_remainder_is_the_exact_term():
     f0 = _square_target()
     cfg = RegressionConfig(n=128, d=1, target=f0, lam=0.1, widths=(4, 4))
     from nnapprox import Network, ABS
 
     rng = np.random.default_rng(0)
-    cand = Network(ABS, [rng.uniform(-1, 1, (4, 2)), rng.uniform(-1, 1, (4, 4)), rng.uniform(-1, 1, (1, 4))])
-    r1 = oracle_rhs(dataclasses.replace(cfg, oracle_c=1.0), cand).rhs
-    r2 = oracle_rhs(dataclasses.replace(cfg, oracle_c=2.0), cand).rhs
-    hidden_sum = 8
-    assert r2 - r1 == pytest.approx(hidden_sum * math.log2(128) ** 3 / 128)
+    for hidden in ((4, 4), (8, 8), (3,)):
+        p = (2, *hidden, 1)
+        cand = Network(ABS, [rng.uniform(-1, 1, (p[i + 1], p[i])) for i in range(len(p) - 1)])
+        remainder = oracle_rhs(cfg, cand).remainder
+        assert remainder == ORACLE_C * sum(hidden) * math.log2(128) ** 3 / 128
+        assert remainder == pytest.approx(sum(hidden) * 343 / 128)  # C = 1
 
 
 def test_oracle_rhs_finite_for_plugin(rng):
@@ -355,14 +355,14 @@ def test_oracle_rhs_finite_for_plugin(rng):
 
 def test_oracle_rhs_sums_its_terms():
     f0 = _square_target()
-    cfg = RegressionConfig(n=128, d=1, target=f0, lam=0.1, widths=(4, 4), oracle_c=1.5)
+    cfg = RegressionConfig(n=128, d=1, target=f0, lam=0.1, widths=(4, 4))
     from nnapprox import Network, ABS, path_norm
 
     rng = np.random.default_rng(1)
     cand = Network(ABS, [rng.uniform(-1, 1, (4, 2)), rng.uniform(-1, 1, (4, 4)), rng.uniform(-1, 1, (1, 4))])
     terms = oracle_rhs(cfg, cand)
     assert terms.penalty == 0.1 * path_norm(cand)
-    assert terms.remainder == 1.5 * 8 * math.log2(128) ** 3 / 128
+    assert terms.remainder == ORACLE_C * 8 * math.log2(128) ** 3 / 128
     assert terms.rhs == 2.0 * (terms.mc_error + terms.penalty) + terms.remainder
 
 
