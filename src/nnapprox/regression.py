@@ -153,10 +153,10 @@ def _risk_grads(weights, acts, pres, res, out=None):
         np.matmul(delta, acts[i].T, out=grads[i])
         if i > 0:
             w = weights[i]
-            # a one-row layer's W.T @ delta has inner dimension 1: the same
-            # products as a broadcast multiply, which skips numpy's slow
-            # matmul loop for that shape
-            delta = w.T * delta if w.shape[0] == 1 else w.T @ delta
+            # a one-row layer's W.T @ delta has inner dimension 1: np.dot
+            # hands it to BLAS, which forms the same rounded products w_j
+            # delta_k faster than np.matmul's own loop or a broadcast multiply
+            delta = np.dot(w.T, delta) if w.shape[0] == 1 else w.T @ delta
             delta *= np.sign(pres[i - 1])
     return grads
 
@@ -167,9 +167,12 @@ def _path_norm_prefix(weights, absw=None):
     if absw is None:
         absw = [np.abs(w) for w in weights]
     v = [np.ones(absw[0].shape[1])]
+    # np.dot: the BLAS matrix-vector products of np.matmul, at less cost per
+    # call on these few entries (so in path_norm_grads too)
     for a in absw[:-1]:
-        v.append(a @ v[-1])
-    return float((absw[-1] @ v[-1]).sum()), absw, v
+        v.append(np.dot(a, v[-1]))
+    # np.add.reduce: ndarray.sum without its Python wrapper
+    return float(np.add.reduce(absw[-1] @ v[-1])), absw, v
 
 
 def path_norm_grads(weights, absw, v, out=None):
@@ -184,10 +187,12 @@ def path_norm_grads(weights, absw, v, out=None):
     grads = [np.empty(w.shape) for w in weights] if out is None else out
     u = np.ones(absw[-1].shape[0])
     for i in range(len(weights) - 1, -1, -1):
-        np.multiply(u[:, None], v[i], out=grads[i])
+        # the outer product as a BLAS product of inner dimension 1: the same
+        # rounded products as a broadcast multiply, without its iterator
+        np.dot(u[:, None], v[i][None, :], out=grads[i])
         grads[i] *= np.sign(weights[i])
         if i > 0:
-            u = absw[i].T @ u
+            u = absw[i].T.dot(u)
     return grads
 
 
@@ -218,13 +223,28 @@ def _params(shapes, size):
     return _Params(flat, _views(flat, shapes), absflat, _views(absflat, shapes))
 
 
+def _checked_data(config, dataset):
+    """(X, Y) of the dataset as float64, after checking that X is (n, d), Y
+    is (n,) and both are finite."""
+    x, y = np.asarray(dataset.X, dtype=np.float64), np.asarray(dataset.Y, dtype=np.float64)
+    for name, a, shape in (("X", x, (config.n, config.d)), ("Y", y, (config.n,))):
+        if a.shape != shape:
+            raise ValueError(f"{name} has shape {a.shape}, but n = {config.n} and d = {config.d} need {shape}")
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} has entries that are not finite")
+    return x, y
+
+
 def fit(config, dataset):
     """Penalized least squares; returns (Network, FitReport).
 
-    Every weight matrix is a view of one flat vector theta and the gradient
-    is one flat vector g, so the step theta - t g, |theta| and the penalty
-    term of g are each one numpy call; a trial step is written into a
-    second vector, which takes theta's place when accepted."""
+    X must be finite of shape (n, d) and Y finite of shape (n,), for the n
+    and d of config, or fit raises ValueError.  Every weight matrix is a
+    view of one flat vector theta and the gradient is one flat vector g, so
+    the step theta - t g, |theta| and the penalty term of g are each one
+    numpy call; a trial step is written into a second vector, which takes
+    theta's place when accepted."""
+    x, y = _checked_data(config, dataset)
     rng = np.random.default_rng(config.seed)
     arch = config.architecture
     shapes, size, _ = _layout(arch)
@@ -234,8 +254,7 @@ def fit(config, dataset):
         w[...] = rng.uniform(-s, s, size=w.shape)
     lam = _lambda(config, arch)
     # column-major, so the passes' xa.T is C-contiguous (d + 1, n)
-    xa = np.asfortranarray(with_ones(dataset.X))
-    y = np.asarray(dataset.Y, dtype=np.float64)
+    xa = np.asfortranarray(with_ones(x))
     g, pg = np.empty(size), np.empty(size)
     g_views, pg_views = _views(g, shapes), _views(pg, shapes)
 

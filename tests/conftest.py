@@ -130,3 +130,113 @@ def linear_bound(b, r, eps, d):
     functionals with |w|_1 <= b on [-r, r]^d, which network_bound must give
     at L = 0."""
     return math.ceil(b * b * r * r / (eps * eps)) * math.log2(2 * d + 1)
+
+
+# ---------------------------------------------------------------------------
+# the regression fit loop with broadcast multiplies and np.matmul
+
+
+def _ref_forward(weights, xa):
+    cur = xa.T
+    acts, pres = [cur], []
+    for w in weights[:-1]:
+        pre = w @ cur
+        pres.append(pre)
+        cur = np.abs(pre)
+        acts.append(cur)
+    out = weights[-1] @ cur
+    pres.append(out)
+    return acts, pres, out[0]
+
+
+def _ref_risk_grads(weights, acts, pres, res, out):
+    delta = (2.0 / len(res)) * res[None, :]
+    for i in range(len(weights) - 1, -1, -1):
+        np.matmul(delta, acts[i].T, out=out[i])
+        if i > 0:
+            w = weights[i]
+            delta = w.T * delta if w.shape[0] == 1 else w.T @ delta
+            delta *= np.sign(pres[i - 1])
+
+
+def _ref_path_norm_prefix(absw):
+    v = [np.ones(absw[0].shape[1])]
+    for a in absw[:-1]:
+        v.append(a @ v[-1])
+    return float((absw[-1] @ v[-1]).sum()), v
+
+
+def _ref_path_norm_grads(weights, absw, v, out):
+    u = np.ones(absw[-1].shape[0])
+    for i in range(len(weights) - 1, -1, -1):
+        np.multiply(u[:, None], v[i], out=out[i])
+        out[i] *= np.sign(weights[i])
+        if i > 0:
+            u = absw[i].T @ u
+
+
+def matmul_fit(config, dataset):
+    """Oracle: regression.fit's descent with the products of inner dimension
+    1 (the output layer's W.T @ delta, the path-norm gradient's outer
+    products) as broadcast multiplies and the |W| matrix-vector products by
+    np.matmul, where fit calls np.dot; on the same flat theta, the same
+    layouts and the same products in the same order, so its steps are the
+    fit's bit for bit.  Returns (epochs, objective, risk, path norm, theta,
+    converged)."""
+    from nnapprox.network import _layout, _views, with_ones
+    from nnapprox.regression import LEARNING_RATE, _lambda
+
+    arch = config.architecture
+    shapes, size, _ = _layout(arch)
+    rng = np.random.default_rng(config.seed)
+    flats = [np.empty(size), np.empty(size)]
+    absflats = [np.empty(size), np.empty(size)]
+    for w in _views(flats[0], shapes):
+        s = 1.0 / math.sqrt(w.shape[1])
+        w[...] = rng.uniform(-s, s, size=w.shape)
+    lam = _lambda(config, arch)
+    xa = np.asfortranarray(with_ones(dataset.X))
+    y = np.asarray(dataset.Y, dtype=np.float64)
+    g, pg = np.empty(size), np.empty(size)
+    g_views, pg_views = _views(g, shapes), _views(pg, shapes)
+
+    def objective(k):
+        np.abs(flats[k], out=absflats[k])
+        weights, absw = _views(flats[k], shapes), _views(absflats[k], shapes)
+        acts, pres, out = _ref_forward(weights, xa)
+        res = out - y
+        risk = float(res @ res / len(y))
+        pn, v = _ref_path_norm_prefix(absw)
+        return risk + lam * pn, risk, pn, (weights, absw, acts, pres, res, v)
+
+    cur = 0
+    obj, risk, pn, inputs = objective(cur)
+    lr, epochs, converged = LEARNING_RATE, 0, False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.max_epochs):
+            weights, absw, acts, pres, res, v = inputs
+            _ref_risk_grads(weights, acts, pres, res, g_views)
+            _ref_path_norm_grads(weights, absw, v, pg_views)
+            g += lam * pg
+            if g @ g == 0.0:
+                converged = True
+                break
+            trial_lr = lr
+            for _ in range(60):
+                np.subtract(flats[cur], trial_lr * g, out=flats[1 - cur])
+                cand_obj, cand_risk, cand_pn, cand_inputs = objective(1 - cur)
+                if cand_obj <= obj:
+                    break
+                trial_lr *= 0.5
+            else:
+                converged = True
+                break
+            improvement = obj - cand_obj
+            cur = 1 - cur
+            obj, risk, pn, inputs = cand_obj, cand_risk, cand_pn, cand_inputs
+            lr = trial_lr * 2.0
+            epochs += 1
+            if improvement < 1e-10 * max(abs(obj), 1e-300):
+                converged = True
+                break
+    return epochs, obj, risk, pn, flats[cur].copy(), converged

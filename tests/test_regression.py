@@ -17,7 +17,9 @@ from nnapprox import (
 )
 from nnapprox import regression
 from nnapprox.network import with_ones
-from nnapprox.regression import LEARNING_RATE, ORACLE_C, _lambda, _objective, _path_norm_prefix, _risk_grads
+from nnapprox.regression import LEARNING_RATE, ORACLE_C, Dataset, _lambda, _objective, _path_norm_prefix, _risk_grads
+
+from conftest import matmul_fit
 
 
 def _linear_target():
@@ -174,6 +176,34 @@ def test_config_rejects_nonsense_penalty_and_budget(field, value):
         RegressionConfig(**{"n": 16, "d": 1, "target": _linear_target(), field: value})
 
 
+def _nan_at(a, i):
+    a = a.copy()
+    a[i] = np.nan
+    return a
+
+
+@pytest.mark.parametrize(
+    "make,match",
+    [
+        (lambda x, y: (_nan_at(x, (3, 0)), y), "X has entries that are not finite"),
+        (lambda x, y: (x, _nan_at(y, 5)), "Y has entries that are not finite"),
+        (lambda x, y: (x, y[:10]), r"Y has shape \(10,\)"),
+        (lambda x, y: (np.column_stack([x, x]), y), r"X has shape \(64, 2\)"),
+        (lambda x, y: (x, y[:, None]), r"Y has shape \(64, 1\)"),
+        (lambda x, y: (x[:32], y[:32]), r"X has shape \(32, 1\)"),
+    ],
+    ids=["nan-in-X", "nan-in-Y", "Y-of-10-rows", "X-of-2-columns", "Y-of-shape-n-1", "32-points-under-n-64"],
+)
+def test_fit_rejects_malformed_datasets(make, match):
+    # a NaN used to give a NaN objective reported as converged after 0
+    # epochs, a short dataset a fit with the lambda and remainder of n, and
+    # the wrong shapes numpy broadcast, matmul or type errors
+    cfg = RegressionConfig(n=64, d=1, target=_linear_target(), noise_sd=0.1, widths=(4,), max_epochs=5)
+    ds = generate_data(cfg)
+    with pytest.raises(ValueError, match=match):
+        fit(cfg, Dataset(*make(ds.X, ds.Y)))
+
+
 def test_fit_huge_lambda_crushes_path_norm():
     cfg = RegressionConfig(
         n=64, d=1, target=_linear_target(), noise_sd=0.0, widths=(4,), lam=1e6,
@@ -311,6 +341,88 @@ def test_fit_matches_per_layer_point_major_reference(target, d, widths, lam, sca
     assert rep.objective == pytest.approx(obj, rel=1e-12, abs=0)
     assert rep.risk == pytest.approx(risk, rel=1e-12, abs=0)
     assert rep.path_norm == pytest.approx(pn, rel=1e-12, abs=0)
+
+
+REGRESS_FITS = [
+    ("inv2mx", 1, 128, "auto"),
+    ("inv2mx", 1, 256, "auto"),
+    ("inv2mx", 1, 512, "auto"),
+    ("inv2mx", 1, 1024, "auto"),
+    ("inv2mx", 1, 1024, 1e-4),
+    ("exp-sum", 2, 1024, 1e-3),
+]
+
+
+def _theta(net):
+    return np.concatenate([w.ravel() for w in net.weights])
+
+
+def _assert_fit_is(net, rep, expected):
+    epochs, obj, risk, pn, theta, converged = expected
+    assert (rep.epochs, rep.converged) == (epochs, converged)
+    assert (rep.objective, rep.risk, rep.path_norm) == (obj, risk, pn)
+    assert np.array_equal(_theta(net), theta)
+
+
+@pytest.mark.parametrize("target,d,n,lam", REGRESS_FITS)
+def test_fit_is_bit_identical_to_the_matmul_loop(target, d, n, lam):
+    # fit forms the products of inner dimension 1 and the |W| mat-vecs
+    # through np.dot (BLAS), the oracle by broadcast multiplies and np.matmul:
+    # the same rounded products, so fit takes its steps exactly.  The
+    # benchmark's regress fits, capped at 300 epochs
+    cfg = RegressionConfig(
+        n=n, d=d, target=builtin_target(target, d), noise_sd=0.1, widths=(8, 8),
+        lam=lam, max_epochs=300, seed=0,
+    )
+    ds = generate_data(cfg)
+    net, rep = fit(cfg, ds)
+    assert rep.epochs > 0
+    _assert_fit_is(net, rep, matmul_fit(cfg, ds))
+
+
+def test_fit_calls_objective_and_path_norm_grads_through_the_module(monkeypatch):
+    # the benchmark's tracer patches these two module attributes to count
+    # objective evaluations per epoch and gradient calls; fit must look them up
+    calls = {"_objective": 0, "path_norm_grads": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(regression, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(regression, name, counted)
+    for max_epochs in (30, 2000):  # stopped by the budget, then converged
+        calls.update(_objective=0, path_norm_grads=0)
+        cfg = RegressionConfig(
+            n=128, d=1, target=builtin_target("inv2mx", 1), noise_sd=0.1, widths=(8, 8),
+            max_epochs=max_epochs, seed=0,
+        )
+        _, rep = fit(cfg, generate_data(cfg))
+        assert 0 < rep.epochs <= max_epochs
+        assert calls["_objective"] >= rep.epochs + 1
+        assert calls["path_norm_grads"] in (rep.epochs, rep.epochs + 1)
+
+
+def test_interleaved_fits_share_no_state():
+    # a fit keeps no state between calls: fits of other n, d and widths (no
+    # hidden layer included), or of the same shapes on other data, run in
+    # between must not change any fit's result
+    cfgs = [
+        RegressionConfig(n=64, d=1, target=builtin_target("inv2mx", 1), noise_sd=0.1, widths=(4,),
+                         lam=1e-3, max_epochs=100, seed=1),
+        RegressionConfig(n=200, d=2, target=builtin_target("exp-sum", 2), noise_sd=0.1, widths=(8, 3),
+                         lam=1e-3, max_epochs=100, seed=2),
+        RegressionConfig(n=32, d=1, target=_square_target(), noise_sd=0.1, widths=(),
+                         lam=1e-4, max_epochs=100, seed=3),
+    ]
+    # the first fit's shapes and n on other data
+    cfgs.append(dataclasses.replace(cfgs[0], seed=4))
+    data = [generate_data(c) for c in cfgs]
+    alone = [matmul_fit(c, ds) for c, ds in zip(cfgs, data)]
+    reports = {}
+    for k in (0, 1, 2, 3, 0, 2, 1, 3, 1, 0):
+        net, rep = fit(cfgs[k], data[k])
+        _assert_fit_is(net, rep, alone[k])
+        assert reports.setdefault(k, rep.to_dict()) == rep.to_dict()
 
 
 # ---------------------------------------------------------------------------
