@@ -16,6 +16,7 @@ activations alternate between the two halves of one heap allocation, each
 of the widest hidden layer's width, sized for the largest tile cut,
 starting on a cache line and made once per call: per-layer arrays left
 holes in the malloc heap that made peak RSS creep over repeated calls.
+Without an activation it runs the |W| chain (path norm, path matrix).
 
 greedy_cover scans the rows in order and makes a row a center when no
 earlier center is closer than eps; its decisions are those of comparing
@@ -88,15 +89,15 @@ def _cuts(n, size):
     return zip([0] + stops, stops)
 
 
-def eval_chain(layers, cur, act=None, absolute=False):
+def eval_chain(layers, cur, act=None):
     """Run block-diagonal layers on feature-major activations cur of shape (p0, n).
 
     A layer has runs and shape, as network.BlockDiagonal: a run (b, k) is k
     copies of an (r, c) block b, or k blocks stacked as b of shape (k, r, c).
     act maps each hidden pre-activation array to its activation and may work
-    in place; it is never applied after the last layer, and None means a
-    linear chain.  absolute=True multiplies by |W| instead of W.  Returns
-    the output of shape (p_{L+1}, n).
+    in place; it is never applied after the last layer.  act None runs the
+    |W| chain: |W| for W and no activation.  Returns the output of shape
+    (p_{L+1}, n).
     """
     last = len(layers) - 1
     n = cur.shape[1]
@@ -122,7 +123,7 @@ def eval_chain(layers, cur, act=None, absolute=False):
                 # which a broadcast multiply makes in a fast loop where
                 # matmul takes a slow one (the carried 1x1 channels)
                 (np.multiply if c == 1 else np.matmul)(
-                    np.abs(b) if absolute else b,
+                    np.abs(b) if act is None else b,
                     x[co : co + k * c].reshape(k, c, m),
                     out=out[ro : ro + k * r].reshape(k, r, m),
                 )

@@ -186,7 +186,10 @@ def build_power_series_net(series, eps, delta, variant, d=None, F=None):
     return net, cert
 
 
-def build_cheb_net(target, eps, variant, measure_grid=513):
+MEASURE_GRID = 513  # build_cheb_net's error grid: round(513^(1/d)) >= 2 points per axis
+
+
+def build_cheb_net(target, eps, variant):
     """Network approximating an analytic target on [0,1]^d via its Chebyshev
     truncation; returns (network, certificate) with the measured sup error."""
     if not 0.0 < eps < 1.0:
@@ -198,7 +201,7 @@ def build_cheb_net(target, eps, variant, measure_grid=513):
     row = _coefficient_row(cheb_to_monomial(series, gamma), d, gamma)
     net, shared = _polynomial_net("cheb-net", d, gamma, m, variant, row, target=target.name)
 
-    per_axis = max(2, int(round(measure_grid ** (1.0 / d))))
+    per_axis = max(2, int(round(MEASURE_GRID ** (1.0 / d))))
     grid = tensor_grid([np.linspace(0.0, 1.0, per_axis)] * d)
     measured = sup_error(net, grid, target.evaluate(grid))
     cert = {

@@ -31,6 +31,7 @@ from .network import (
     network_from_dict,
     network_stats,
     network_to_dict,
+    network_to_json,
     path_matrix,
     path_norm,
 )
@@ -49,7 +50,7 @@ def _write_net(net, path):
     """Write net as one line of JSON to path (the --net-out file), if given."""
     if path:
         with open(path, "w") as fh:
-            fh.write(json.dumps(network_to_dict(net)) + "\n")
+            fh.write(network_to_json(net) + "\n")
 
 
 def _read_json(path):

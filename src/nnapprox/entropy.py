@@ -9,18 +9,20 @@ B, on n sample points of sup norm at most r, is
 with P the product of the hidden widths and d = p_0.  At L = 0 it collapses
 to the linear-class bound ceil(b^2 r^2 / eps^2) log2(2d + 1).
 
-The empirical oracle draws networks from the class, evaluates their first
-outputs on the sample points (a chunk of networks at a time, each group of
-like networks as one block-diagonal chain through _kernels.eval_chain) and
-greedily builds an eps-net in the metric dist(f, g) = sqrt(mean_i (f(z_i) -
-g(z_i))^2).  Greedy centers are an upper bound on the minimal cover of the
-sampled functions, so their log2 count must stay below the closed-form
-bound; the check is one-sided.
+The empirical oracle draws networks from the class, checks their path
+norms against B, evaluates their first outputs on the sample points (a
+chunk of networks at a time, each group of like networks as one
+block-diagonal chain through _kernels.eval_chain) and greedily builds an
+eps-net in the metric dist(f, g) = sqrt(mean_i (f(z_i) - g(z_i))^2).
+Greedy centers are an upper bound on the minimal cover of the sampled
+functions, so their log2 count must stay below the closed-form bound; the
+check is one-sided.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -36,7 +38,7 @@ class SamplerViolation(ValueError):
 
 @dataclass(frozen=True)
 class EntropyBoundSpec:
-    """Parameters (eps, L, p, B, r, n) of one bound evaluation."""
+    """Parameters (eps, L, p, B, r, n) of one bound evaluation; L, n and p are ints."""
 
     eps: float
     L: int
@@ -46,7 +48,10 @@ class EntropyBoundSpec:
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "p", tuple(int(w) for w in self.p))
+        # a bool, or a float such as 2.5 or 4.0, is refused, not truncated
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in (self.L, self.n, *self.p)):
+            raise ValueError(f"L, n and the widths must be integers, got L={self.L!r} n={self.n!r} p={self.p!r}")
+        object.__setattr__(self, "p", tuple(map(int, self.p)))
         if len(self.p) != self.L + 2:
             raise ValueError(f"width vector needs L+2={self.L + 2} entries, got {len(self.p)}")
         if not all(math.isfinite(v) and v > 0 for v in (self.eps, self.B, self.r)) or self.n < 1 or self.L < 0:
@@ -163,7 +168,7 @@ def _stack(lays):
     return _Layer(tuple(run for lay in lays for run in lay.runs), (s * r, s * c))
 
 
-def empirical_covering(sampler, points, eps, trials, path_norm_cap=None):
+def empirical_covering(sampler, points, eps, trials, path_norm_cap):
     """Greedy eps-net size over `trials` sampled networks evaluated on `points`.
 
     sampler() must return a Network whose input dimension matches the point
@@ -174,16 +179,18 @@ def empirical_covering(sampler, points, eps, trials, path_norm_cap=None):
     does.  Only each network's first output is covered; the check stays
     one-sided, since output 0 is a network of the same widths up to p_{L+1},
     which the bound does not read, and path norm at most the capped total.
-    When path_norm_cap is given every sample is checked against it, with one
-    |W| pass per group on ones, bit for bit as network.path_norm, and a
-    violation raises SamplerViolation naming the first offending sample,
-    once its chunk has been drawn.  A network of the wrong input dimension
-    raises ShapeMismatchError and non-finite points raise NetworkError, as
-    in evaluate; an eps that is not a finite number > 0 raises ValueError
-    before any sample is drawn, and non-finite outputs make greedy_cover
-    raise it."""
+    Every sample is checked against path_norm_cap with one |W| pass per
+    group on ones, bit for bit as network.path_norm, and a violation raises
+    SamplerViolation naming the first offending sample, once its chunk has
+    been drawn.  A network of the wrong input dimension raises
+    ShapeMismatchError and non-finite points raise NetworkError, as in
+    evaluate; an eps that is not a finite number > 0, or a cap that is NaN
+    or < 0 (inf is allowed), raises ValueError before any sample is drawn,
+    and non-finite outputs make greedy_cover raise it."""
     if not 0.0 < eps < np.inf:
         raise ValueError(f"eps must be a finite number > 0, got {eps!r}")
+    if not path_norm_cap >= 0.0:
+        raise ValueError(f"path_norm_cap must be a number >= 0, got {path_norm_cap!r}")
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 1:
         points = points[:, None]
@@ -200,17 +207,14 @@ def empirical_covering(sampler, points, eps, trials, path_norm_cap=None):
     for start in range(0, trials, chunk):
         nets = [sampler() for _ in range(min(chunk, trials - start))]
         groups = _stacks(nets)
-        if path_norm_cap is not None:
-            pn = np.empty(len(nets))
-            for _, ts, layers in groups:
-                ones = np.ones((len(ts) * nets[ts[0]].in_dim, 1))
-                pn[ts] = _kernels.eval_chain(layers, ones, absolute=True).reshape(len(ts), -1).sum(axis=1)
-            bad = np.flatnonzero(pn > path_norm_cap * (1.0 + 1e-9))
-            if bad.size:
-                t = int(bad[0])
-                raise SamplerViolation(
-                    f"sample {start + t} has path norm {pn[t]:.6g} > cap {path_norm_cap:.6g}"
-                )
+        pn = np.empty(len(nets))
+        for _, ts, layers in groups:
+            ones = np.ones((len(ts) * nets[ts[0]].in_dim, 1))
+            pn[ts] = _kernels.eval_chain(layers, ones).reshape(len(ts), -1).sum(axis=1)
+        bad = np.flatnonzero(pn > path_norm_cap * (1.0 + 1e-9))
+        if bad.size:
+            t = int(bad[0])
+            raise SamplerViolation(f"sample {start + t} has path norm {pn[t]:.6g} > cap {path_norm_cap:.6g}")
         for act, ts, layers in groups:
             if nets[ts[0]].in_dim != d:
                 raise ShapeMismatchError(

@@ -23,12 +23,14 @@ where the paper composes (no builder calls compose()); both splice the
 layers of their networks that way (build_mon's pairing levels reuse one
 multiplication net's blocks for every product, so each of its blocks is
 one run per layer), so those networks never materialize their
-mostly-zero dense form.  Evaluation, the
-path norm (the |W| chain at (1, ..., 1)), the path matrix and the entropy
-oracle's stacked samples run on the runs through _kernels.eval_chain, one
-matrix product per run; the JSON wire format (version 3) stores the runs of
-each layer, so a decoded network is the same chain of runs.  The dense view
-of any layer is available through Network.weights.
+mostly-zero dense form.  Evaluation and the entropy oracle's stacked
+samples (the chain of W with the activation's in-place map between
+layers), the path norm (the |W| chain at (1, ..., 1)) and the path matrix
+(the |W| chain on the identity) run on the runs through
+_kernels.eval_chain, one matrix product per run; the JSON wire format
+(version 3) stores the runs of each layer, so a decoded network is the
+same chain of runs.  The dense view of any layer is available through
+Network.weights.
 
 network_stats(net) is the one structural report: depth, widths, blocks,
 stored and nonzero entries and l1 norms, per layer and in total.
@@ -65,36 +67,33 @@ class Activation:
     """Element-wise map alpha(x) = s(x) * x for a sign selector s into {-1,0,+1}.
 
     s identically +1 gives the identity, s = 1{x >= 0} gives ReLU and
-    s = sign with s(0) = +1 gives the absolute value.  `inplace` is the map
-    itself: it writes alpha(x) into its float64 array argument and returns
-    it.  Arbitrary selectors (possibly discontinuous) are supported for
-    entropy experiments through general_activation; they cannot be
+    s = sign with s(0) = +1 gives the absolute value.  The activation is its
+    map `inplace`: it writes alpha(x) into its float64 array argument and
+    returns it.  Arbitrary selectors (possibly discontinuous) are supported
+    for entropy experiments through general_activation; they cannot be
     serialized.
     """
 
-    __slots__ = ("name", "selector", "inplace")
+    __slots__ = ("name", "inplace")
 
-    def __init__(self, name, selector, inplace):
+    def __init__(self, name, inplace):
         self.name = name
-        self.selector = selector
         self.inplace = inplace
 
     def __repr__(self):
         return f"Activation({self.name})"
 
 
-IDENTITY = Activation("identity", lambda x: np.ones_like(x), lambda x: x)
-RELU = Activation(
-    "relu", lambda x: np.where(x >= 0, 1.0, 0.0), lambda x: np.maximum(x, 0.0, out=x)
-)
-ABS = Activation("abs", lambda x: np.where(x >= 0, 1.0, -1.0), lambda x: np.abs(x, out=x))
+IDENTITY = Activation("identity", lambda x: x)
+RELU = Activation("relu", lambda x: np.maximum(x, 0.0, out=x))
+ABS = Activation("abs", lambda x: np.abs(x, out=x))
 
 ACTIVATIONS = {a.name: a for a in (IDENTITY, RELU, ABS)}
 
 
 def general_activation(selector):
     """Activation from an arbitrary vectorized sign selector (values in {-1,0,1})."""
-    return Activation("general", selector, lambda x: np.multiply(selector(x), x, out=x))
+    return Activation("general", lambda x: np.multiply(selector(x), x, out=x))
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +236,6 @@ class Network:
         shown = w if len(w) <= 8 else w[:4] + ("...",) + w[-3:]
         return f"Network({self.activation.name}, widths={shown})"
 
-    # -- evaluation ---------------------------------------------------------
-
-    def __call__(self, x):
-        return evaluate(self, x)
-
 
 def _views(flat, shapes):
     """Matrices of the given shapes as row-major views of consecutive ranges
@@ -341,7 +335,7 @@ def path_matrix(net, limit=True):
             f"the path matrix of a net with {net.in_dim} inputs and max width {net.max_width} needs "
             f"more than {MAX_PATH_MATRIX_ENTRIES} entries per layer"
         )
-    return _kernels.eval_chain(net.layers, np.eye(net.in_dim), absolute=True)
+    return _kernels.eval_chain(net.layers, np.eye(net.in_dim))
 
 
 def path_norm(net):
@@ -352,7 +346,7 @@ def path_norm(net):
     Computed on the first call and cached on the immutable network."""
     if net._path_norm is None:
         ones = np.ones((net.in_dim, 1))
-        net._path_norm = float(np.sum(_kernels.eval_chain(net.layers, ones, absolute=True)))
+        net._path_norm = float(np.sum(_kernels.eval_chain(net.layers, ones)))
     return net._path_norm
 
 

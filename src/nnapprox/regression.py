@@ -143,14 +143,13 @@ def _forward(weights, xa):
     return acts, pres, out[0]
 
 
-def _risk_grads(weights, acts, pres, res, out=None):
+def _risk_grads(weights, acts, pres, res, out):
     """Gradients of the mean squared residual res, from the forward pass
     (acts, pres) of _forward at these weights, written into the matrices
-    out when given (fit passes views of one flat gradient)."""
-    grads = [np.empty(w.shape) for w in weights] if out is None else out
+    out (fit passes views of one flat gradient)."""
     delta = (2.0 / len(res)) * res[None, :]
     for i in range(len(weights) - 1, -1, -1):
-        np.matmul(delta, acts[i].T, out=grads[i])
+        np.matmul(delta, acts[i].T, out=out[i])
         if i > 0:
             w = weights[i]
             # a one-row layer's W.T @ delta has inner dimension 1: np.dot
@@ -158,53 +157,47 @@ def _risk_grads(weights, acts, pres, res, out=None):
             # delta_k faster than np.matmul's own loop or a broadcast multiply
             delta = np.dot(w.T, delta) if w.shape[0] == 1 else w.T @ delta
             delta *= np.sign(pres[i - 1])
-    return grads
 
 
-def _path_norm_prefix(weights, absw=None):
-    """(path norm, |W_i|, prefix products v_i = |W_{i-1}|...|W_0| 1) of the
-    |W| chain; absw, when given, holds the |W_i| already."""
-    if absw is None:
-        absw = [np.abs(w) for w in weights]
+def _path_norm_prefix(absw):
+    """(path norm, prefix products v_i = |W_{i-1}|...|W_0| 1) of the |W|
+    chain of the matrices absw = |W_i|."""
     v = [np.ones(absw[0].shape[1])]
     # np.dot: the BLAS matrix-vector products of np.matmul, at less cost per
     # call on these few entries (so in path_norm_grads too)
     for a in absw[:-1]:
         v.append(np.dot(a, v[-1]))
     # np.add.reduce: ndarray.sum without its Python wrapper
-    return float(np.add.reduce(absw[-1] @ v[-1])), absw, v
+    return float(np.add.reduce(absw[-1] @ v[-1])), v
 
 
-def path_norm_grads(weights, absw, v, out=None):
+def path_norm_grads(weights, absw, v, out):
     """Gradients of the path norm via the product structure of |W_L|...|W_0|,
-    given |W_i| and the prefix products v_i of _path_norm_prefix(weights),
-    written into the matrices out when given (fit passes views of one flat
-    vector).
+    given |W_i| and the prefix products v_i of _path_norm_prefix(absw),
+    written into the matrices out (fit passes views of one flat vector).
 
     d pathnorm / d W_i = sign(W_i) * outer(u_i, v_i) with u_i the suffix and
     v_i the prefix absolute products applied to all-ones vectors; the
     subgradient at an exactly zero entry is 0."""
-    grads = [np.empty(w.shape) for w in weights] if out is None else out
     u = np.ones(absw[-1].shape[0])
     for i in range(len(weights) - 1, -1, -1):
         # the outer product as a BLAS product of inner dimension 1: the same
         # rounded products as a broadcast multiply, without its iterator
-        np.dot(u[:, None], v[i][None, :], out=grads[i])
-        grads[i] *= np.sign(weights[i])
+        np.dot(u[:, None], v[i][None, :], out=out[i])
+        out[i] *= np.sign(weights[i])
         if i > 0:
             u = absw[i].T.dot(u)
-    return grads
 
 
-def _objective(weights, xa, y, lam, absw=None):
-    """(objective, risk, path norm, grad_inputs): grad_inputs holds the
-    forward pass and the |W| prefix products that the gradients at these
-    weights reuse, so an accepted step needs no second pass.  absw, when
-    given, holds the |W_i|."""
+def _objective(weights, xa, y, lam, absw):
+    """(objective, risk, path norm, grad_inputs) at these weights, whose
+    absolute values absw holds: grad_inputs holds the forward pass and the
+    |W| prefix products that the gradients at these weights reuse, so an
+    accepted step needs no second pass."""
     acts, pres, out = _forward(weights, xa)
     res = out - y
     risk = float(res @ res / len(y))
-    pn, absw, v = _path_norm_prefix(weights, absw)
+    pn, v = _path_norm_prefix(absw)
     return risk + lam * pn, risk, pn, (acts, pres, res, absw, v)
 
 
@@ -270,8 +263,8 @@ def fit(config, dataset):
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(config.max_epochs):
             acts, pres, res, absw, v = grad_inputs
-            _risk_grads(cur.weights, acts, pres, res, out=g_views)
-            path_norm_grads(cur.weights, absw, v, out=pg_views)
+            _risk_grads(cur.weights, acts, pres, res, g_views)
+            path_norm_grads(cur.weights, absw, v, pg_views)
             g += lam * pg
             # exact: only compared with 0, and a sum of squares is 0 only when
             # every entry is

@@ -59,13 +59,14 @@ def random_block_net(rng, activation, n_layers=None, in_dim=None, max_blocks=3, 
 
 
 def dense_chain(net, x):
-    """Oracle: the plain matrix chain over net.weights, activation s(x) * x."""
+    """Oracle: the plain matrix chain over net.weights, with the activation's
+    in-place map on each fresh product."""
     cur = np.asarray(x, dtype=np.float64)
     ws = net.weights
     for i, w in enumerate(ws):
         cur = cur @ w.T
         if i < len(ws) - 1:
-            cur = net.activation.selector(cur) * cur
+            cur = net.activation.inplace(cur)
     return cur
 
 
@@ -134,6 +135,11 @@ def linear_bound(b, r, eps, d):
 
 # ---------------------------------------------------------------------------
 # the regression fit loop with broadcast multiplies and np.matmul
+
+
+def abs_weights(weights):
+    """The |W_i| that the fit's passes take beside the W_i."""
+    return [np.abs(w) for w in weights]
 
 
 def _ref_forward(weights, xa):

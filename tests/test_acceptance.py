@@ -28,7 +28,7 @@ from nnapprox.approximators import power_series_path_bound, series_inv_two_minus
 from nnapprox.chebyshev import monomial_values
 from nnapprox.network import with_ones
 from nnapprox.regression import _objective, _path_norm_prefix, _risk_grads
-from conftest import linear_bound, mult_path_row, random_dense_net
+from conftest import abs_weights, linear_bound, mult_path_row, random_dense_net
 
 
 def _aug(x):
@@ -259,10 +259,11 @@ def test_criterion_10a_gradient_checks(rng):
         x = rng.uniform(0, 1, (12, 1))
         xa = with_ones(x)
         y = rng.normal(size=12)
-        acts, pres, res, absw, v = _objective(ws, xa, y, 0.0)[3]
+        acts, pres, res, absw, v = _objective(ws, xa, y, 0.0, abs_weights(ws))[3]
         near_kink = min(np.abs(p).min() for p in pres[:-1]) < 1e-6
-        pgrads = nx.path_norm_grads(ws, absw, v)
-        rgrads = _risk_grads(ws, acts, pres, res)
+        pgrads, rgrads = [np.empty(w.shape) for w in ws], [np.empty(w.shape) for w in ws]
+        nx.path_norm_grads(ws, absw, v, pgrads)
+        _risk_grads(ws, acts, pres, res, rgrads)
         i = int(rng.integers(0, len(ws)))
         a = int(rng.integers(0, ws[i].shape[0]))
         b = int(rng.integers(0, ws[i].shape[1]))
@@ -271,12 +272,13 @@ def test_criterion_10a_gradient_checks(rng):
         wm = [w.copy() for w in ws]
         wp[i][a, b] += h
         wm[i][a, b] -= h
-        fd_pen = (_path_norm_prefix(wp)[0] - _path_norm_prefix(wm)[0]) / (2 * h)
+        fd_pen = (_path_norm_prefix(abs_weights(wp))[0] - _path_norm_prefix(abs_weights(wm))[0]) / (2 * h)
         if abs(fd_pen) > 1e-8:
             assert pgrads[i][a, b] == pytest.approx(fd_pen, rel=1e-4)
             checked += 1
         if not near_kink:
-            fd_risk = (_objective(wp, xa, y, 0.0)[1] - _objective(wm, xa, y, 0.0)[1]) / (2 * h)
+            risk_p, risk_m = (_objective(w, xa, y, 0.0, abs_weights(w))[1] for w in (wp, wm))
+            fd_risk = (risk_p - risk_m) / (2 * h)
             if abs(fd_risk) > 1e-7:
                 assert rgrads[i][a, b] == pytest.approx(fd_risk, rel=1e-4)
     assert checked >= 50
@@ -321,7 +323,7 @@ def test_criterion_10d_oracle_rhs_decreases():
     # (about 403) and falls after it, so the RHS decreases from n = 512 on
     # (see decisions ledger).
     f0 = nx.target_inv_two_minus_x()
-    net, _ = nx.build_cheb_net(f0, 2.0**-7, "rescaled", measure_grid=2)
+    net, _ = nx.build_cheb_net(f0, 2.0**-7, "rescaled")
     lams = [nx.lambda_auto(n, net.widths) for n in (128, 256, 512, 1024, 2048, 4096)]
     assert lams[1] > lams[0], lams
     assert all(b < a for a, b in zip(lams[2:], lams[3:])), lams

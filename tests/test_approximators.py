@@ -15,14 +15,17 @@ from nnapprox import (
     network_stats,
     mon_error_bound,
     path_norm,
+    sup_error,
     target_exp_sum,
     target_inv_two_minus_x,
 )
 from nnapprox.approximators import (
+    _coefficient_row,
     power_series_path_bound,
     power_series_tail_bound,
     series_inv_two_minus_x,
 )
+from nnapprox.chebyshev import tensor_grid
 from nnapprox.constructions import count_monomials
 
 
@@ -162,16 +165,18 @@ def test_cheb_net_constant_target():
 
 def test_cheb_net_product_target_within_mon_bound():
     t = AnalyticTarget("xy", 2, lambda p: p[:, 0] * p[:, 1])
-    net, cert = build_cheb_net(t, 2.0**-8, "rescaled", measure_grid=51**2)
-    assert cert["measured_sup_error"] <= mon_error_bound(cert["m"], cert["gamma"] + 1, "rescaled")
+    net, cert = build_cheb_net(t, 2.0**-8, "rescaled")
+    grid = tensor_grid([np.linspace(0.0, 1.0, 51)] * 2)
+    assert sup_error(net, grid, t.evaluate(grid)) <= mon_error_bound(cert["m"], cert["gamma"] + 1, "rescaled")
 
 
 def test_cheb_net_error_monotone_until_floor():
     t = target_exp_sum(1)
+    grid = tensor_grid([np.linspace(0.0, 1.0, 257)])
     errs = []
     for k in range(2, 9):
-        _, cert = build_cheb_net(t, 2.0**-k, "rescaled", measure_grid=257)
-        errs.append(cert["measured_sup_error"])
+        net, _ = build_cheb_net(t, 2.0**-k, "rescaled")
+        errs.append(sup_error(net, grid, t.evaluate(grid)))
     floor = 1e-12
     for a, b in zip(errs, errs[1:]):
         assert b <= a * 1.05 or b <= floor
@@ -233,3 +238,25 @@ def test_certificate_and_meta_keys():
     assert net.meta["construction"] == "cheb-net" and cert["route"] == "chebyshev"
     assert cert["path_norm"] == path_norm(net)
     assert (cert["depth"], cert["max_width"]) == (net.depth, net.max_width)
+
+
+def _no_coefficients(k):
+    raise KeyError(k)
+
+
+REFUSALS = [
+    ("polynomial of another dimension",
+     lambda: _coefficient_row(MonomialPolynomial(2, {(1, 0): 0.5}), 1, 3), ValueError, "does not match d"),
+    ("series that raises",
+     lambda: build_power_series_net(_no_coefficients, eps=0.5, delta=0.5, variant="rescaled", d=1, F=1.0),
+     MissingCoefficientError, "no coefficient for"),
+    ("cheb eps 0", lambda: build_cheb_net(target_exp_sum(1), 0.0, "rescaled"), ValueError, "eps must lie"),
+    ("cheb eps 1", lambda: build_cheb_net(target_exp_sum(1), 1.0, "rescaled"), ValueError, "eps must lie"),
+    ("cheb eps nan", lambda: build_cheb_net(target_exp_sum(1), float("nan"), "rescaled"), ValueError, "eps must lie"),
+]
+
+
+@pytest.mark.parametrize("make, error, match", [r[1:] for r in REFUSALS], ids=[r[0] for r in REFUSALS])
+def test_refusals_raise_their_typed_error(make, error, match):
+    with pytest.raises(error, match=match):
+        make()

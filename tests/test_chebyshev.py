@@ -304,3 +304,23 @@ def test_tensor_grid_last_axis_fastest():
     got = tensor_grid([np.array([0.0, 1.0]), np.array([2.0, 3.0, 4.0])])
     want = [[0, 2], [0, 3], [0, 4], [1, 2], [1, 3], [1, 4]]
     assert np.array_equal(got, want)
+
+
+def _square(p):
+    return p[:, 0] ** 2
+
+
+REFUSALS = [
+    ("two intervals for one axis", lambda: cheb_fit(_square, (3,), domain=((0, 1), (0, 1))), ValueError,
+     "one interval per axis"),
+    ("nan coefficient", lambda: ChebyshevSeries(np.array([1.0, np.nan])), ValueError, "must be finite"),
+    ("inf coefficient", lambda: ChebyshevSeries(np.array([[1.0], [-np.inf]])), ValueError, "must be finite"),
+    ("negative degree", lambda: cheb_fit(_square, (-1,)), ValueError, "degrees must be nonnegative"),
+    ("one negative degree of two", lambda: cheb_fit(_square, (2, -2)), ValueError, "degrees must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize("make, error, match", [r[1:] for r in REFUSALS], ids=[r[0] for r in REFUSALS])
+def test_refusals_raise_their_typed_error(make, error, match):
+    with pytest.raises(error, match=match):
+        make()

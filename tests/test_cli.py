@@ -491,3 +491,40 @@ def test_json_round_trip_through_cli_files(runner, tmp_path):
 
     direct = build_multr(2, 3, "rescaled")
     assert np.array_equal(evaluate(net, x), evaluate(direct, x))
+
+
+REFUSALS = [
+    ("verify multr without --r", ["verify", "multr", "--m", "2"], "multr needs --r"),
+    ("verify mon without --gamma", ["verify", "mon", "--m", "2", "--d", "1"], "mon needs --gamma and --d"),
+    ("verify mon without --d", ["verify", "mon", "--m", "2", "--gamma", "2"], "mon needs --gamma and --d"),
+    ("approx cheb terms not [index, coeff] pairs", ["approx", "cheb", "--target", "{poly}", "--eps", "0.5"],
+     "malformed polynomial file"),
+    ("approx power-series terms missing", ["approx", "power-series", "--series", "{no_terms}", "--eps", "0.5",
+                                           "--delta", "0.5"], "malformed polynomial file"),
+    ("entropy empirical spec width 2.5", ["entropy", "empirical", "--spec", "{spec_p}"], "must be integers"),
+    ("entropy empirical spec n 4.5", ["entropy", "empirical", "--spec", "{spec_n}"], "must be integers"),
+    ("entropy empirical spec n 4.0", ["entropy", "empirical", "--spec", "{spec_n_float}"], "must be integers"),
+    ("entropy empirical spec L true", ["entropy", "empirical", "--spec", "{spec_l}"], "must be integers"),
+]
+
+
+@pytest.mark.parametrize("args, message", [r[1:] for r in REFUSALS], ids=[r[0] for r in REFUSALS])
+def test_refusals_exit_2_with_one_error_line(runner, tmp_path, args, message):
+    spec = {"eps": 0.5, "L": 1, "p": [2, 3, 1], "B": 1.0, "r": 1.0, "n": 4}
+    contents = {
+        "poly": {"d": 1, "terms": [[1, 0.5]]},
+        "no_terms": {"d": 1},
+        "spec_p": dict(spec, p=[2.5, 3, 1]),
+        "spec_n": dict(spec, n=4.5),
+        "spec_n_float": dict(spec, n=4.0),
+        "spec_l": dict(spec, L=True),
+    }
+    files = {}
+    for name, content in contents.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(content))
+    res = runner.invoke(main, [a.format(**files) for a in args])
+    assert res.exit_code == 2, res.output
+    assert "Traceback" not in res.output
+    (error,) = [line for line in res.output.splitlines() if line.startswith("Error:")]
+    assert message in error

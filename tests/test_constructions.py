@@ -584,3 +584,15 @@ def test_mon_computes_each_distinct_product_once(m, gamma, d, products):
             b.shape == (6, 3) and np.array_equal(b, c) for lay in net.layers for b in lay.blocks
         )
         assert mults == distinct_products(d, gamma) == products
+
+
+REFUSALS = [
+    ("build_mult m 0", lambda: build_mult(0), ValueError, "m must be a positive integer"),
+    ("build_mult m -1 literal", lambda: build_mult(-1, LITERAL), ValueError, "m must be a positive integer"),
+]
+
+
+@pytest.mark.parametrize("make, error, match", [r[1:] for r in REFUSALS], ids=[r[0] for r in REFUSALS])
+def test_refusals_raise_their_typed_error(make, error, match):
+    with pytest.raises(error, match=match):
+        make()

@@ -61,6 +61,20 @@ def test_spec_validation():
             EntropyBoundSpec(**{"eps": 1.0, "L": 0, "p": (1, 1), "B": 1.0, "r": 1.0, "n": 4, **bad})
 
 
+NON_INTEGER_COUNTS = [{"p": (2.5, 3, 1)}, {"n": 4.5}, {"n": 4.0}, {"L": True}, {"p": (2, True, 1)}]
+
+
+@pytest.mark.parametrize("bad", NON_INTEGER_COUNTS, ids=["width 2.5", "n 4.5", "n 4.0", "L true", "width true"])
+def test_spec_refuses_non_integer_counts(bad):
+    # a width of 2.5 was truncated to 2, and n = 4.5 failed later in the
+    # oracle's draw of the points
+    # numpy integers are integers
+    base = {"eps": 0.5, "L": np.int64(1), "p": np.array([2, 3, 1]), "B": 1.0, "r": 1.0, "n": np.int32(4)}
+    assert EntropyBoundSpec(**base).p == (2, 3, 1)
+    with pytest.raises(ValueError, match="must be integers"):
+        EntropyBoundSpec(**{**base, **bad})
+
+
 def test_bound_outside_float_range_is_value_error():
     # B^2 r^2 / eps^2 overflows, or eps^2 underflows to 0
     for b, eps in ((1e200, 1.0), (1.0, 1e-300)):
@@ -104,14 +118,14 @@ def test_sampler_respects_cap(rng):
 def test_empirical_covering_size_one_for_huge_eps(rng):
     pts = rng.uniform(-1, 1, (8, 2))
     sampler = lambda: sample_network((2, 2, 1), cap=1.0, rng=rng)
-    cover = empirical_covering(sampler, pts, eps=1e9, trials=100)
+    cover = empirical_covering(sampler, pts, eps=1e9, trials=100, path_norm_cap=1.0)
     assert cover.size == 1
 
 
 def test_empirical_covering_constant_zero_class(rng):
     pts = rng.uniform(-1, 1, (8, 2))
     zero = Network(ABS, [np.zeros((1, 2))])
-    cover = empirical_covering(lambda: zero, pts, eps=0.01, trials=50)
+    cover = empirical_covering(lambda: zero, pts, eps=0.01, trials=50, path_norm_cap=0.0)
     assert cover.size == 1
 
 
@@ -143,7 +157,7 @@ def test_greedy_cover_monotone_in_eps_via_oracle(rng):
     sizes = []
     for eps in (0.05, 0.1, 0.2, 0.4, 0.8):
         it = iter(nets)
-        cover = empirical_covering(lambda: next(it), pts, eps=eps, trials=200)
+        cover = empirical_covering(lambda: next(it), pts, eps=eps, trials=200, path_norm_cap=1.0)
         sizes.append(cover.size)
     assert sizes == sorted(sizes, reverse=True)
 
@@ -161,7 +175,7 @@ def test_eps_not_finite_and_positive_is_value_error(rng, eps):
         return drawn[-1]
 
     with pytest.raises(ValueError, match="eps"):
-        empirical_covering(sampler, pts, eps, trials=20)
+        empirical_covering(sampler, pts, eps, trials=20, path_norm_cap=1.0)
     assert drawn == []  # rejected on entry, before any sample is drawn
 
 
@@ -346,9 +360,9 @@ def test_stacked_path_norm_equals_path_matrix():
         net = (random_block_net if i % 2 else random_dense_net)(rng, ABS, n_layers=int(rng.integers(1, 5)))
         [(_, ts, layers)] = entropy._stacks([net, twin(net, -2.0)])
         assert ts == [0, 1]
-        pm = entropy._kernels.eval_chain(layers, np.tile(np.eye(net.in_dim), (2, 1)), absolute=True)
+        pm = entropy._kernels.eval_chain(layers, np.tile(np.eye(net.in_dim), (2, 1)))
         assert np.array_equal(pm[: net.out_dim], path_matrix(net))
-        at_ones = entropy._kernels.eval_chain(layers, np.ones((2 * net.in_dim, 1)), absolute=True)
+        at_ones = entropy._kernels.eval_chain(layers, np.ones((2 * net.in_dim, 1)))
         assert at_ones.reshape(2, -1).sum(axis=1)[0] == path_norm(net)
 
 
@@ -388,11 +402,45 @@ def test_non_finite_points_are_network_error(bad, rng):
     pts[2, 1] = bad
     net = Network(ABS, [np.full((1, 2), 0.1)])
     with pytest.raises(NetworkError, match="non-finite"):
-        empirical_covering(lambda: net, pts, eps=0.1, trials=3)
+        empirical_covering(lambda: net, pts, eps=0.1, trials=3, path_norm_cap=1.0)
 
 
 def test_non_finite_outputs_reach_greedy_cover_error():
     # weights and points in float range whose outputs overflow to inf
     net = Network(ABS, [np.full((2, 1), 1e200), np.full((1, 2), 1e200)])
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
-        empirical_covering(lambda: net, np.ones((3, 1)), eps=0.1, trials=3)
+        empirical_covering(lambda: net, np.ones((3, 1)), eps=0.1, trials=3, path_norm_cap=math.inf)
+
+
+@pytest.mark.parametrize("cap", [math.nan, -1.0, -math.inf])
+def test_cap_nan_or_negative_is_value_error_before_any_draw(rng, cap):
+    # pn > nan is always false, so a NaN cap accepted any net (a path norm of
+    # 600 here); a cap of -1 was blamed on "sample 0"
+    big = Network(ABS, [np.full((1, 2), 300.0)])
+    drawn = []
+
+    def sampler():
+        drawn.append(big)
+        return big
+
+    with pytest.raises(ValueError, match="path_norm_cap must be a number >= 0") as info:
+        empirical_covering(sampler, rng.uniform(-1, 1, (4, 2)), eps=0.1, trials=3, path_norm_cap=cap)
+    assert not isinstance(info.value, SamplerViolation)
+    assert drawn == []
+
+
+REFUSALS = [
+    ("a width below 1", lambda: EntropyBoundSpec(eps=0.5, L=1, p=(2, 0, 1), B=1.0, r=1.0, n=4),
+     ValueError, "widths must be positive"),
+    ("1-d points for a net of 2 inputs",
+     lambda: empirical_covering(lambda: Network(ABS, [np.ones((1, 2))]), np.zeros(5), 0.1, 3, 2.0),
+     ShapeMismatchError, "expects input of length 2, got 1"),
+    ("3-d points", lambda: empirical_covering(lambda: Network(ABS, [np.ones((1, 2))]), np.zeros((5, 2, 1)), 0.1, 3, 2.0),
+     ShapeMismatchError, "ndim=3"),
+]
+
+
+@pytest.mark.parametrize("make, error, match", [r[1:] for r in REFUSALS], ids=[r[0] for r in REFUSALS])
+def test_refusals_raise_their_typed_error(make, error, match):
+    with pytest.raises(error, match=match):
+        make()

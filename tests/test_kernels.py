@@ -109,43 +109,47 @@ def run_net(rng, act):
     return Network(act, layers)
 
 
-def loop_chain(layers, cur, act, absolute):
-    """Oracle: one matmul per copy over lay.blocks, with no tiles."""
+def loop_chain(layers, cur, act):
+    """Oracle: one matmul per copy over lay.blocks, with no tiles; the |W|
+    chain when act is None."""
     x = cur
     for i, lay in enumerate(layers):
         out = np.empty((lay.shape[0], x.shape[1]))
         ro = co = 0
         for b in lay.blocks:
             r, c = b.shape
-            np.matmul(np.abs(b) if absolute else b, x[co : co + c], out=out[ro : ro + r])
+            np.matmul(np.abs(b) if act is None else b, x[co : co + c], out=out[ro : ro + r])
             ro += r
             co += c
         x = out if act is None or i == len(layers) - 1 else act(out)
     return x
 
 
-@pytest.mark.parametrize("absolute", [False, True], ids=["w", "abs-w"])
-@pytest.mark.parametrize("act", ACTIVATIONS, ids=["abs", "relu", "identity", "dead-zone"])
-def test_runs_match_one_matmul_per_block(act, absolute, rng, monkeypatch):
+@pytest.mark.parametrize(
+    "act", ACTIVATIONS + (None,), ids=["abs-w", "relu-w", "identity-w", "dead-zone-w", "none-abs-w"]
+)
+def test_runs_match_one_matmul_per_block(act, rng, monkeypatch):
     # each run is one broadcast matmul over (k, c, m) views of the tile,
-    # which must equal the per-copy products bit for bit on every tile
+    # which must equal the per-copy products bit for bit on every tile, in
+    # both modes: W with each activation, and the |W| chain (act None)
     t = SMALL_TILE
     monkeypatch.setattr(_kernels, "TILE", t)
-    net = run_net(rng, act)
+    net = run_net(rng, ABS if act is None else act)
+    inplace = None if act is None else act.inplace
     assert [len(lay.runs) for lay in net.layers] == [3, 3, 3, 1]
     assert [len(lay.blocks) for lay in net.layers] == [5, 6, 5, 8]
     x = rng.normal(size=(3 * t + 5, net.in_dim))
     for n in (1, 2, t - 1, t, t + 1, 2 * t - 1, 2 * t, 2 * t + 1, 3 * t + 5):
-        want = loop_chain(net.layers, x[:n].T, act.inplace, absolute)
-        got = _kernels.eval_chain(net.layers, x[:n].T, act.inplace, absolute)
+        want = loop_chain(net.layers, x[:n].T, inplace)
+        got = _kernels.eval_chain(net.layers, x[:n].T, inplace)
         assert np.array_equal(got, want), n
     # a column-strided input, as a tile of a wider array is; the kernel's
     # (k, r, m) views of such row slices must share its memory
     xs = x[: 2 * t + 1].T[:, ::2]
     assert np.shares_memory(xs[2:8].reshape(3, 2, xs.shape[1]), xs)
     assert np.array_equal(
-        _kernels.eval_chain(net.layers, xs, act.inplace, absolute),
-        loop_chain(net.layers, xs, act.inplace, absolute),
+        _kernels.eval_chain(net.layers, xs, inplace),
+        loop_chain(net.layers, xs, inplace),
     )
 
 
@@ -153,8 +157,8 @@ def test_runs_of_builders_match_one_matmul_per_block(rng, monkeypatch):
     monkeypatch.setattr(_kernels, "TILE", SMALL_TILE)
     for net, x in block_nets(rng)[:2]:
         assert sum(len(lay.runs) for lay in net.layers) < sum(len(lay.blocks) for lay in net.layers)
-        assert np.array_equal(evaluate(net, x), loop_chain(net.layers, x.T, ABS.inplace, False).T)
-        assert np.array_equal(path_matrix(net), loop_chain(net.layers, np.eye(net.in_dim), None, True))
+        assert np.array_equal(evaluate(net, x), loop_chain(net.layers, x.T, ABS.inplace).T)
+        assert np.array_equal(path_matrix(net), loop_chain(net.layers, np.eye(net.in_dim), None))
 
 
 def largest_tile(n, t):

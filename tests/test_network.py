@@ -96,14 +96,13 @@ def test_nonfinite_weights_rejected():
 
 
 def test_activation_variants_agree_with_sign_selector(rng):
-    x = rng.normal(size=100)
-    dead_zone = general_activation(lambda v: np.where(np.abs(v) < 0.5, 0.0, np.sign(v)))
-    for act in (IDENTITY, RELU, ABS, dead_zone):
+    x = np.concatenate([rng.normal(size=100), [0.0, -0.0]])
+    sel = lambda v: np.where(np.abs(v) < 0.5, 0.0, np.sign(v))  # noqa: E731
+    want = {IDENTITY: x, RELU: np.maximum(x, 0.0), ABS: np.abs(x), general_activation(sel): sel(x) * x}
+    for act, expected in want.items():
         y = x.copy()
         assert act.inplace(y) is y
-        assert np.array_equal(y, act.selector(x) * x)
-    assert ABS.selector(np.array([0.0]))[0] == 1.0
-    assert RELU.selector(np.array([0.0]))[0] == 1.0
+        assert np.array_equal(y, expected)
 
 
 def test_path_matrix_single_layer():
@@ -659,3 +658,21 @@ def test_with_ones_takes_a_flat_vector_as_one_coordinate(rng):
     x = rng.uniform(0.0, 1.0, 5)
     assert np.array_equal(with_ones(x), with_ones(x[:, None]))
     assert with_ones(np.empty(0)).shape == (0, 2)
+
+
+TWO_INPUTS = Network(ABS, [np.ones((1, 2))])
+REFUSALS = [
+    ("an activation that is not an Activation", lambda: Network(np.abs, [np.eye(2)]), NetworkError,
+     "Activation instance"),
+    ("no matrices", lambda: Network(ABS, []), NetworkError, "at least one matrix"),
+    ("3-d input", lambda: evaluate(TWO_INPUTS, np.zeros((3, 2, 1))), ShapeMismatchError, "ndim=3"),
+    ("nan input", lambda: evaluate(TWO_INPUTS, [np.nan, 1.0]), NetworkError, "non-finite"),
+    ("inf input", lambda: evaluate(TWO_INPUTS, [[1.0, 1.0], [1.0, -np.inf]]), NetworkError, "non-finite"),
+    ("parallel of no networks", lambda: parallel([]), NetworkError, "at least one network"),
+]
+
+
+@pytest.mark.parametrize("make, error, match", [r[1:] for r in REFUSALS], ids=[r[0] for r in REFUSALS])
+def test_refusals_raise_their_typed_error(make, error, match):
+    with pytest.raises(error, match=match):
+        make()

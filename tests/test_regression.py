@@ -19,7 +19,7 @@ from nnapprox import regression
 from nnapprox.network import with_ones
 from nnapprox.regression import LEARNING_RATE, ORACLE_C, Dataset, _lambda, _objective, _path_norm_prefix, _risk_grads
 
-from conftest import matmul_fit
+from conftest import abs_weights, matmul_fit
 
 
 def _linear_target():
@@ -50,6 +50,18 @@ def test_lambda_auto_linear_in_c():
 def test_lambda_auto_rejects_tiny_n():
     with pytest.raises(ValueError):
         lambda_auto(1, (1, 2, 1))
+
+
+REFUSALS = [
+    ("lambda_auto hidden width 0", lambda: lambda_auto(64, (2, 0, 1)), ValueError, "widths must be positive"),
+    ("lambda_auto hidden width -3", lambda: lambda_auto(64, (2, 4, -3, 1)), ValueError, "widths must be positive"),
+]
+
+
+@pytest.mark.parametrize("make, error, match", [r[1:] for r in REFUSALS], ids=[r[0] for r in REFUSALS])
+def test_refusals_raise_their_typed_error(make, error, match):
+    with pytest.raises(error, match=match):
+        make()
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +98,9 @@ def test_penalty_gradient_matches_central_differences(rng):
         ws = [rng.uniform(-1, 1, (arch[i + 1], arch[i])) for i in range(len(arch) - 1)]
         # keep entries away from zero where |.| is not differentiable
         ws = [np.where(np.abs(w) < 1e-2, np.sign(w + 1e-30) * 1e-2 + (w == 0) * 1e-2, w) for w in ws]
-        grads = path_norm_grads(ws, *_path_norm_prefix(ws)[1:])
+        absw = abs_weights(ws)
+        grads = [np.empty(w.shape) for w in ws]
+        path_norm_grads(ws, absw, _path_norm_prefix(absw)[1], grads)
         i = int(rng.integers(0, len(ws)))
         a = int(rng.integers(0, ws[i].shape[0]))
         b = int(rng.integers(0, ws[i].shape[1]))
@@ -95,7 +109,7 @@ def test_penalty_gradient_matches_central_differences(rng):
         wm = [w.copy() for w in ws]
         wp[i][a, b] += h
         wm[i][a, b] -= h
-        fd = (_path_norm_prefix(wp)[0] - _path_norm_prefix(wm)[0]) / (2 * h)
+        fd = (_path_norm_prefix(abs_weights(wp))[0] - _path_norm_prefix(abs_weights(wm))[0]) / (2 * h)
         if abs(fd) > 1e-8:
             assert grads[i][a, b] == pytest.approx(fd, rel=1e-4)
 
@@ -107,11 +121,12 @@ def test_risk_gradient_matches_central_differences(rng):
         x = rng.uniform(0, 1, (16, 1))
         xa = with_ones(x)
         y = rng.normal(size=16)
-        acts, pres, res, _, _ = _objective(ws, xa, y, 0.0)[3]
+        acts, pres, res, _, _ = _objective(ws, xa, y, 0.0, abs_weights(ws))[3]
         # skip configurations with pre-activations near the kink
         if min(np.abs(p).min() for p in pres[:-1]) < 1e-6:
             continue
-        grads = _risk_grads(ws, acts, pres, res)
+        grads = [np.empty(w.shape) for w in ws]
+        _risk_grads(ws, acts, pres, res, grads)
         i = int(rng.integers(0, len(ws)))
         a = int(rng.integers(0, ws[i].shape[0]))
         b = int(rng.integers(0, ws[i].shape[1]))
@@ -120,7 +135,8 @@ def test_risk_gradient_matches_central_differences(rng):
         wm = [w.copy() for w in ws]
         wp[i][a, b] += h
         wm[i][a, b] -= h
-        fd = (_objective(wp, xa, y, 0.0)[1] - _objective(wm, xa, y, 0.0)[1]) / (2 * h)
+        risk_p, risk_m = (_objective(w, xa, y, 0.0, abs_weights(w))[1] for w in (wp, wm))
+        fd = (risk_p - risk_m) / (2 * h)
         if abs(fd) > 1e-7:
             assert grads[i][a, b] == pytest.approx(fd, rel=1e-4)
 
@@ -459,7 +475,7 @@ def test_oracle_rhs_finite_for_plugin(rng):
     from nnapprox import build_cheb_net
 
     f0 = target_inv_two_minus_x()
-    net, _ = build_cheb_net(f0, 1.0 / 128, "rescaled", measure_grid=2)
+    net, _ = build_cheb_net(f0, 1.0 / 128, "rescaled")
     cfg = RegressionConfig(n=128, d=1, target=f0, widths=tuple(net.widths[1:-1]), lam="auto", seed=0)
     val = oracle_rhs(cfg, net).rhs
     assert np.isfinite(val) and val > 0
