@@ -125,19 +125,21 @@ def loop_chain(layers, cur, act):
     return x
 
 
-@pytest.mark.parametrize(
-    "act", ACTIVATIONS + (None,), ids=["abs-w", "relu-w", "identity-w", "dead-zone-w", "none-abs-w"]
-)
-def test_runs_match_one_matmul_per_block(act, rng, monkeypatch):
+@pytest.mark.parametrize("absolute", [False, True], ids=["w", "abs-w"])
+@pytest.mark.parametrize("act", ACTIVATIONS, ids=["abs", "relu", "identity", "dead-zone"])
+def test_runs_match_one_matmul_per_block(act, absolute, rng, monkeypatch):
     # each run is one broadcast matmul over (k, c, m) views of the tile,
     # which must equal the per-copy products bit for bit on every tile, in
-    # both modes: W with each activation, and the |W| chain (act None)
+    # both modes: W with the net's activation, and the |W| chain (act None),
+    # which must not depend on the activation the net carries
     t = SMALL_TILE
     monkeypatch.setattr(_kernels, "TILE", t)
-    net = run_net(rng, ABS if act is None else act)
-    inplace = None if act is None else act.inplace
+    net = run_net(rng, act)
+    inplace = None if absolute else act.inplace
     assert [len(lay.runs) for lay in net.layers] == [3, 3, 3, 1]
     assert [len(lay.blocks) for lay in net.layers] == [5, 6, 5, 8]
+    if absolute:
+        assert np.array_equal(path_matrix(net), loop_chain(net.layers, np.eye(net.in_dim), None))
     x = rng.normal(size=(3 * t + 5, net.in_dim))
     for n in (1, 2, t - 1, t, t + 1, 2 * t - 1, 2 * t, 2 * t + 1, 3 * t + 5):
         want = loop_chain(net.layers, x[:n].T, inplace)
