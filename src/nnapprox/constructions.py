@@ -156,21 +156,21 @@ def build_mult(m, variant=RESCALED):
 
 
 def _level(mult, chans, prods, carries):
-    """One pairing level: (1, x_1..x_chans) -> (1, x_i x_j for (i, j) in prods,
-    x_c for c in carries).
+    """One pairing level: (1, x_1..x_chans) -> (1, x_c for c in carries,
+    x_i x_j for (i, j) in prods).
 
-    Its first matrix selects a (1, x_i, x_j) triple per product and then the
-    carried channels; the rest is the parallel stack of the constant, the
-    Mult net once per product and one 1x1 identity net per carried channel.
-    The products share the Mult net's read-only blocks and the channels one
-    identity block, so each layer holds one run of every Mult block and one
-    run for the carried channels.  parallel pads the constant and the
-    carried channels with identity layers (values in [0,1] survive the abs
-    activation unchanged).
+    Its first matrix selects the constant, then the carried channels, then
+    a (1, x_i, x_j) triple per product; the rest is the parallel stack of
+    one 1x1 identity net per constant and carried channel and the Mult net
+    once per product.  The constant and carried channels share one identity
+    block and the products the Mult net's read-only blocks, so each later
+    layer is two runs: the constant with the carried channels, then one run
+    of every Mult block.  parallel pads the identity channels with identity
+    layers (values in [0,1] survive the abs activation unchanged).
     """
-    t = np.eye(1 + chans)[[0, *(c for i, j in prods for c in (0, i, j)), *carries]]
+    t = np.eye(1 + chans)[[0, *carries, *(c for i, j in prods for c in (0, i, j))]]
     one = Network(ABS, [np.eye(1)])
-    return [t, *parallel([one] + [mult] * len(prods) + [one] * len(carries)).layers]
+    return [t, *parallel([one] * (1 + len(carries)) + [mult] * len(prods)).layers]
 
 
 def _product_layers(m, variant, n_in, factor_lists):
@@ -182,7 +182,8 @@ def _product_layers(m, variant, n_in, factor_lists):
     left factor is a pair from round h - 1), so the trees share one DAG
     keyed by nested pair structure: each distinct product is computed once,
     at the level equal to its height, and carried until its last use.  A
-    0/1 row per list reads off its root.
+    level's channels are (1, carried..., products...), so every layer is at
+    most two runs.  A 0/1 row per list reads off its root.
     """
     roots, heights = [], {}  # first-seen order: each level's pairs run left to right
     for factors in factor_lists:
@@ -202,7 +203,8 @@ def _product_layers(m, variant, n_in, factor_lists):
         pos = {c: i for i, c in enumerate(chans)}
         pairs = [(pos[a], pos[b]) for a, b in prods]
         layers += _level(mult, len(chans) - 1, pairs, [pos[c] for c in carries])
-        chans = [0] + prods + carries
+        chans = [0] + carries + prods
+    assert all(isinstance(lay, np.ndarray) or len(lay.runs) <= 2 for lay in layers)
     pos = {c: i for i, c in enumerate(chans)}
     return layers + [np.eye(len(chans))[[pos[r] for r in roots]]]
 

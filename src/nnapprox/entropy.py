@@ -38,7 +38,8 @@ class SamplerViolation(ValueError):
 
 @dataclass(frozen=True)
 class EntropyBoundSpec:
-    """Parameters (eps, L, p, B, r, n) of one bound evaluation; L, n and p are ints."""
+    """Parameters (eps, L, p, B, r, n) of one bound evaluation; L, n and p are
+    ints, and eps, B and r real numbers that are not bools."""
 
     eps: float
     L: int
@@ -51,6 +52,8 @@ class EntropyBoundSpec:
         # a bool, or a float such as 2.5 or 4.0, is refused, not truncated
         if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in (self.L, self.n, *self.p)):
             raise ValueError(f"L, n and the widths must be integers, got L={self.L!r} n={self.n!r} p={self.p!r}")
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in (self.eps, self.B, self.r)):
+            raise ValueError(f"eps, B and r must be real numbers, got eps={self.eps!r} B={self.B!r} r={self.r!r}")
         object.__setattr__(self, "p", tuple(map(int, self.p)))
         if len(self.p) != self.L + 2:
             raise ValueError(f"width vector needs L+2={self.L + 2} entries, got {len(self.p)}")
@@ -184,9 +187,12 @@ def empirical_covering(sampler, points, eps, trials, path_norm_cap):
     SamplerViolation naming the first offending sample, once its chunk has
     been drawn.  A network of the wrong input dimension raises
     ShapeMismatchError and non-finite points raise NetworkError, as in
-    evaluate; an eps that is not a finite number > 0, or a cap that is NaN
-    or < 0 (inf is allowed), raises ValueError before any sample is drawn,
-    and non-finite outputs make greedy_cover raise it."""
+    evaluate; trials that is not an integer >= 1, an eps that is not a
+    finite number > 0, or a cap that is NaN or < 0 (inf is allowed), raises
+    ValueError before any sample is drawn, and non-finite outputs make
+    greedy_cover raise it."""
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     if not 0.0 < eps < np.inf:
         raise ValueError(f"eps must be a finite number > 0, got {eps!r}")
     if not path_norm_cap >= 0.0:

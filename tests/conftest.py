@@ -181,6 +181,40 @@ def _ref_path_norm_grads(weights, absw, v, out):
             u = absw[i].T @ u
 
 
+def parent_order_product_layers(m, variant, n_in, factor_lists):
+    """Oracle: constructions._product_layers with a level's channels in the
+    order (1, products..., carried...), so that each hidden layer of a level
+    is three runs (the constant, the Mult blocks, the carried channels).
+    Only the channel order differs, so its nets compute the same values and
+    path matrices bit for bit."""
+    from nnapprox import constructions as ctor
+    from nnapprox.network import ABS, Network, parallel
+
+    roots, heights = [], {}
+    for factors in factor_lists:
+        nodes, h = list(factors) or [0], 0
+        while len(nodes) > 1:
+            h += 1
+            pairs = list(zip(nodes[::2], nodes[1::2]))
+            heights.update(dict.fromkeys(pairs, h))
+            nodes = pairs + nodes[2 * len(pairs) :]
+        roots.append(nodes[0])
+    mult = ctor.build_mult(m, variant)
+    one = Network(ABS, [np.eye(1)])
+    chans, layers = list(range(n_in + 1)), []
+    for h in range(1, max(heights.values(), default=0) + 1):
+        prods = [n for n, hn in heights.items() if hn == h]
+        later = set(roots) | {c for n, hn in heights.items() if hn > h for c in n}
+        carries = [c for c in chans[1:] if c in later]
+        pos = {c: i for i, c in enumerate(chans)}
+        triples = [c for a, b in prods for c in (0, pos[a], pos[b])]
+        layers.append(np.eye(len(chans))[[0, *triples, *(pos[c] for c in carries)]])
+        layers += parallel([one] + [mult] * len(prods) + [one] * len(carries)).layers
+        chans = [0] + prods + carries
+    pos = {c: i for i, c in enumerate(chans)}
+    return layers + [np.eye(len(chans))[[pos[r] for r in roots]]]
+
+
 def matmul_fit(config, dataset):
     """Oracle: regression.fit's descent with the products of inner dimension
     1 (the output layer's W.T @ delta, the path-norm gradient's outer

@@ -14,6 +14,7 @@ from nnapprox import (
     evaluate,
     network_stats,
     mon_error_bound,
+    path_matrix,
     path_norm,
     sup_error,
     target_exp_sum,
@@ -25,8 +26,10 @@ from nnapprox.approximators import (
     power_series_tail_bound,
     series_inv_two_minus_x,
 )
+from nnapprox import constructions as ctor
 from nnapprox.chebyshev import tensor_grid
 from nnapprox.constructions import count_monomials
+from conftest import parent_order_product_layers
 
 
 def _aug(x):
@@ -201,8 +204,8 @@ def test_mult_parameters_in_minus_two_two():
 @pytest.mark.parametrize(
     "d, eps, totals",
     [
-        (1, 2.0**-10, (97, 41, 1028, 282, 5875, 3322, 61723)),
-        (2, 2.0**-6, (49, 132, 1390, 140, 10841, 5340, 324497)),
+        (1, 2.0**-10, (97, 41, 1028, 190, 5875, 3322, 61723)),
+        (2, 2.0**-6, (49, 132, 1390, 95, 10841, 5340, 324497)),
     ],
     ids=["d1", "d2"],
 )
@@ -221,6 +224,21 @@ def test_cheb_net_structure_is_pinned(d, eps, totals):
     ]
     assert [lay["runs"] for lay in stats["layers"]] == seqs
     assert stats["runs"] == sum(seqs)
+
+
+@pytest.mark.parametrize("d, eps", [(1, 2.0**-6), (2, 2.0**-3)], ids=["d1", "d2"])
+def test_cheb_net_channel_order_keeps_results_bit_identical(monkeypatch, rng, d, eps):
+    # against the parent channel order of parent_order_product_layers: the
+    # same outputs, path matrix, path norm and measured error bit for bit
+    net, cert = build_cheb_net(target_exp_sum(d), eps, "rescaled")
+    monkeypatch.setattr(ctor, "_product_layers", parent_order_product_layers)
+    ref, ref_cert = build_cheb_net(target_exp_sum(d), eps, "rescaled")
+    x = _aug(rng.uniform(0.0, 1.0, (1000, d)))
+    assert np.array_equal(evaluate(net, x), evaluate(ref, x))
+    assert np.array_equal(path_matrix(net), path_matrix(ref))
+    assert path_norm(net).hex() == path_norm(ref).hex() == cert["path_norm"].hex()
+    assert cert["measured_sup_error"].hex() == ref_cert["measured_sup_error"].hex()
+    assert network_stats(net)["runs"] < network_stats(ref)["runs"]
 
 
 def test_certificate_and_meta_keys():

@@ -505,6 +505,9 @@ REFUSALS = [
     ("entropy empirical spec n 4.5", ["entropy", "empirical", "--spec", "{spec_n}"], "must be integers"),
     ("entropy empirical spec n 4.0", ["entropy", "empirical", "--spec", "{spec_n_float}"], "must be integers"),
     ("entropy empirical spec L true", ["entropy", "empirical", "--spec", "{spec_l}"], "must be integers"),
+    ("entropy empirical spec eps true", ["entropy", "empirical", "--spec", "{spec_eps}"], "must be real numbers"),
+    ("entropy empirical spec B true", ["entropy", "empirical", "--spec", "{spec_b}"], "must be real numbers"),
+    ("entropy empirical spec r true", ["entropy", "empirical", "--spec", "{spec_r}"], "must be real numbers"),
 ]
 
 
@@ -518,6 +521,9 @@ def test_refusals_exit_2_with_one_error_line(runner, tmp_path, args, message):
         "spec_n": dict(spec, n=4.5),
         "spec_n_float": dict(spec, n=4.0),
         "spec_l": dict(spec, L=True),
+        "spec_eps": dict(spec, eps=True),
+        "spec_b": dict(spec, B=True),
+        "spec_r": dict(spec, r=True),
     }
     files = {}
     for name, content in contents.items():

@@ -30,7 +30,7 @@ from nnapprox import (
 )
 from nnapprox import constructions as ctor
 from nnapprox.chebyshev import monomial_values
-from conftest import fm_ref, mult_path_row, sq_path_row, tent, tent_iter
+from conftest import fm_ref, mult_path_row, parent_order_product_layers, sq_path_row, tent, tent_iter
 
 
 def pairing_level(m, k, variant):
@@ -292,16 +292,76 @@ def test_pairing_level_splices_mult_blocks(monkeypatch, k):
 
 def test_carried_channels_are_one_run():
     # build_mon(2, 3, 3) carries x_1, x_2, x_3 through its first pairing
-    # level on one shared 1x1 identity block, and all 18 squaring chains of
-    # its 6 products run on one block per layer
+    # level with the constant on one shared 1x1 identity block, and all 18
+    # squaring chains of its 6 products run on one block per layer
     m = 2
     net = build_mon(m, 3, 3)
     for lay in net.layers[1 : 2 * m + 4]:
-        carry, k = lay.runs[-1]
-        assert k == 3 and np.array_equal(carry, np.eye(1))
+        carry, k = lay.runs[0]
+        assert k == 1 + 3 and np.array_equal(carry, np.eye(1))
     for lay in net.layers[2 : 2 * m + 3]:
-        assert [k for _, k in lay.runs] == [1, 18, 3]
-    assert network_stats(net)["runs"] == 1 + 3 * (2 * m + 3) + 1
+        assert [k for _, k in lay.runs] == [4, 18]
+    assert network_stats(net)["runs"] == 1 + 2 * (2 * m + 3) + 1
+
+
+def _assert_two_runs_per_level_layer(net, m):
+    """Assert that every layer of a product-DAG net is one run (a level's
+    selection matrix, the final read-off) or two: the constant and carried
+    channels on the 1x1 identity first, then the Mult blocks."""
+    for i, lay in enumerate(net.layers):
+        if i % (2 * m + 4) == 0:
+            assert len(lay.runs) == 1
+        else:
+            (carry, k), (block, _) = lay.runs
+            assert np.array_equal(carry, np.eye(1)) and k >= 1 and block.shape != (1, 1)
+
+
+@pytest.mark.parametrize("variant", [LITERAL, RESCALED], ids=["literal", "rescaled"])
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 7, 8])
+def test_multr_layers_are_at_most_two_runs(variant, r):
+    m = 2
+    net = build_multr(m, r, variant)
+    _assert_two_runs_per_level_layer(net, m)
+    # the carried factor of an odd r joins the constant's run
+    first = net.layers[1].runs[0][1]
+    assert first == 1 + r % 2
+
+
+@pytest.mark.parametrize("variant", [LITERAL, RESCALED], ids=["literal", "rescaled"])
+@pytest.mark.parametrize("m, gamma, d", [(2, 7, 1), (2, 5, 2), (1, 4, 3)])
+def test_mon_layers_are_at_most_two_runs(variant, m, gamma, d):
+    net = build_mon(m, gamma, d, variant)
+    _assert_two_runs_per_level_layer(net, m)
+    assert max(lay.runs[0][1] for lay in net.layers[1:-1]) > 1  # some level carries a channel
+
+
+@pytest.mark.parametrize("variant", [LITERAL, RESCALED], ids=["literal", "rescaled"])
+def test_channel_order_keeps_results_bit_identical(monkeypatch, rng, variant):
+    # the nets on the parent channel order (1, products..., carried...) of
+    # parent_order_product_layers: outputs, path matrices and path norms
+    # equal bit for bit, and every structure count but the runs
+    builds = [
+        ("multr 3", lambda: build_multr(3, 3, variant), 3),
+        ("multr 5", lambda: build_multr(3, 5, variant), 5),
+        ("multr 7", lambda: build_multr(2, 7, variant), 7),
+        ("mon 1", lambda: build_mon(3, 7, 1, variant), 1),
+        ("mon 2", lambda: build_mon(2, 5, 2, variant), 2),
+        ("mon 3", lambda: build_mon(2, 4, 3, variant), 3),
+    ]
+    nets = [build() for _, build, _ in builds]
+    monkeypatch.setattr(ctor, "_product_layers", parent_order_product_layers)
+    edge = MultVariant(variant).edge
+    for net, (label, build, d) in zip(nets, builds):
+        ref = build()
+        x = np.column_stack([np.ones(500), rng.uniform(0, edge, (500, d))])
+        assert np.array_equal(evaluate(net, x), evaluate(ref, x)), label
+        assert np.array_equal(path_matrix(net), path_matrix(ref)), label
+        assert path_norm(net).hex() == path_norm(ref).hex(), label
+        got, want = network_stats(net), network_stats(ref)
+        assert got["runs"] < want["runs"], label
+        assert {k: v for k, v in got.items() if k not in ("runs", "layers")} == {
+            k: v for k, v in want.items() if k not in ("runs", "layers")
+        }, label
 
 
 def test_pairing_k1_matches_mult(rng=np.random.default_rng(1)):

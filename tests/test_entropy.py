@@ -75,6 +75,18 @@ def test_spec_refuses_non_integer_counts(bad):
         EntropyBoundSpec(**{**base, **bad})
 
 
+NON_REAL_SIZES = [{"eps": True}, {"B": True}, {"r": True}, {"eps": "0.5"}, {"B": None}, {"r": 1j}]
+
+
+@pytest.mark.parametrize("bad", NON_REAL_SIZES, ids=["eps true", "B true", "r true", "eps str", "B None", "r complex"])
+def test_spec_refuses_bool_or_non_real_sizes(bad):
+    # B = True ran as B = 1 and to_dict() echoed True
+    base = {"eps": np.float64(0.5), "L": 1, "p": (2, 3, 1), "B": 1, "r": np.float32(1.0), "n": 4}
+    assert EntropyBoundSpec(**base).to_dict()["B"] == 1
+    with pytest.raises(ValueError, match="must be real numbers"):
+        EntropyBoundSpec(**{**base, **bad})
+
+
 def test_bound_outside_float_range_is_value_error():
     # B^2 r^2 / eps^2 overflows, or eps^2 underflows to 0
     for b, eps in ((1e200, 1.0), (1.0, 1e-300)):
@@ -427,6 +439,22 @@ def test_cap_nan_or_negative_is_value_error_before_any_draw(rng, cap):
         empirical_covering(sampler, rng.uniform(-1, 1, (4, 2)), eps=0.1, trials=3, path_norm_cap=cap)
     assert not isinstance(info.value, SamplerViolation)
     assert drawn == []
+
+
+@pytest.mark.parametrize("trials", [0, -1, 2.5, True], ids=["0", "-1", "2.5", "true"])
+def test_trials_not_a_positive_integer_is_value_error_before_any_draw(rng, trials):
+    # trials 0 gave an empty cover of log2 size -inf, which passes any bound;
+    # -1, 2.5 and True failed inside numpy
+    drawn = []
+
+    def sampler():
+        drawn.append(1)
+        return Network(ABS, [np.ones((1, 2))])
+
+    with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+        empirical_covering(sampler, rng.uniform(-1, 1, (4, 2)), eps=0.1, trials=trials, path_norm_cap=2.0)
+    assert drawn == []
+    assert empirical_covering(sampler, rng.uniform(-1, 1, (4, 2)), 0.1, np.int64(1), 2.0).size == 1
 
 
 REFUSALS = [
