@@ -42,15 +42,13 @@ class MissingCoefficientError(ValueError):
 class AnalyticTarget:
     """A function on [0,1]^d with whatever analyticity data the caller declares.
 
-    fn maps an (n, d) array to an (n,) array.  F bounds either sup|f| or the
-    l1 norm of the power-series coefficients depending on the route; rho is
-    the declared ellipse parameter and is carried as metadata only.
+    fn maps an (n, d) array to an (n,) array; rho is the declared ellipse
+    parameter and is carried as metadata only.
     """
 
     name: str
     d: int
     fn: callable
-    F: float = None
     rho: float = None
 
     def evaluate(self, x):
@@ -58,17 +56,17 @@ class AnalyticTarget:
 
 
 def target_inv_two_minus_x():
-    """f(x) = 1/(2-x) = sum_k x^k / 2^(k+1); F = 1 for the series route."""
-    return AnalyticTarget("inv2mx", 1, lambda p: 1.0 / (2.0 - p[:, 0]), F=1.0, rho=3.0 + 2.0 * math.sqrt(2.0))
+    """f(x) = 1/(2-x) = sum_k x^k / 2^(k+1)."""
+    return AnalyticTarget("inv2mx", 1, lambda p: 1.0 / (2.0 - p[:, 0]), rho=3.0 + 2.0 * math.sqrt(2.0))
 
 
 def target_exp_sum(d=1):
-    return AnalyticTarget(f"exp-sum-{d}d", d, lambda p: np.exp(np.sum(p, axis=1)), F=float(np.exp(d)))
+    return AnalyticTarget(f"exp-sum-{d}d", d, lambda p: np.exp(np.sum(p, axis=1)))
 
 
 def target_runge():
     """1/(1 + 25 x^2); poles at +-i/5 make this a stress case for rho."""
-    return AnalyticTarget("runge", 1, lambda p: 1.0 / (1.0 + 25.0 * p[:, 0] ** 2), F=1.0)
+    return AnalyticTarget("runge", 1, lambda p: 1.0 / (1.0 + 25.0 * p[:, 0] ** 2))
 
 
 BUILTIN_TARGETS = {

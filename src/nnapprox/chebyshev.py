@@ -1,4 +1,4 @@
-"""Chebyshev series machinery: exact T_n coefficients, tensor-product
+"""Chebyshev series machinery: T_n coefficients, tensor-product
 Gauss-Lobatto fitting, and conversion to monomial form.
 
 Series live on a per-axis interval (default [-1, 1]); fitting on another
@@ -21,26 +21,11 @@ import numpy as np
 
 
 def cheb_poly_coeffs(n):
-    """Monomial coefficients of T_n from T_{n+1} = 2x T_n - T_{n-1}.
-
-    Computed in exact integer arithmetic and returned as floats; degrees
-    above 60 are rejected (coefficients leave the exactly representable
-    double range well before that point matters downstream).
-    """
+    """Monomial coefficients of T_n: column n of _cheb_monomial_matrix on
+    [-1, 1], its zeros made +0.0.  Degrees above 60 are rejected there."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > 60:
-        raise ValueError("degree above 60 rejected: coefficients overflow doubles")
-    prev = [1]
-    if n == 0:
-        return np.array(prev, dtype=np.float64)
-    cur = [0, 1]
-    for _ in range(n - 1):
-        nxt = [0] + [2 * c for c in cur]
-        for i, c in enumerate(prev):
-            nxt[i] -= c
-        prev, cur = cur, nxt
-    return np.array(cur, dtype=np.float64)
+    return _cheb_monomial_matrix(n + 1, -1.0, 1.0)[:, n] + 0.0
 
 
 def tensor_grid(axes):
@@ -63,7 +48,11 @@ def monomial_values(indices, x):
 
 
 def _points(x, d):
-    """Points as an (n, d) array; shape (n,) is accepted when d == 1."""
+    """Points as an (n, d) array; shape (n,) is accepted when d == 1.
+    Complex points are refused, not cast to their real parts."""
+    x = np.asarray(x)
+    if x.dtype.kind == "c":
+        raise ValueError("points must be real, got complex values")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
@@ -111,25 +100,6 @@ class ChebyshevSeries:
     @property
     def degrees(self):
         return tuple(s - 1 for s in self.coeffs.shape)
-
-    def evaluate(self, x):
-        """Evaluate at points of shape (n, d) (or (n,) when d == 1)."""
-        x = _points(x, self.d)
-        operands = []
-        for a, (lo, hi) in enumerate(self.domain):
-            t = 2.0 * (x[:, a] - lo) / (hi - lo) - 1.0
-            operands += [_cheb_vander(t, self.coeffs.shape[a] - 1), [0, a + 1]]
-        return np.einsum(*operands, self.coeffs, list(range(1, self.d + 1)), [0])
-
-
-def _cheb_vander(t, deg):
-    v = np.empty((len(t), deg + 1))
-    v[:, 0] = 1.0
-    if deg >= 1:
-        v[:, 1] = t
-    for k in range(2, deg + 1):
-        v[:, k] = 2.0 * t * v[:, k - 1] - v[:, k - 2]
-    return v
 
 
 def _lobatto_transform(n):
@@ -194,10 +164,6 @@ class MonomialPolynomial:
                 clean[k] = c
         self.terms = clean
 
-    @property
-    def degree(self):
-        return max((sum(k) for k in self.terms), default=0)
-
     def coeff_l1(self):
         return float(sum(abs(c) for c in self.terms.values()))
 
@@ -214,8 +180,8 @@ class MonomialPolynomial:
 def _cheb_monomial_matrix(size, lo, hi):
     """The (size, size) matrix whose column k holds the monomial
     coefficients of T_k(t), t = alpha x + beta mapping [lo, hi] onto
-    [-1, 1], from T_0 = 1, T_1 = t and T_{k+1} = 2t T_k - T_{k-1}; degrees
-    above 60 are rejected, as in cheb_poly_coeffs."""
+    [-1, 1], from T_0 = 1, T_1 = t and T_{k+1} = 2t T_k - T_{k-1}, the one
+    T_k recurrence here.  Degrees above 60 are rejected."""
     if size > 61:
         raise ValueError("degree above 60 rejected: coefficients overflow doubles")
     alpha = 2.0 / (hi - lo)

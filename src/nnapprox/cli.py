@@ -177,7 +177,7 @@ def path_norm_cmd(net_json, out):
     _emit(
         {
             "path_norm": path_norm(net),
-            "path_matrix": paths.tolist(),
+            "per_output_path_norm": paths.sum(axis=1).tolist(),
             "per_layer_l1": [lay["l1"] for lay in stats["layers"]],
             "l1_total": stats["l1"],
         },

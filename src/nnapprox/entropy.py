@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .network import ABS, NetworkError, ShapeMismatchError, _layout, _network_from_vector, _views
+from .network import ABS, NetworkError, ShapeMismatchError, _layout, _network_from_vector, _real, _views
 
 
 class SamplerViolation(ValueError):
@@ -186,8 +186,8 @@ def empirical_covering(sampler, points, eps, trials, path_norm_cap):
     group on ones, bit for bit as network.path_norm, and a violation raises
     SamplerViolation naming the first offending sample, once its chunk has
     been drawn.  A network of the wrong input dimension raises
-    ShapeMismatchError and non-finite points raise NetworkError, as in
-    evaluate; trials that is not an integer >= 1, an eps that is not a
+    ShapeMismatchError and complex or non-finite points raise NetworkError,
+    as in evaluate; trials that is not an integer >= 1, an eps that is not a
     finite number > 0, or a cap that is NaN or < 0 (inf is allowed), raises
     ValueError before any sample is drawn, and non-finite outputs make
     greedy_cover raise it."""
@@ -197,7 +197,7 @@ def empirical_covering(sampler, points, eps, trials, path_norm_cap):
         raise ValueError(f"eps must be a finite number > 0, got {eps!r}")
     if not path_norm_cap >= 0.0:
         raise ValueError(f"path_norm_cap must be a number >= 0, got {path_norm_cap!r}")
-    points = np.asarray(points, dtype=np.float64)
+    points = _real(points)
     if points.ndim == 1:
         points = points[:, None]
     if points.ndim != 2:

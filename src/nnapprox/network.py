@@ -29,8 +29,7 @@ layers), the path norm (the |W| chain at (1, ..., 1)) and the path matrix
 (the |W| chain on the identity) run on the runs through
 _kernels.eval_chain, one matrix product per run; the JSON wire format
 (version 3) stores the runs of each layer, so a decoded network is the
-same chain of runs.  The dense view of any layer is available through
-Network.weights.
+same chain of runs.
 
 network_stats(net) is the one structural report: depth, widths, blocks,
 stored and nonzero entries and l1 norms, per layer and in total.
@@ -157,15 +156,6 @@ class BlockDiagonal:
     def blocks(self):
         return tuple(b for b, k in self.runs for _ in range(k))
 
-    def to_dense(self):
-        out = np.zeros(self.shape)
-        ro = co = 0
-        for b in self.blocks:
-            out[ro : ro + b.shape[0], co : co + b.shape[1]] = b
-            ro += b.shape[0]
-            co += b.shape[1]
-        return out
-
 
 # ---------------------------------------------------------------------------
 # networks
@@ -226,11 +216,6 @@ class Network:
     def max_width(self):
         return max(self.widths)
 
-    @property
-    def weights(self):
-        """Dense view of the matrices (materializes block-diagonal layers)."""
-        return tuple(l.to_dense() for l in self.layers)
-
     def __repr__(self):
         w = self.widths
         shown = w if len(w) <= 8 else w[:4] + ("...",) + w[-3:]
@@ -285,9 +270,18 @@ def _network_from_vector(activation, theta, widths, meta=None):
     return net
 
 
+def _real(x):
+    """x as a float64 array; complex input is a NetworkError, since the cast
+    would silently drop its imaginary part."""
+    x = np.asarray(x)
+    if x.dtype.kind == "c":
+        raise NetworkError("input has complex entries")
+    return np.asarray(x, dtype=np.float64)
+
+
 def evaluate(net, x):
     """Evaluate net on a vector of length p0 or a batch of shape (n, p0)."""
-    x = np.asarray(x, dtype=np.float64)
+    x = _real(x)
     single = x.ndim == 1
     batch = x[None, :] if single else x
     if batch.ndim != 2:
@@ -305,7 +299,7 @@ def evaluate(net, x):
 def with_ones(points):
     """Points x of shape (n, d), or (n,) for d = 1, as the (n, d + 1) inputs
     (1, x) that every construction reads: the constant 1 comes first."""
-    x = np.asarray(points, dtype=np.float64)
+    x = _real(points)
     return np.column_stack([np.ones(len(x)), x])
 
 

@@ -58,11 +58,28 @@ def random_block_net(rng, activation, n_layers=None, in_dim=None, max_blocks=3, 
     return Network(activation, layers)
 
 
+def dense_layer(layer):
+    """Oracle: the dense matrix of a BlockDiagonal layer, its blocks placed
+    one after the other along the diagonal."""
+    out = np.zeros(layer.shape)
+    ro = co = 0
+    for b in layer.blocks:
+        out[ro : ro + b.shape[0], co : co + b.shape[1]] = b
+        ro += b.shape[0]
+        co += b.shape[1]
+    return out
+
+
+def dense_weights(net):
+    """Oracle: the dense matrices W0, ..., WL of net, one per layer."""
+    return tuple(dense_layer(lay) for lay in net.layers)
+
+
 def dense_chain(net, x):
-    """Oracle: the plain matrix chain over net.weights, with the activation's
-    in-place map on each fresh product."""
+    """Oracle: the plain matrix chain over dense_weights(net), with the
+    activation's in-place map on each fresh product."""
     cur = np.asarray(x, dtype=np.float64)
-    ws = net.weights
+    ws = dense_weights(net)
     for i, w in enumerate(ws):
         cur = cur @ w.T
         if i < len(ws) - 1:
@@ -73,9 +90,30 @@ def dense_chain(net, x):
 def dense_path_matrix(net):
     """Oracle: the product of the dense |W| matrices."""
     p = np.eye(net.in_dim)
-    for w in net.weights:
+    for w in dense_weights(net):
         p = np.abs(w) @ p
     return p
+
+
+def cheb_series_values(series, x):
+    """Oracle: the ChebyshevSeries at points of shape (n, d), or (n,) when
+    d == 1, from the point values of T_k by T_{k+1} = 2t T_k - T_{k-1} on
+    each axis's affine image t in [-1, 1], contracted with the coefficient
+    tensor."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[:, None]
+    operands = []
+    for a, (lo, hi) in enumerate(series.domain):
+        t = 2.0 * (x[:, a] - lo) / (hi - lo) - 1.0
+        v = np.empty((len(t), series.coeffs.shape[a]))
+        v[:, 0] = 1.0
+        if v.shape[1] > 1:
+            v[:, 1] = t
+        for k in range(2, v.shape[1]):
+            v[:, k] = 2.0 * t * v[:, k - 1] - v[:, k - 2]
+        operands += [v, [0, a + 1]]
+    return np.einsum(*operands, series.coeffs, list(range(1, series.d + 1)), [0])
 
 
 # ---------------------------------------------------------------------------

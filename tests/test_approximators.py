@@ -1,10 +1,13 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nnapprox import (
     AnalyticTarget,
+    BlockDiagonal,
     MissingCoefficientError,
     MonomialPolynomial,
     build_cheb_net,
@@ -13,6 +16,7 @@ from nnapprox import (
     builtin_target,
     evaluate,
     network_stats,
+    network_to_json,
     mon_error_bound,
     path_matrix,
     path_norm,
@@ -29,7 +33,7 @@ from nnapprox.approximators import (
 from nnapprox import constructions as ctor
 from nnapprox.chebyshev import tensor_grid
 from nnapprox.constructions import count_monomials
-from conftest import parent_order_product_layers
+from conftest import dense_weights, parent_order_product_layers
 
 
 def _aug(x):
@@ -64,6 +68,16 @@ def test_builtin_target_rejects_wrong_column_count(name, d):
     # a flat vector is one coordinate per point
     if d == 1:
         assert np.array_equal(t.evaluate(np.array([0.1, 0.2])), t.evaluate(np.array([[0.1], [0.2]])))
+
+
+@pytest.mark.parametrize("name", ["inv2mx", "exp-sum", "runge"])
+def test_builtin_target_refuses_complex_points(name):
+    # every builtin fn takes complex points, so a cast would evaluate f at Re x silently
+    t = builtin_target(name, 1)
+    with pytest.raises(ValueError, match="points must be real"):
+        t.evaluate([[0.25 + 0.5j]])
+    x = np.array([[0.1], [0.25], [0.7]])
+    assert np.array_equal(t.evaluate(x.tolist()), t.fn(x))
 
 
 def test_geometric_tail_bound_for_inv_two_minus_x():
@@ -197,7 +211,7 @@ def test_certificate_claims_match_builder_formulas():
 
 def test_mult_parameters_in_minus_two_two():
     net = build_mult(3, "literal")
-    for w in net.weights:
+    for w in dense_weights(net):
         assert np.abs(w).max() <= 2.0
 
 
@@ -224,6 +238,61 @@ def test_cheb_net_structure_is_pinned(d, eps, totals):
     ]
     assert [lay["runs"] for lay in stats["layers"]] == seqs
     assert stats["runs"] == sum(seqs)
+
+
+def test_readme_figures_of_the_cheb_pipeline_nets(monkeypatch):
+    # every figure the README gives for the two cheb_pipeline nets (exp-sum,
+    # d=1 at eps=2^-10 and d=2 at 2^-6), computed here and found in its text
+    init, copied = BlockDiagonal.__init__, []
+
+    def counting_init(self, items):
+        items = list(items)
+        copied.extend(item for item in items if not isinstance(item, BlockDiagonal))
+        init(self, items)
+
+    monkeypatch.setattr(BlockDiagonal, "__init__", counting_init)
+    d1, d2 = (build_cheb_net(target_exp_sum(d), eps, "rescaled")[0] for d, eps in ((1, 2.0**-10), (2, 2.0**-6)))
+    monkeypatch.undo()
+    s1, s2 = network_stats(d1), network_stats(d2)
+    one_column = [b.shape for lay in d1.layers for b, _ in lay.runs if b.shape[1] == 1]
+    assert set(one_column) == {(1, 1)}
+    got = {
+        "dense": (s1["dense_entries"], s2["dense_entries"]),
+        "stored": (s1["stored_entries"], s2["stored_entries"]),
+        "nnz d1": s1["nnz"],
+        "runs": (s1["runs"], s2["runs"]),
+        "1x1 runs d1": len(one_column),
+        "wire bytes": (len(network_to_json(d1)), len(network_to_json(d2))),
+        # version 2 wrote every copy of every block
+        "version 2 bytes": tuple(
+            len(json.dumps({"format": 2, "activation": net.activation.name,
+                            "layers": [[b.tolist() for b in lay.blocks] for lay in net.layers], "meta": net.meta}))
+            for net in (d1, d2)
+        ),
+        "copied blocks": len(copied),
+    }
+    assert got == {
+        "dense": (61723, 324497),
+        "stored": (5875, 10841),
+        "nnz d1": 3322,
+        "runs": (190, 95),
+        "1x1 runs d1": 92,
+        "wire bytes": (9991, 13731),
+        "version 2 bytes": (42006, 70926),
+        "copied blocks": 63,
+    }
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    for phrase in (
+        f"has {s1['dense_entries']:,} dense entries and its blocks hold {s1['stored_entries']:,} "
+        f"({s1['nnz']:,} of them nonzero) in {s1['runs']} runs, the `d = 2` net "
+        f"{s2['dense_entries']:,} and {s2['stored_entries']:,} in {s2['runs']} runs",
+        f"{len(one_column)} of the {s1['runs']} runs of the cheb d=1 net are 1x1",
+        "`cheb_pipeline`'s nets take {:,} and {:,} bytes, against {:,} and {:,} in version 2".format(
+            *got["wire bytes"], *got["version 2 bytes"]
+        ),
+        f"building both `cheb_pipeline` networks copies {len(copied)} blocks",
+    ):
+        assert phrase in readme, phrase
 
 
 @pytest.mark.parametrize("d, eps", [(1, 2.0**-6), (2, 2.0**-3)], ids=["d1", "d2"])

@@ -14,6 +14,8 @@ from nnapprox import (
 from nnapprox.chebyshev import _cheb_monomial_matrix, monomial_values, tensor_grid
 from nnapprox.constructions import enumerate_multi_indices
 
+from conftest import cheb_series_values
+
 
 def test_t0_t1_t2():
     assert np.array_equal(cheb_poly_coeffs(0), [1.0])
@@ -34,6 +36,24 @@ def test_coeff_bound_two_pow_n_holds_below_nine():
     for n in range(9):
         assert np.abs(cheb_poly_coeffs(n)).max() <= 2.0**n
     assert np.abs(cheb_poly_coeffs(9)).max() == 576.0
+
+
+def test_coeffs_equal_exact_integer_recurrence_up_to_60():
+    # T_{n+1} = 2x T_n - T_{n-1} in Python integers; from n = 45 some
+    # coefficients pass 2^53 and still convert exactly
+    prev, cur = [1], [0, 1]
+    exact = [prev, cur]
+    for _ in range(59):
+        nxt = [0] + [2 * c for c in cur]
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+        exact.append(cur)
+    for n in range(61):
+        got = cheb_poly_coeffs(n)
+        assert np.array_equal(got, np.array(exact[n], dtype=np.float64)), n
+        assert not np.signbit(got[got == 0.0]).any(), n
+    assert max(abs(c) for c in exact[45]) > 2**53
 
 
 def test_degree_cap():
@@ -87,7 +107,7 @@ def test_fit_2d_polynomial_exact():
     s = cheb_fit(f, (3, 3), domain=((0, 1), (0, 1)))
     rng = np.random.default_rng(0)
     pts = rng.uniform(0, 1, (100, 2))
-    assert np.abs(s.evaluate(pts) - f(pts)).max() < 1e-13
+    assert np.abs(cheb_series_values(s, pts) - f(pts)).max() < 1e-13
 
 
 def test_to_monomial_t2():
@@ -119,7 +139,7 @@ def test_to_monomial_exact_identity_random_series():
         s = ChebyshevSeries(coeffs)
         p = cheb_to_monomial(s, sum(degs))
         pts = rng.uniform(-1, 1, (50, d))
-        assert np.abs(s.evaluate(pts) - p.evaluate(pts)).max() < 1e-9
+        assert np.abs(cheb_series_values(s, pts) - p.evaluate(pts)).max() < 1e-9
 
 
 def test_to_monomial_identity_on_unit_interval_domain():
@@ -138,7 +158,7 @@ def test_to_monomial_identity_on_unit_interval_domain():
         s = ChebyshevSeries(coeffs, ((0.0, 1.0),) * d)
         p = cheb_to_monomial(s, cap)
         pts = rng.uniform(0, 1, (50, d))
-        assert np.abs(s.evaluate(pts) - p.evaluate(pts)).max() < 1e-9
+        assert np.abs(cheb_series_values(s, pts) - p.evaluate(pts)).max() < 1e-9
 
 
 def test_monomial_polynomial_validation():
@@ -148,14 +168,14 @@ def test_monomial_polynomial_validation():
         MonomialPolynomial(1, {(1,): np.nan})
     p = MonomialPolynomial(1, {(2,): 0.0, (1,): 3.0})
     assert p.terms == {(1,): 3.0}
-    assert p.degree == 1
+    assert max(sum(k) for k in p.terms) == 1
 
 
 def test_series_evaluate_shapes():
     s = ChebyshevSeries(np.array([1.0, 2.0]), ((0.0, 1.0),))
     x = np.array([0.0, 0.5, 1.0])
     want = 1.0 + 2.0 * (2 * x - 1)
-    assert np.allclose(s.evaluate(x), want)
+    assert np.allclose(cheb_series_values(s, x), want)
 
 
 def test_unit_interval_columns_are_integers_summing_to_t_k_of_3():
@@ -173,7 +193,7 @@ def test_unit_interval_columns_are_integers_summing_to_t_k_of_3():
 
 
 def test_to_monomial_rejects_degree_above_60():
-    assert cheb_to_monomial(ChebyshevSeries(np.eye(1, 61, 60)[0]), 60).degree == 60
+    assert max(sum(k) for k in cheb_to_monomial(ChebyshevSeries(np.eye(1, 61, 60)[0]), 60).terms) == 60
     with pytest.raises(ValueError, match="degree above 60"):
         cheb_to_monomial(ChebyshevSeries(np.eye(1, 62, 61)[0]), 61)
 
@@ -229,7 +249,7 @@ def test_series_evaluate_matches_numpy_chebval():
     for d, chebval in ((1, npcheb.chebval), (2, npcheb.chebval2d), (3, npcheb.chebval3d)):
         c = rng.normal(size=tuple(int(n) for n in rng.integers(1, 8, d)))
         want = chebval(*x[:, :d].T, c)
-        assert np.abs(ChebyshevSeries(c).evaluate(x[:, :d]) - want).max() <= 1e-12 * np.abs(c).sum()
+        assert np.abs(cheb_series_values(ChebyshevSeries(c), x[:, :d]) - want).max() <= 1e-12 * np.abs(c).sum()
 
 
 def test_series_evaluate_four_axes_brute_force():
@@ -241,7 +261,7 @@ def test_series_evaluate_four_axes_brute_force():
     want = np.zeros(len(x))
     for k in np.ndindex(c.shape):
         want += c[k] * np.prod([np.cos(ka * np.arccos(t[:, a])) for a, ka in enumerate(k)], axis=0)
-    got = ChebyshevSeries(c, domain).evaluate(x)
+    got = cheb_series_values(ChebyshevSeries(c, domain), x)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(c).sum()
 
 
@@ -252,6 +272,15 @@ def test_monomial_evaluate_checks_coordinate_count():
         with pytest.raises(ValueError, match="expected points with 2 coordinates"):
             p.evaluate(bad)
     assert np.array_equal(MonomialPolynomial(1, {}).evaluate(np.arange(4.0)), np.zeros(4))
+
+
+def test_monomial_evaluate_refuses_complex_points():
+    p = MonomialPolynomial(1, {(2,): 1.0})
+    with pytest.raises(ValueError, match="points must be real"):
+        p.evaluate(np.array([0.25 + 0.5j]))
+    x = np.array([0.1, 0.25, 0.7])
+    assert np.array_equal(p.evaluate(x.tolist()), p.evaluate(x))
+    assert np.array_equal(p.evaluate(x), x * x)
 
 
 def _degree_20_plane_polynomial(seed=3):
@@ -295,9 +324,9 @@ def test_series_rejects_degenerate_or_nonfinite_interval(interval):
 def test_series_accepts_reversed_interval():
     s = ChebyshevSeries(np.array([1.0, 2.0]), ((1.0, 0.0),))
     x = np.array([0.0, 0.25, 1.0])
-    assert np.allclose(s.evaluate(x), 1.0 + 2.0 * (1.0 - 2.0 * x))
-    assert np.allclose(cheb_to_monomial(s, 1).evaluate(x), s.evaluate(x))
-    assert np.allclose(cheb_fit(lambda p: p[:, 0] ** 2, (2,), domain=((1.0, 0.0),)).evaluate(x), x**2)
+    assert np.allclose(cheb_series_values(s, x), 1.0 + 2.0 * (1.0 - 2.0 * x))
+    assert np.allclose(cheb_to_monomial(s, 1).evaluate(x), cheb_series_values(s, x))
+    assert np.allclose(cheb_series_values(cheb_fit(lambda p: p[:, 0] ** 2, (2,), domain=((1.0, 0.0),)), x), x**2)
 
 
 def test_tensor_grid_last_axis_fastest():

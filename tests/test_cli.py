@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import click
@@ -6,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from nnapprox.cli import main
+from nnapprox.network import network_from_json, path_matrix, path_norm
 
 
 @pytest.fixture
@@ -218,6 +220,26 @@ def test_cheb_coeffs(runner):
     assert res.exit_code == 2
 
 
+# sha256 of the stdout of `cheb coeffs --n N`, recorded from an exact
+# integer T_n recurrence
+CHEB_COEFFS_STDOUT_SHA256 = {
+    0: "e2346b8bf6c20f653617ade336307380b2b7da8fb883a64ef2f509fdf7017051",
+    1: "40aa2e5ee47989e021943a0a99392277f3783e8649ec3519d9cef59e469d9fd6",
+    2: "4a940633ac14027001f3d869ba2bd5c8c9264c59e1438c0972f1dced0510301d",
+    9: "f69f731553948a9519fa3f74174a17eba4a9c79586e8367a89c4f59e55c0ca63",
+    45: "f9869d9b348facb368fa40b0f778de3ea5ebf321c11d8c070b933b9e223df3e0",
+    60: "95be948580128249a1ac9ec733a747febf0da308a74f513ba3f6a5a82d486fb1",
+}
+
+
+@pytest.mark.parametrize("n", sorted(CHEB_COEFFS_STDOUT_SHA256))
+def test_cheb_coeffs_stdout_is_pinned(runner, n):
+    res = runner.invoke(main, ["cheb", "coeffs", "--n", str(n)])
+    assert res.exit_code == 0, res.output
+    assert "-0.0" not in res.output
+    assert hashlib.sha256(res.output.encode()).hexdigest() == CHEB_COEFFS_STDOUT_SHA256[n]
+
+
 def test_regress_smoke(runner):
     res = runner.invoke(
         main,
@@ -424,6 +446,21 @@ def test_path_norm_refuses_an_oversized_path_matrix(runner, tmp_path, monkeypatc
     (error,) = [line for line in res.output.splitlines() if line.startswith("Error:")]
     assert "path matrix" in error
     assert "Traceback" not in res.output
+
+
+def test_path_norm_reports_one_value_per_output_not_the_path_matrix(runner, tmp_path):
+    # 1,024 copies of a 1x1 block: the dense path matrix written as JSON was
+    # 11.5 MB; its row sums are 1,024 numbers
+    net_path = tmp_path / "copies.json"
+    net_path.write_text(json.dumps({"format": 3, "activation": "abs", "layers": [[[1024, [[1.0]]]]]}))
+    res = runner.invoke(main, ["path-norm", str(net_path)])
+    assert res.exit_code == 0, res.output
+    out = json.loads(res.output)
+    assert "path_matrix" not in out
+    net = network_from_json(net_path.read_text())
+    assert out["per_output_path_norm"] == path_matrix(net).sum(axis=1).tolist()
+    assert len(out["per_output_path_norm"]) == 1024 and len(res.output) < 2**16
+    assert out["path_norm"] == path_norm(net) == 1024.0
 
 
 def test_an_error_that_is_not_a_value_error_is_not_a_usage_error(runner, monkeypatch):

@@ -30,7 +30,7 @@ from nnapprox import (
 )
 from nnapprox import constructions as ctor
 from nnapprox.chebyshev import monomial_values
-from conftest import fm_ref, mult_path_row, parent_order_product_layers, sq_path_row, tent, tent_iter
+from conftest import dense_layer, dense_weights, fm_ref, mult_path_row, parent_order_product_layers, sq_path_row, tent, tent_iter
 
 
 def pairing_level(m, k, variant):
@@ -256,19 +256,19 @@ def test_builders_equal_dense_triple_assembly(monkeypatch, variant):
 
     def dense_parallel(ns):
         net = stack(ns)
-        return Network(net.activation, [lay.to_dense() for lay in net.layers])
+        return Network(net.activation, [dense_layer(lay) for lay in net.layers])
 
     monkeypatch.setattr(ctor, "parallel", dense_parallel)
     mult = build_mult(3, variant)
     assert all(len(lay.blocks) == 1 for lay in mult.layers)
-    triples = zip(mult.weights[1:-1], ctor._sq_matrices(3), strict=True)
+    triples = zip(dense_weights(mult)[1:-1], ctor._sq_matrices(3), strict=True)
     assert all(np.array_equal(a, dense_triple(w)) for a, w in triples)
     stored = lambda n: sum(b.size for lay in n.layers for b in lay.blocks)
     for net, build in zip(nets, builds):
         ref = build()
         assert stored(net) < stored(ref)
-        assert len(net.weights) == len(ref.weights)
-        assert all(np.array_equal(a, b) for a, b in zip(net.weights, ref.weights))
+        assert len(dense_weights(net)) == len(dense_weights(ref))
+        assert all(np.array_equal(a, b) for a, b in zip(dense_weights(net), dense_weights(ref)))
 
 
 # ---------------------------------------------------------------------------

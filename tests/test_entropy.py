@@ -24,7 +24,7 @@ from nnapprox import (
 )
 from nnapprox import entropy
 from nnapprox.network import _layout
-from conftest import linear_bound, random_block_net, random_dense_net
+from conftest import dense_weights, linear_bound, random_block_net, random_dense_net
 
 DEAD_ZONE = general_activation(lambda x: np.where(np.abs(x) < 0.1, 0.0, np.sign(x)))
 
@@ -211,7 +211,7 @@ def test_sample_network_matches_per_layer_draws():
                 if pn > cap:
                     ws = [w * (cap / pn) ** (1.0 / len(ws)) for w in ws]
                 net = sample_network(widths, cap, ABS, r2)
-                assert all(np.array_equal(a, b) for a, b in zip(net.weights, ws))
+                assert all(np.array_equal(a, b) for a, b in zip(dense_weights(net), ws))
             assert r1.random() == r2.random()
 
 
@@ -261,10 +261,10 @@ def test_sample_network_rejects_bad_widths_before_the_draw(widths):
 
 
 def test_sample_network_cap_zero_and_inf():
-    assert all(not w.any() for w in sample_network((2, 3, 1), 0.0, ABS, 0).weights)
+    assert all(not w.any() for w in dense_weights(sample_network((2, 3, 1), 0.0, ABS, 0)))
     raw = sample_network((2, 3, 1), np.inf, ABS, 0)
     assert path_norm(raw) > 1.0
-    assert all(np.array_equal(a, b) for a, b in zip(raw.weights, sample_network((2, 3, 1), 1e300, ABS, 0).weights))
+    assert all(np.array_equal(a, b) for a, b in zip(dense_weights(raw), dense_weights(sample_network((2, 3, 1), 1e300, ABS, 0))))
 
 
 def runs_key(net):
@@ -277,7 +277,7 @@ def runs_key(net):
 def test_vector_built_key_is_the_runs_key(widths, act):
     net = sample_network(widths, 1.0, act, 8)
     runs = _layout(widths)[2]
-    hand = Network(act, net.weights)
+    hand = Network(act, dense_weights(net))
     assert runs == runs_key(hand) == runs_key(net)
     assert net._key == (act, runs)
     assert hand._key is None
@@ -289,7 +289,7 @@ def test_vector_built_and_hand_built_nets_share_a_stack(widths):
     # group, in first-appearance order, and the stack evaluates each net
     rng = np.random.default_rng(9)
     first = sample_network(widths, 2.0, ABS, rng)
-    nets = [first, Network(ABS, first.weights), sample_network(widths, 2.0, ABS, rng)]
+    nets = [first, Network(ABS, dense_weights(first)), sample_network(widths, 2.0, ABS, rng)]
     [(act, ts, layers)] = entropy._stacks(nets)
     assert act is ABS and ts == [0, 1, 2]
     x = rng.uniform(-1, 1, (5, widths[0]))
@@ -415,6 +415,18 @@ def test_non_finite_points_are_network_error(bad, rng):
     net = Network(ABS, [np.full((1, 2), 0.1)])
     with pytest.raises(NetworkError, match="non-finite"):
         empirical_covering(lambda: net, pts, eps=0.1, trials=3, path_norm_cap=1.0)
+
+
+def test_complex_points_are_network_error(rng):
+    pts = rng.uniform(-1, 1, (4, 2)).astype(complex)
+    pts[2, 1] += 0.5j
+    net = Network(ABS, [np.full((1, 2), 0.1)])
+    with pytest.raises(NetworkError, match="complex"):
+        empirical_covering(lambda: net, pts, eps=0.1, trials=3, path_norm_cap=1.0)
+    # real points keep their bits: the same cover as the float64 points
+    real = pts.real.copy()
+    got = empirical_covering(lambda: net, real.tolist(), eps=0.1, trials=3, path_norm_cap=1.0)
+    assert got == empirical_covering(lambda: net, real, eps=0.1, trials=3, path_norm_cap=1.0)
 
 
 def test_non_finite_outputs_reach_greedy_cover_error():

@@ -18,6 +18,7 @@ from nnapprox import (
     build_mon,
     build_mult,
     build_multr,
+    build_sq,
     compose,
     evaluate,
     general_activation,
@@ -32,7 +33,7 @@ from nnapprox import (
 )
 from nnapprox import _kernels
 from nnapprox import network as _network
-from conftest import dense_chain, dense_path_matrix, random_block_net, random_dense_net
+from conftest import dense_chain, dense_path_matrix, dense_weights, random_block_net, random_dense_net
 
 
 def test_eval_single_linear_layer():
@@ -159,7 +160,7 @@ def test_derived_networks_report_their_own_path_norm(rng):
     derived = {
         "compose": compose(a, b),
         "parallel": parallel([a, a]),
-        "rescaled": Network(ABS, [0.5 * w for w in a.weights]),
+        "rescaled": Network(ABS, [0.5 * w for w in dense_weights(a)]),
         "prepend": compose(Network(ABS, [3.0 * np.eye(2)]), a),
         "append": compose(a, Network(ABS, [np.array([[-4.0]])])),
     }
@@ -198,7 +199,7 @@ def test_network_stats_match_the_dense_weights(seed):
     # structural zeros outside the blocks are counted only in dense_entries
     net = random_block_net(np.random.default_rng(seed), ABS)
     stats = network_stats(net)
-    ws = net.weights
+    ws = dense_weights(net)
     assert (stats["depth"], stats["max_width"]) == (len(ws) - 1, max(net.widths))
     assert [lay["shape"] for lay in stats["layers"]] == [list(w.shape) for w in ws]
     assert [lay["blocks"] for lay in stats["layers"]] == [len(lay.blocks) for lay in net.layers]
@@ -216,7 +217,7 @@ def test_path_norm_equals_value_at_ones_for_nonnegative_weights(rng):
     for act in (ABS, RELU, IDENTITY):
         for _ in range(50):
             net = random_dense_net(rng, act)
-            net = Network(act, [np.abs(w) for w in net.weights])
+            net = Network(act, [np.abs(w) for w in dense_weights(net)])
             val = float(np.sum(evaluate(net, np.ones(net.in_dim))))
             pn = path_norm(net)
             assert val == pn
@@ -254,7 +255,7 @@ def test_unit_l1_budget_caps_path_norm(rng):
         total = network_stats(net)["l1"]
         if total == 0:
             continue
-        ws = [w / total for w in net.weights]
+        ws = [w / total for w in dense_weights(net)]
         scaled = Network(ABS, ws)
         assert network_stats(scaled)["l1"] <= 1 + 1e-9
         L = scaled.depth
@@ -306,7 +307,7 @@ def test_parallel_three_copies_is_block_diagonal():
     m = np.array([[1.0, -2.0], [0.5, 3.0]])
     net = Network(ABS, [m])
     par = parallel([net, net, net])
-    dense = par.weights[0]
+    dense = dense_weights(par)[0]
     expect = np.zeros((6, 6))
     for i in range(3):
         expect[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = m
@@ -346,16 +347,16 @@ def test_combinators_match_dense_oracle(seed):
     w_out = r.uniform(-1, 1, (int(r.integers(1, 5)), a.out_dim))
     nets = [random_block_net(r, ABS) for _ in range(int(r.integers(1, 4)))]
     depth = max(len(n.layers) for n in nets)
-    padded = [[np.eye(n.in_dim)] * (depth - len(n.layers)) + list(n.weights) for n in nets]
+    padded = [[np.eye(n.in_dim)] * (depth - len(n.layers)) + list(dense_weights(n)) for n in nets]
     cases = {
-        "compose": (compose(a, b), a.weights + b.weights),
+        "compose": (compose(a, b), dense_weights(a) + dense_weights(b)),
         "parallel": (parallel(nets), [dense_block_diag(ws) for ws in zip(*padded)]),
-        "prepend": (compose(Network(ABS, [w_in]), a), (w_in,) + a.weights),
-        "append": (compose(a, Network(ABS, [w_out])), a.weights + (w_out,)),
+        "prepend": (compose(Network(ABS, [w_in]), a), (w_in,) + dense_weights(a)),
+        "append": (compose(a, Network(ABS, [w_out])), dense_weights(a) + (w_out,)),
     }
     for name, (net, want) in cases.items():
-        assert len(net.weights) == len(want), name
-        assert all(np.array_equal(got, w) for got, w in zip(net.weights, want)), name
+        assert len(dense_weights(net)) == len(want), name
+        assert all(np.array_equal(got, w) for got, w in zip(dense_weights(net), want)), name
         x = r.normal(size=(7, net.in_dim))
         np.testing.assert_allclose(evaluate(net, x), dense_chain(net, x), rtol=1e-13, atol=1e-13)
 
@@ -405,7 +406,7 @@ def test_json_round_trip_bit_exact(rng):
         back = network_from_json(network_to_json(net))
         xs = rng.normal(size=(5, net.in_dim))
         assert np.array_equal(evaluate(net, xs), evaluate(back, xs))
-        for w1, w2 in zip(net.weights, back.weights):
+        for w1, w2 in zip(dense_weights(net), dense_weights(back)):
             assert np.array_equal(w1, w2)
 
 
@@ -557,13 +558,13 @@ def test_network_from_vector_matches_per_layer_network(widths, act, rng):
     got = _network._network_from_vector(act, theta, widths, meta={"k": 1})
     assert got.widths == want.widths == tuple(widths)
     assert [len(lay.runs) for lay in got.layers] == [1] * len(shapes)
-    assert all(np.array_equal(a, b) for a, b in zip(got.weights, want.weights))
+    assert all(np.array_equal(a, b) for a, b in zip(dense_weights(got), dense_weights(want)))
     x = rng.normal(size=(9, widths[0]))
     assert np.array_equal(evaluate(got, x), evaluate(want, x))
     assert path_norm(got) == path_norm(want)
     assert network_to_json(got) == network_to_json(want)
     back = network_from_json(network_to_json(got))
-    assert all(np.array_equal(a, b) for a, b in zip(back.weights, got.weights))
+    assert all(np.array_equal(a, b) for a, b in zip(dense_weights(back), dense_weights(got)))
 
 
 def test_network_from_vector_copies_once_into_read_only_views(rng):
@@ -637,7 +638,7 @@ def test_only_vector_built_networks_carry_a_key(rng):
     built = _network._network_from_vector(RELU, rng.uniform(-1, 1, 9), (2, 3, 1))
     assert built._key == (RELU, _network._layout((2, 3, 1))[2])
     derived = [
-        Network(RELU, built.weights),
+        Network(RELU, dense_weights(built)),
         Network(RELU, built.layers),
         network_from_json(network_to_json(built)),
         parallel([built]),
@@ -658,6 +659,22 @@ def test_with_ones_takes_a_flat_vector_as_one_coordinate(rng):
     x = rng.uniform(0.0, 1.0, 5)
     assert np.array_equal(with_ones(x), with_ones(x[:, None]))
     assert with_ones(np.empty(0)).shape == (0, 2)
+
+
+def test_complex_input_is_refused_and_real_input_keeps_its_bits(rng):
+    # a float64 cast would drop the imaginary part and give sq(3) at 0.25, 0.0625
+    sq = build_sq(3)
+    for bad in ([[1, 0.25 + 0.5j]], np.array([[1.0, 0.25]], dtype=complex)):
+        with pytest.raises(NetworkError, match="complex"):
+            evaluate(sq, bad)
+    with pytest.raises(NetworkError, match="complex"):
+        with_ones([0.25 + 0.5j])
+    x = with_ones(rng.uniform(0.0, 1.0, 50))
+    want = evaluate(sq, x)
+    for real in (x.tolist(), np.asfortranarray(x), x.astype(np.float32).astype(np.float64)):
+        assert np.array_equal(evaluate(sq, real), evaluate(sq, np.array(real, dtype=np.float64)))
+    assert np.array_equal(evaluate(sq, x.tolist()), want)
+    assert np.array_equal(with_ones(x[:, 1].tolist()), x)
 
 
 TWO_INPUTS = Network(ABS, [np.ones((1, 2))])

@@ -19,7 +19,7 @@ from nnapprox import regression
 from nnapprox.network import with_ones
 from nnapprox.regression import LEARNING_RATE, ORACLE_C, Dataset, _lambda, _objective, _path_norm_prefix, _risk_grads
 
-from conftest import abs_weights, matmul_fit
+from conftest import abs_weights, dense_weights, matmul_fit
 
 
 def _linear_target():
@@ -370,7 +370,7 @@ REGRESS_FITS = [
 
 
 def _theta(net):
-    return np.concatenate([w.ravel() for w in net.weights])
+    return np.concatenate([w.ravel() for w in dense_weights(net)])
 
 
 def _assert_fit_is(net, rep, expected):
