@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import MonomialPolynomial, _points, cheb_fit, cheb_to_monomial, tensor_grid
+from .chebyshev import MonomialPolynomial, _points, _real, cheb_fit, cheb_to_monomial, tensor_grid
 from .constructions import (
     MultVariant,
     LITERAL,
@@ -52,7 +52,7 @@ class AnalyticTarget:
     rho: float = None
 
     def evaluate(self, x):
-        return np.asarray(self.fn(_points(x, self.d)), dtype=np.float64)
+        return _real(self.fn(_points(x, self.d)), "target values")
 
 
 def target_inv_two_minus_x():
@@ -77,12 +77,13 @@ BUILTIN_TARGETS = {
 
 
 def builtin_target(name, d=1):
-    """The builtin target `name` on [0,1]^d; inv2mx and runge exist only for d = 1."""
+    """The builtin target `name` on [0,1]^d; a d other than its own is refused."""
     if name not in BUILTIN_TARGETS:
         raise ValueError(f"unknown builtin target {name!r} (have {sorted(BUILTIN_TARGETS)})")
-    if name in ("inv2mx", "runge") and d != 1:
-        raise ValueError(f"builtin target {name!r} is one-dimensional; got d={d}")
-    return BUILTIN_TARGETS[name](d)
+    target = BUILTIN_TARGETS[name](d)
+    if target.d != d:
+        raise ValueError(f"builtin target {name!r} has d={target.d}; got d={d}")
+    return target
 
 
 def series_inv_two_minus_x():
@@ -93,18 +94,14 @@ def series_inv_two_minus_x():
 BUILTIN_SERIES = {"inv2mx": (series_inv_two_minus_x, 1, 1.0)}
 
 
-def _coefficient_row(series, d, gamma):
-    """Coefficients of the multi-indices of total degree <= gamma, in the
+def _coefficient_row(coeff, d, gamma):
+    """coeff(k) for the multi-indices k of total degree <= gamma, in the
     order of build_mon(m, gamma + 1, d)'s outputs."""
     indices = enumerate_multi_indices(d, gamma + 1)
-    if isinstance(series, MonomialPolynomial):
-        if series.d != d:
-            raise ValueError("polynomial dimension does not match d")
-        return np.array([series.terms.get(k, 0.0) for k in indices])
     row = np.empty(len(indices))
     for j, k in enumerate(indices):
         try:
-            c = series(k)
+            c = coeff(k)
         except Exception as e:
             raise MissingCoefficientError(f"no coefficient for {k}: {e}") from e
         if c is None or not np.isfinite(c):
@@ -144,24 +141,26 @@ def _polynomial_net(construction, d, gamma, m, variant, row, **extra):
 def build_power_series_net(series, eps, delta, variant, d=None, F=None):
     """Network approximating sum a_k x^k on (0, 1-delta]^d.
 
-    `series` is a MonomialPolynomial (absent terms are zero) or a callable
-    from multi-index tuples to coefficients.  Returns (network, certificate).
+    `series` is a MonomialPolynomial (absent terms are zero; a `d` other
+    than its own is refused) or a callable from multi-index tuples to
+    coefficients, which needs `d`.  Returns (network, certificate).
     """
     if not (0.0 < eps < 1.0 and 0.0 < delta < 1.0):
         raise ValueError("eps and delta must lie in (0, 1)")
     variant = MultVariant(variant)
+    coeff, l1 = series, 0.0
     if isinstance(series, MonomialPolynomial):
-        d = series.d
+        if d not in (None, series.d):
+            raise ValueError(f"d = {d} contradicts the polynomial, which has d = {series.d}")
+        d, l1, coeff = series.d, series.coeff_l1(), lambda k: series.terms.get(k, 0.0)
     elif d is None:
         raise ValueError("d is required when series is a callable")
     gamma = max(1, math.ceil((1.0 / delta) * math.log(1.0 / eps)))
     m = max(1, math.ceil(math.log2(1.0 / eps)))
-    row = _coefficient_row(series, d, gamma)
+    row = _coefficient_row(coeff, d, gamma)
     if F is None:
         with np.errstate(over="ignore"):  # an infinite sum is rejected below
-            F = float(np.sum(np.abs(row)))
-        if isinstance(series, MonomialPolynomial):
-            F = max(F, series.coeff_l1())
+            F = max(float(np.sum(np.abs(row))), l1)
     claimed_error = (2.0 if variant is LITERAL else 6.0) * F * eps / delta**2
     bound = power_series_path_bound(d, F, gamma, variant)
     if not (F >= 0.0 and math.isfinite(claimed_error) and math.isfinite(bound)):
@@ -195,8 +194,8 @@ def build_cheb_net(target, eps, variant):
     variant = MultVariant(variant)
     d = target.d
     gamma = m = max(1, math.ceil(math.log2(1.0 / eps)))
-    series = cheb_fit(target, (gamma,) * d, domain=((0.0, 1.0),) * d)
-    row = _coefficient_row(cheb_to_monomial(series, gamma), d, gamma)
+    poly = cheb_to_monomial(cheb_fit(target.evaluate, (gamma,) * d, domain=((0.0, 1.0),) * d), gamma)
+    row = _coefficient_row(lambda k: poly.terms.get(k, 0.0), d, gamma)
     net, shared = _polynomial_net("cheb-net", d, gamma, m, variant, row, target=target.name)
 
     per_axis = max(2, int(round(MEASURE_GRID ** (1.0 / d))))

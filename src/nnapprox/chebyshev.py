@@ -47,13 +47,19 @@ def monomial_values(indices, x):
     return out
 
 
+def _real(x, what):
+    """x as a float64 array; complex x is a ValueError naming `what`, since
+    the cast would silently drop its imaginary part."""
+    x = np.asarray(x)
+    if x.dtype.kind == "c":
+        raise ValueError(f"{what} must be real, got complex values")
+    return np.asarray(x, dtype=np.float64)
+
+
 def _points(x, d):
     """Points as an (n, d) array; shape (n,) is accepted when d == 1.
     Complex points are refused, not cast to their real parts."""
-    x = np.asarray(x)
-    if x.dtype.kind == "c":
-        raise ValueError("points must be real, got complex values")
-    x = np.asarray(x, dtype=np.float64)
+    x = _real(x, "points")
     if x.ndim == 1:
         x = x[:, None]
     if x.shape[1] != d:
@@ -115,14 +121,13 @@ def _lobatto_transform(n):
     return m
 
 
-def cheb_fit(target, degrees, domain=None):
-    """Interpolate on the tensor Chebyshev-Gauss-Lobatto grid.
+def cheb_fit(fn, degrees, domain=None):
+    """Interpolate fn on the tensor Chebyshev-Gauss-Lobatto grid.
 
-    `target` is a callable taking points of shape (n, d), or any object with
-    such an `evaluate` method.  Exact (to rounding) for polynomial targets of
-    per-axis degree at most the fitted degree.
+    `fn` maps points of shape (n, d) to n real values (pass a target's
+    `evaluate`); complex or non-finite values are a ValueError.  Exact (to
+    rounding) for polynomials of per-axis degree at most the fitted degree.
     """
-    fn = target.evaluate if hasattr(target, "evaluate") else target
     degrees = tuple(int(n) for n in degrees)
     d = len(degrees)
     if d < 1 or d > 3:
@@ -136,7 +141,7 @@ def cheb_fit(target, degrees, domain=None):
         axes.append(lo + (hi - lo) * (t + 1.0) / 2.0)
     pts = tensor_grid(axes)
     with np.errstate(all="ignore"):  # a non-finite value is reported below
-        vals = np.asarray(fn(pts), dtype=np.float64)
+        vals = _real(fn(pts), "target values")
     if not np.all(np.isfinite(vals)):
         bad = pts[~np.isfinite(vals)][0]
         raise ValueError(f"target returned a non-finite value at node {tuple(bad.tolist())}")

@@ -378,7 +378,7 @@ def cheb_coeffs_cmd(n, out):
 @OUT_OPTION
 def cheb_fit_cmd(target_name, d, degree, out):
     target = builtin_target(target_name, d)
-    series = cheb_fit(target, (degree,) * target.d, domain=((0.0, 1.0),) * target.d)
+    series = cheb_fit(target.evaluate, (degree,) * target.d, domain=((0.0, 1.0),) * target.d)
     _emit(
         {
             "target": target.name,

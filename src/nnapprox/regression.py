@@ -14,11 +14,13 @@ asserted as a bound.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .chebyshev import _real
 from .network import ABS, _layout, _network_from_vector, _views, evaluate, path_norm, with_ones
 
 
@@ -41,11 +43,16 @@ class RegressionConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # a bool, or a float such as 2.5 or 4.0, is refused, not truncated
+        for name, values in (("n", (self.n,)), ("d", (self.d,)), ("max_epochs", (self.max_epochs,)),
+                             ("seed", (self.seed,)), ("widths", tuple(self.widths))):
+            if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in values):
+                raise ValueError(f"{name} must be integers that are not bools, got {getattr(self, name)!r}")
         if self.n < 2:
             raise ValueError(f"n must be at least 2, got {self.n}")
         if self.d < 1:
             raise ValueError(f"d must be at least 1, got {self.d}")
-        if getattr(self.target, "d", self.d) != self.d:
+        if self.target.d != self.d:
             raise ValueError(f"d = {self.d} but the target takes points with {self.target.d} coordinates")
         if any(w < 1 for w in self.widths):
             raise ValueError(f"hidden widths must be positive, got {tuple(self.widths)}")
@@ -217,9 +224,9 @@ def _params(shapes, size):
 
 
 def _checked_data(config, dataset):
-    """(X, Y) of the dataset as float64, after checking that X is (n, d), Y
-    is (n,) and both are finite."""
-    x, y = np.asarray(dataset.X, dtype=np.float64), np.asarray(dataset.Y, dtype=np.float64)
+    """(X, Y) of the dataset as float64, after checking that both are real,
+    X is (n, d), Y is (n,) and both are finite."""
+    x, y = _real(dataset.X, "X"), _real(dataset.Y, "Y")
     for name, a, shape in (("X", x, (config.n, config.d)), ("Y", y, (config.n,))):
         if a.shape != shape:
             raise ValueError(f"{name} has shape {a.shape}, but n = {config.n} and d = {config.d} need {shape}")

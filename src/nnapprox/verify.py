@@ -140,8 +140,10 @@ def verify_mult(m, variant, step=0.005, bound=None):
         raise ValueError(f"step must lie in (0, 1], got {step!r}")
     t0 = time.perf_counter()
     variant = ctor.MultVariant(variant)
-    blocks = _mult_blocks(int(round(1.0 / step)), variant is ctor.LITERAL)
-    return _sweep(ctor.build_mult(m, variant), blocks, {"step": step}, bound, t0)
+    n = int(round(1.0 / step))
+    blocks = _mult_blocks(n, variant is ctor.LITERAL)
+    # report the step swept, 1/n, which the requested step need not be (0.7 sweeps {0, 1})
+    return _sweep(ctor.build_mult(m, variant), blocks, {"step": 1.0 / n}, bound, t0)
 
 
 def verify_multr(m, r, variant, n_samples=100000, seed=0, bound=None):

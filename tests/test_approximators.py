@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -25,7 +26,6 @@ from nnapprox import (
     target_inv_two_minus_x,
 )
 from nnapprox.approximators import (
-    _coefficient_row,
     power_series_path_bound,
     power_series_tail_bound,
     series_inv_two_minus_x,
@@ -54,7 +54,7 @@ def test_builtin_targets():
 @pytest.mark.parametrize("name", ["inv2mx", "runge"])
 def test_one_dimensional_builtin_targets_reject_other_d(name):
     for d in (0, 2, 3):
-        with pytest.raises(ValueError, match="one-dimensional"):
+        with pytest.raises(ValueError, match=f"builtin target '{name}' has d=1; got d={d}"):
             builtin_target(name, d)
     assert builtin_target(name, 1).d == 1
     assert builtin_target("exp-sum", 3).d == 3
@@ -68,6 +68,15 @@ def test_builtin_target_rejects_wrong_column_count(name, d):
     # a flat vector is one coordinate per point
     if d == 1:
         assert np.array_equal(t.evaluate(np.array([0.1, 0.2])), t.evaluate(np.array([[0.1], [0.2]])))
+
+
+def test_target_refuses_complex_values_and_keeps_real_bits():
+    # the float cast used to drop the imaginary part with only a ComplexWarning: [0.0]
+    with pytest.raises(ValueError, match="target values must be real"):
+        AnalyticTarget("c", 1, lambda p: p[:, 0] * 1j).evaluate([0.5])
+    x = np.array([[0.1], [0.25], [0.7]])
+    fn = lambda p: np.exp(p[:, 0]) / 3.0
+    assert np.array_equal(AnalyticTarget("r", 1, fn).evaluate(x), fn(x))
 
 
 @pytest.mark.parametrize("name", ["inv2mx", "exp-sum", "runge"])
@@ -128,6 +137,33 @@ def test_power_series_degree_beyond_the_width_bound_is_value_error():
     # coefficient row or the monomial network is built
     with pytest.raises(ValueError, match="more than the 65536 outputs"):
         build_power_series_net(series_inv_two_minus_x(), eps=0.5, delta=1e-6, variant="rescaled", d=1, F=1.0)
+
+
+# sha256 of network_to_json and of the sorted-key certificate JSON of the
+# power-series net of 0.5 x^2 at eps = 1/4, delta = 1/2, rescaled, as built
+# before a polynomial's d and lookup were read once at the builder's top
+HALF_X_SQUARED_SHA256 = (
+    "68d641937987a5e51287999c20df8b56dc4b1690e4a6d9c3930154ce5818c09d",
+    "c2303d321fa1869be29c004d4b4cbb1681188147f15d27264473c15e972e60e5",
+)
+
+
+def _sha256s(net, cert):
+    texts = (network_to_json(net), json.dumps(cert, sort_keys=True))
+    return tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts)
+
+
+def test_power_series_polynomial_refuses_a_contradicting_d():
+    poly = MonomialPolynomial(1, {(2,): 0.5})
+    build = lambda **kw: build_power_series_net(poly, eps=0.25, delta=0.5, variant="rescaled", **kw)
+    # d = 3 used to be dropped silently, building the d = 1 net
+    with pytest.raises(ValueError, match="d = 3 contradicts the polynomial, which has d = 1"):
+        build(d=3)
+    assert _sha256s(*build()) == _sha256s(*build(d=1)) == HALF_X_SQUARED_SHA256
+    # the polynomial's lookup builds what the same coefficients as a callable build
+    net, cert = build_power_series_net(lambda k: {(2,): 0.5}.get(k, 0.0), eps=0.25, delta=0.5,
+                                       variant="rescaled", d=1)
+    assert _sha256s(net, cert) == HALF_X_SQUARED_SHA256
 
 
 def test_power_series_parameter_validation():
@@ -333,7 +369,8 @@ def _no_coefficients(k):
 
 REFUSALS = [
     ("polynomial of another dimension",
-     lambda: _coefficient_row(MonomialPolynomial(2, {(1, 0): 0.5}), 1, 3), ValueError, "does not match d"),
+     lambda: build_power_series_net(MonomialPolynomial(2, {(1, 0): 0.5}), eps=0.5, delta=0.5, variant="rescaled", d=1),
+     ValueError, "d = 1 contradicts the polynomial, which has d = 2"),
     ("series that raises",
      lambda: build_power_series_net(_no_coefficients, eps=0.5, delta=0.5, variant="rescaled", d=1, F=1.0),
      MissingCoefficientError, "no coefficient for"),

@@ -11,7 +11,7 @@ from nnapprox import (
     cheb_poly_coeffs,
     cheb_to_monomial,
 )
-from nnapprox.chebyshev import _cheb_monomial_matrix, monomial_values, tensor_grid
+from nnapprox.chebyshev import _cheb_monomial_matrix, _lobatto_transform, monomial_values, tensor_grid
 from nnapprox.constructions import enumerate_multi_indices
 
 from conftest import cheb_series_values
@@ -90,6 +90,18 @@ def test_fit_rejects_nonfinite_target():
 
     with pytest.raises(ValueError, match="non-finite"):
         cheb_fit(bad, (4,))
+
+
+def test_fit_refuses_complex_values_and_keeps_real_bits():
+    # the float cast used to drop the imaginary part with only a ComplexWarning: [0, 1, 0]
+    with pytest.raises(ValueError, match="target values must be real"):
+        cheb_fit(lambda p: p[:, 0] + 1j, (2,))
+    f = lambda p: np.exp(p[:, 0]) / 3.0
+    t = np.cos(np.pi * np.arange(9) / 8)
+    vals = np.asarray(f((-1.0 + 2.0 * (t + 1.0) / 2.0)[:, None]), dtype=np.float64)
+    want = np.tensordot(_lobatto_transform(8), vals, axes=(1, 0))
+    assert np.array_equal(cheb_fit(f, (8,)).coeffs, want)
+    assert np.array_equal(cheb_fit(lambda p: f(p).tolist(), (8,)).coeffs, want)
 
 
 def test_fit_exp_coefficients_decay_geometrically():

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import click
 import numpy as np
@@ -571,3 +573,30 @@ def test_refusals_exit_2_with_one_error_line(runner, tmp_path, args, message):
     assert "Traceback" not in res.output
     (error,) = [line for line in res.output.splitlines() if line.startswith("Error:")]
     assert message in error
+
+
+def test_readme_cli_examples_run_in_order(runner, tmp_path, monkeypatch):
+    # every line of the README's bash block, in a fresh directory, with the
+    # spec file the README shows below the block
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```bash\n(nnapprox .*?)```", readme, re.S).group(1)
+    lines = [line.split("#")[0].split() for line in block.splitlines()]
+    spec = re.search(r"reads a spec file like\s*`(\{.*?\})`", readme, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    Path("spec.json").write_text(spec)
+    outputs = {}
+    for words in lines:
+        assert words[0] == "nnapprox"
+        res = runner.invoke(main, words[1:])
+        assert res.exit_code == 0, (words, res.output)
+        outputs[" ".join(words[1:])] = res.output
+    assert len(outputs) == 11
+    # the block's comment: "~0.25"
+    (value,) = json.loads(outputs["eval net.json --input 1,0.5,0.5"])["output"]
+    assert value == pytest.approx(0.25, abs=3 * 2.0**-10)
+
+
+def test_verify_mult_reports_the_step_it_swept(runner):
+    # --step 0.7 sweeps {0, 1}^2, so its report reads step 1.0
+    rep = json.loads(runner.invoke(main, ["verify", "mult", "--m", "3", "--step", "0.7"]).output)
+    assert rep["grid"]["step"] == 1.0

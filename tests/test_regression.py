@@ -192,6 +192,25 @@ def test_config_rejects_nonsense_penalty_and_budget(field, value):
         RegressionConfig(**{"n": 16, "d": 1, "target": _linear_target(), field: value})
 
 
+@pytest.mark.parametrize("field", ["n", "d", "max_epochs", "seed", "widths"])
+@pytest.mark.parametrize("value", [True, 2.5], ids=["bool", "float"])
+def test_config_refuses_bools_and_non_integers(field, value):
+    # widths=(True, 8) fitted a (2, 1, 8, 1) network, and the floats failed
+    # later with a TypeError inside generate_data, fit or SeedSequence
+    value = (value, 8) if field == "widths" else value
+    with pytest.raises(ValueError, match=f"{field} must be integers that are not bools"):
+        RegressionConfig(**{"n": 16, "d": 1, "target": _linear_target(), field: value})
+
+
+def test_config_takes_numpy_integers():
+    plain = RegressionConfig(n=16, d=1, target=_linear_target(), widths=(4,), max_epochs=3, seed=2)
+    numpy_ints = RegressionConfig(n=np.int64(16), d=np.int32(1), target=_linear_target(), widths=(np.int64(4),),
+                                  max_epochs=np.int64(3), seed=np.uint8(2))
+    (net_a, rep_a), (net_b, rep_b) = (fit(c, generate_data(c)) for c in (plain, numpy_ints))
+    assert rep_a.to_dict() == rep_b.to_dict()
+    assert all(np.array_equal(a, b) for a, b in zip(dense_weights(net_a), dense_weights(net_b)))
+
+
 def _nan_at(a, i):
     a = a.copy()
     a[i] = np.nan
@@ -207,8 +226,11 @@ def _nan_at(a, i):
         (lambda x, y: (np.column_stack([x, x]), y), r"X has shape \(64, 2\)"),
         (lambda x, y: (x, y[:, None]), r"Y has shape \(64, 1\)"),
         (lambda x, y: (x[:32], y[:32]), r"X has shape \(32, 1\)"),
+        (lambda x, y: (x + 0.5j, y), "X must be real"),
+        (lambda x, y: (x, y + 1j), "Y must be real"),
     ],
-    ids=["nan-in-X", "nan-in-Y", "Y-of-10-rows", "X-of-2-columns", "Y-of-shape-n-1", "32-points-under-n-64"],
+    ids=["nan-in-X", "nan-in-Y", "Y-of-10-rows", "X-of-2-columns", "Y-of-shape-n-1", "32-points-under-n-64",
+         "complex-X", "complex-Y"],
 )
 def test_fit_rejects_malformed_datasets(make, match):
     # a NaN used to give a NaN objective reported as converged after 0
@@ -218,6 +240,14 @@ def test_fit_rejects_malformed_datasets(make, match):
     ds = generate_data(cfg)
     with pytest.raises(ValueError, match=match):
         fit(cfg, Dataset(*make(ds.X, ds.Y)))
+
+
+def test_fit_of_real_lists_keeps_the_bits_of_the_arrays():
+    # the complex check in front of the float cast leaves real data as it was
+    cfg = RegressionConfig(n=64, d=1, target=_linear_target(), noise_sd=0.1, widths=(4,), max_epochs=5)
+    ds = generate_data(cfg)
+    (_, want), (_, got) = fit(cfg, ds), fit(cfg, Dataset(ds.X.tolist(), ds.Y.tolist()))
+    assert got.to_dict() == want.to_dict()
 
 
 def test_fit_huge_lambda_crushes_path_norm():

@@ -35,6 +35,17 @@ def test_verify_mult_grids(monkeypatch, n):
     assert np.all(literal[:, 0] == 1.0) and np.all(rescaled[:, 0] == 1.0)
 
 
+@pytest.mark.parametrize("step, swept", [(0.7, 1.0), (0.4, 0.5), (0.005, 0.005), (0.001, 0.001)])
+def test_verify_mult_reports_the_step_it_swept(step, swept):
+    # the sweep takes n = round(1/step) intervals per axis; the report said
+    # step 0.7 where {0, 1}^2 was swept.  The default step and the
+    # benchmark's 0.001 are 1/n exactly, so their reports read as before
+    rep = verify_mult(3, RESCALED, step=step)
+    assert rep.grid["step"] == swept
+    if step != swept:
+        assert rep.measured_max_error == verify_mult(3, RESCALED, step=swept).measured_max_error
+
+
 def test_verify_mult_reports_bound_override():
     rep = verify_mult(3, RESCALED, step=0.1, bound=1e-12)
     assert rep.claimed_bound == 1e-12 and not rep.passed
