@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import MonomialPolynomial, _points, _real, cheb_fit, cheb_to_monomial, tensor_grid
+from .chebyshev import MonomialPolynomial, _points, cheb_fit, cheb_to_monomial, tensor_grid
 from .constructions import (
     MultVariant,
     LITERAL,
@@ -30,7 +30,7 @@ from .constructions import (
     mon_depth_bound,
     mon_width_bound,
 )
-from .network import Network, path_norm
+from .network import Network, _integer, _real, path_norm
 from .verify import sup_error
 
 
@@ -43,13 +43,17 @@ class AnalyticTarget:
     """A function on [0,1]^d with whatever analyticity data the caller declares.
 
     fn maps an (n, d) array to an (n,) array; rho is the declared ellipse
-    parameter and is carried as metadata only.
+    parameter and is carried as metadata only.  A d that is not an integer
+    >= 1 is a ValueError.
     """
 
     name: str
     d: int
     fn: callable
     rho: float = None
+
+    def __post_init__(self):
+        self.d = _integer(self.d, "d", 1)
 
     def evaluate(self, x):
         return _real(self.fn(_points(x, self.d)), "target values")

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .network import _integer, _real
+
 
 def cheb_poly_coeffs(n):
     """Monomial coefficients of T_n: column n of _cheb_monomial_matrix on
@@ -45,15 +47,6 @@ def monomial_values(indices, x):
                 col = col * x[:, axis] ** count
         out[:, j] = col
     return out
-
-
-def _real(x, what):
-    """x as a float64 array; complex x is a ValueError naming `what`, since
-    the cast would silently drop its imaginary part."""
-    x = np.asarray(x)
-    if x.dtype.kind == "c":
-        raise ValueError(f"{what} must be real, got complex values")
-    return np.asarray(x, dtype=np.float64)
 
 
 def _points(x, d):
@@ -125,15 +118,15 @@ def cheb_fit(fn, degrees, domain=None):
     """Interpolate fn on the tensor Chebyshev-Gauss-Lobatto grid.
 
     `fn` maps points of shape (n, d) to n real values (pass a target's
-    `evaluate`); complex or non-finite values are a ValueError.  Exact (to
-    rounding) for polynomials of per-axis degree at most the fitted degree.
+    `evaluate`); complex or non-finite values are a ValueError, as is a
+    degree that is not an integer >= 0 (2.5 and True are refused, not
+    truncated).  Exact (to rounding) for polynomials of per-axis degree at
+    most the fitted degree.
     """
-    degrees = tuple(int(n) for n in degrees)
+    degrees = tuple(_integer(n, "degree", 0) for n in degrees)
     d = len(degrees)
     if d < 1 or d > 3:
         raise ValueError("cheb_fit supports 1 <= d <= 3")
-    if any(n < 0 for n in degrees):
-        raise ValueError("degrees must be nonnegative")
     domain = _intervals(domain, d)
     axes = []
     for n, (lo, hi) in zip(degrees, domain):

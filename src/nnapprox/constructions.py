@@ -15,6 +15,11 @@ Multiplication comes in two variants:
 * RESCALED wires xy = 2((x+y)/2)^2 - x^2/2 - y^2/2, keeping every squared
   argument in [0,1]; the bound holds on all of [0,1]^2 ([0,1]^r for trees)
   at the cost of a factor 2 in the error constant.
+
+Product trees (build_multr) and the all-monomials network (build_mon) share
+one product plan: plan_products computes their pairing DAG as data, without
+making a matrix, and _product_layers writes the layers from it together
+with the widths they must have, which the builders assert exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .network import ABS, MAX_DECODED_WIDTH, Network, parallel, path_matrix
+from .network import ABS, MAX_DECODED_WIDTH, BlockDiagonal, Network, _integer, parallel, path_matrix
 
 
 class MultVariant(Enum):
@@ -91,8 +96,7 @@ def _sq_matrices(m):
 
 def build_sq(m):
     """Network mapping (1, x) to f_m(x), the dyadic interpolant of x^2 on [0,1]."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
+    m = _integer(m, "m", 1)
     mats = _sq_matrices(m)
     net = Network(
         ABS,
@@ -122,8 +126,7 @@ def build_mult(m, variant=RESCALED):
     identity for xy.  One build_sq net serves all three chains, so they
     share its blocks.
     """
-    if m < 1:
-        raise ValueError("m must be a positive integer")
+    m = _integer(m, "m", 1)
     variant = MultVariant(variant)
     lit = variant is LITERAL
     c = np.zeros((6, 3))
@@ -152,38 +155,24 @@ def build_mult(m, variant=RESCALED):
 
 
 # ---------------------------------------------------------------------------
-# pairing levels and the shared product DAG
+# the product plan and its layers
 
 
-def _level(mult, chans, prods, carries):
-    """One pairing level: (1, x_1..x_chans) -> (1, x_c for c in carries,
-    x_i x_j for (i, j) in prods).
-
-    Its first matrix selects the constant, then the carried channels, then
-    a (1, x_i, x_j) triple per product; the rest is the parallel stack of
-    one 1x1 identity net per constant and carried channel and the Mult net
-    once per product.  The constant and carried channels share one identity
-    block and the products the Mult net's read-only blocks, so each later
-    layer is two runs: the constant with the carried channels, then one run
-    of every Mult block.  parallel pads the identity channels with identity
-    layers (values in [0,1] survive the abs activation unchanged).
-    """
-    t = np.eye(1 + chans)[[0, *carries, *(c for i, j in prods for c in (0, i, j))]]
-    one = Network(ABS, [np.eye(1)])
-    return [t, *parallel([one] * (1 + len(carries)) + [mult] * len(prods)).layers]
-
-
-def _product_layers(m, variant, n_in, factor_lists):
-    """Layers mapping (1, x_1..x_n_in) to the product of the x_i over each
-    list of channels i (an empty list gives the constant 1).
+def plan_products(n_in, factor_lists):
+    """The pairing DAG of the products of the x_i over each list of channels
+    i of (1, x_1..x_n_in) (an empty list gives the constant 1), as data.
 
     Each list gets the multr tree: round h pairs neighbouring factors and
     carries an odd last one up.  A pair formed in round h has height h (its
     left factor is a pair from round h - 1), so the trees share one DAG
-    keyed by nested pair structure: each distinct product is computed once,
-    at the level equal to its height, and carried until its last use.  A
-    level's channels are (1, carried..., products...), so every layer is at
-    most two runs.  A 0/1 row per list reads off its root.
+    keyed by nested pair structure: each distinct product is formed once,
+    at the level equal to its height, and carried until its last use.
+
+    Returns (levels, roots).  Level h is (carries, pairs): the positions,
+    among the previous level's channels (1, ...), of the channels it
+    carries and of the two factors of each product it forms.  Its own
+    channels are (1, carried..., products...).  roots holds the position of
+    each list's product among the last level's channels.  No matrix is made.
     """
     roots, heights = [], {}  # first-seen order: each level's pairs run left to right
     for factors in factor_lists:
@@ -194,19 +183,37 @@ def _product_layers(m, variant, n_in, factor_lists):
             heights.update(dict.fromkeys(pairs, h))
             nodes = pairs + nodes[2 * len(pairs) :]
         roots.append(nodes[0])
-    mult = build_mult(m, variant)
-    chans, layers = list(range(n_in + 1)), []
+    chans, levels = list(range(n_in + 1)), []
     for h in range(1, max(heights.values(), default=0) + 1):
         prods = [n for n, hn in heights.items() if hn == h]
         later = set(roots) | {c for n, hn in heights.items() if hn > h for c in n}
         carries = [c for c in chans[1:] if c in later]
         pos = {c: i for i, c in enumerate(chans)}
-        pairs = [(pos[a], pos[b]) for a, b in prods]
-        layers += _level(mult, len(chans) - 1, pairs, [pos[c] for c in carries])
+        levels.append((tuple(pos[c] for c in carries), tuple((pos[a], pos[b]) for a, b in prods)))
         chans = [0] + carries + prods
-    assert all(isinstance(lay, np.ndarray) or len(lay.runs) <= 2 for lay in layers)
     pos = {c: i for i, c in enumerate(chans)}
-    return layers + [np.eye(len(chans))[[pos[r] for r in roots]]]
+    return tuple(levels), tuple(pos[r] for r in roots)
+
+
+def _product_layers(mult, n_in, levels, roots):
+    """The layers of the plan (levels, roots) of plan_products on n_in
+    inputs, and the widths (p_0, ..., p_{L+1}) they must have.
+
+    A level's first matrix selects the constant, its carried channels, then
+    a (1, x_i, x_j) triple per pair.  Each later layer of the level is the
+    constant and the carried channels on one shared 1x1 identity block
+    (values in [0,1] survive the abs activation unchanged), then that layer
+    of the Mult net once per pair, its read-only blocks spliced in: two
+    runs.  A 0/1 row per root reads off the products.
+    """
+    one = BlockDiagonal([np.eye(1)])
+    layers, widths = [], [n_in + 1]
+    for carries, pairs in levels:
+        keep = 1 + len(carries)
+        layers.append(np.eye(widths[-1])[[0, *carries, *(c for i, j in pairs for c in (0, i, j))]])
+        layers += [BlockDiagonal([one] * keep + [lay] * len(pairs)) for lay in mult.layers]
+        widths += [keep + len(pairs) * w for w in mult.widths]
+    return layers + [np.eye(widths[-1])[list(roots)]], (*widths, len(roots))
 
 
 def build_multr(m, r, variant=RESCALED):
@@ -217,14 +224,9 @@ def build_multr(m, r, variant=RESCALED):
     with a constant, which keeps every multiplication inside the variant's
     valid domain.  The final row selects the product channel.
     """
-    if r < 2:
-        raise ValueError("r must be at least 2")
-    if m < 1:
-        raise ValueError("m must be a positive integer")
+    m, r = _integer(m, "m", 1), _integer(r, "r", 2)
     variant = MultVariant(variant)
-    layers = _product_layers(m, variant, r, [range(1, r + 1)])
-    q = math.ceil(math.log2(r))
-    assert len(layers) == q * (2 * m + 4) + 1
+    layers, widths = _product_layers(build_mult(m, variant), r, *plan_products(r, [range(1, r + 1)]))
     net = Network(
         ABS,
         layers,
@@ -238,8 +240,8 @@ def build_multr(m, r, variant=RESCALED):
             "claimed_domain": f"[0,{variant.edge:g}]^{r}",
         },
     )
-    assert net.depth <= (2 * m + 5) * q + 1
-    assert net.max_width <= 6 * r * (m + 2) + 1
+    assert net.widths == widths
+    assert net.depth <= (2 * m + 5) * math.ceil(math.log2(r)) + 1
     pmax = float(np.max(path_matrix(net, limit=False)))
     if variant is LITERAL:
         assert pmax <= 144.0 * r**4
@@ -277,8 +279,7 @@ def enumerate_multi_indices(d, gamma):
     More than network.MAX_DECODED_WIDTH of them is a ValueError, raised
     before any list is built: the monomial network would be wider than the
     decoder reads, and the list alone could exhaust memory."""
-    if d < 1 or gamma < 1:
-        raise ValueError("d and gamma must be positive integers")
+    d, gamma = _integer(d, "d", 1), _integer(gamma, "gamma", 1)
     count = count_monomials(d, gamma)
     if count > MAX_DECODED_WIDTH:
         raise ValueError(
@@ -317,8 +318,7 @@ def build_mon(m, gamma, d, variant=RESCALED):
     computed once, and the constant and degree-1 channels ride through on
     identity blocks.
     """
-    if m < 1 or d < 1 or gamma < 2:
-        raise ValueError("need m >= 1, d >= 1, gamma >= 2")
+    m, gamma, d = _integer(m, "m", 1), _integer(gamma, "gamma", 2), _integer(d, "d", 1)
     variant = MultVariant(variant)
     indices = enumerate_multi_indices(d, gamma)
     factor_lists = [[1 + axis for axis, count in enumerate(k) for _ in range(count)] for k in indices]
@@ -333,10 +333,11 @@ def build_mon(m, gamma, d, variant=RESCALED):
         "claimed_error_bound": mon_error_bound(m, gamma, variant),
         "claimed_domain": f"[0,{variant.edge:g}]^{d}",
     }
-    net = Network(ABS, _product_layers(m, variant, d, factor_lists), meta=meta)
+    layers, widths = _product_layers(build_mult(m, variant), d, *plan_products(d, factor_lists))
+    net = Network(ABS, layers, meta=meta)
 
+    assert net.widths == widths
     assert net.depth <= mon_depth_bound(m, gamma)
-    assert net.max_width <= mon_width_bound(m, gamma, d)
     pmax = float(np.max(path_matrix(net, limit=False)))
     if variant is LITERAL:
         assert pmax <= 144.0 * (gamma + 1) ** 5

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .network import ABS, NetworkError, ShapeMismatchError, _layout, _network_from_vector, _real, _views
+from .network import ABS, NetworkError, ShapeMismatchError, _integer, _layout, _network_from_vector, _real, _views
 
 
 class SamplerViolation(ValueError):
@@ -38,8 +38,9 @@ class SamplerViolation(ValueError):
 
 @dataclass(frozen=True)
 class EntropyBoundSpec:
-    """Parameters (eps, L, p, B, r, n) of one bound evaluation; L, n and p are
-    ints, and eps, B and r real numbers that are not bools."""
+    """Parameters (eps, L, p, B, r, n) of one bound evaluation; L >= 0,
+    n >= 1 and the widths p >= 1 are integers, and eps, B and r real
+    numbers, none of them a bool."""
 
     eps: float
     L: int
@@ -49,18 +50,15 @@ class EntropyBoundSpec:
     n: int
 
     def __post_init__(self):
-        # a bool, or a float such as 2.5 or 4.0, is refused, not truncated
-        if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in (self.L, self.n, *self.p)):
-            raise ValueError(f"L, n and the widths must be integers, got L={self.L!r} n={self.n!r} p={self.p!r}")
+        object.__setattr__(self, "L", _integer(self.L, "L", 0))
+        object.__setattr__(self, "n", _integer(self.n, "n", 1))
+        object.__setattr__(self, "p", tuple(_integer(w, f"p[{i}]", 1) for i, w in enumerate(self.p)))
         if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in (self.eps, self.B, self.r)):
             raise ValueError(f"eps, B and r must be real numbers, got eps={self.eps!r} B={self.B!r} r={self.r!r}")
-        object.__setattr__(self, "p", tuple(map(int, self.p)))
         if len(self.p) != self.L + 2:
             raise ValueError(f"width vector needs L+2={self.L + 2} entries, got {len(self.p)}")
-        if not all(math.isfinite(v) and v > 0 for v in (self.eps, self.B, self.r)) or self.n < 1 or self.L < 0:
-            raise ValueError("eps, B, r must be finite and positive; n >= 1; L >= 0")
-        if any(w < 1 for w in self.p):
-            raise ValueError("widths must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.eps, self.B, self.r)):
+            raise ValueError("eps, B, r must be finite and positive")
         _ceil_term(self.B, self.r, self.eps)
 
     @property
@@ -191,13 +189,12 @@ def empirical_covering(sampler, points, eps, trials, path_norm_cap):
     finite number > 0, or a cap that is NaN or < 0 (inf is allowed), raises
     ValueError before any sample is drawn, and non-finite outputs make
     greedy_cover raise it."""
-    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    trials = _integer(trials, "trials", 1)
     if not 0.0 < eps < np.inf:
         raise ValueError(f"eps must be a finite number > 0, got {eps!r}")
     if not path_norm_cap >= 0.0:
         raise ValueError(f"path_norm_cap must be a number >= 0, got {path_norm_cap!r}")
-    points = _real(points)
+    points = _real(points, "points")
     if points.ndim == 1:
         points = points[:, None]
     if points.ndim != 2:

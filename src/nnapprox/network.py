@@ -17,13 +17,13 @@ checked once, made read-only, and its layers are views of it
 float64).  The shapes, size and runs of a width vector are worked out once
 (_layout), and a network built from a vector carries its stacking key, its
 activation and runs, in _key, so the entropy oracle need not rebuild it per
-network.  The builders stack networks with parallel(), the paper's
-parallelisation, and chain the layers of such stacks into one Network
-where the paper composes (no builder calls compose()); both splice the
-layers of their networks that way (build_mon's pairing levels reuse one
-multiplication net's blocks for every product, so each of its blocks is
-one run per layer), so those networks never materialize their
-mostly-zero dense form.  Evaluation and the entropy oracle's stacked
+network.  The builders stack layers side by side, the paper's
+parallelisation (build_mult through parallel(), the product writer of
+build_multr and build_mon by splicing one multiplication net's layers for
+every product, so each of its blocks is one run per layer), and chain
+them into one Network where the paper composes (no builder calls
+compose()), so those networks never materialize their mostly-zero dense
+form.  Evaluation and the entropy oracle's stacked
 samples (the chain of W with the activation's in-place map between
 layers), the path norm (the |W| chain at (1, ..., 1)) and the path matrix
 (the |W| chain on the identity) run on the runs through
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import json
+import numbers
 import operator
 
 import numpy as np
@@ -270,18 +271,27 @@ def _network_from_vector(activation, theta, widths, meta=None):
     return net
 
 
-def _real(x):
-    """x as a float64 array; complex input is a NetworkError, since the cast
-    would silently drop its imaginary part."""
+def _real(x, what):
+    """x as a float64 array; complex x is a NetworkError (a ValueError)
+    naming `what`, since the cast would silently drop its imaginary part."""
     x = np.asarray(x)
     if x.dtype.kind == "c":
-        raise NetworkError("input has complex entries")
+        raise NetworkError(f"{what} must be real, got complex values")
     return np.asarray(x, dtype=np.float64)
+
+
+def _integer(value, name, low):
+    """value as an int if it is an integer >= low (numpy integers count);
+    a bool, a float such as 2.5 or 4.0, or a smaller integer is a
+    ValueError naming `name`, so nothing is truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 def evaluate(net, x):
     """Evaluate net on a vector of length p0 or a batch of shape (n, p0)."""
-    x = _real(x)
+    x = _real(x, "input")
     single = x.ndim == 1
     batch = x[None, :] if single else x
     if batch.ndim != 2:
@@ -299,7 +309,7 @@ def evaluate(net, x):
 def with_ones(points):
     """Points x of shape (n, d), or (n,) for d = 1, as the (n, d + 1) inputs
     (1, x) that every construction reads: the constant 1 comes first."""
-    x = _real(points)
+    x = _real(points, "points")
     return np.column_stack([np.ones(len(x)), x])
 
 

@@ -14,14 +14,12 @@ asserted as a bound.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .chebyshev import _real
-from .network import ABS, _layout, _network_from_vector, _views, evaluate, path_norm, with_ones
+from .network import ABS, _integer, _layout, _network_from_vector, _real, _views, evaluate, path_norm, with_ones
 
 
 LEARNING_RATE = 0.25  # first trial step of the line search
@@ -43,28 +41,18 @@ class RegressionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # a bool, or a float such as 2.5 or 4.0, is refused, not truncated
-        for name, values in (("n", (self.n,)), ("d", (self.d,)), ("max_epochs", (self.max_epochs,)),
-                             ("seed", (self.seed,)), ("widths", tuple(self.widths))):
-            if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in values):
-                raise ValueError(f"{name} must be integers that are not bools, got {getattr(self, name)!r}")
-        if self.n < 2:
-            raise ValueError(f"n must be at least 2, got {self.n}")
-        if self.d < 1:
-            raise ValueError(f"d must be at least 1, got {self.d}")
+        self.n = _integer(self.n, "n", 2)
+        self.d = _integer(self.d, "d", 1)
+        self.widths = tuple(_integer(w, f"widths[{i}]", 1) for i, w in enumerate(self.widths))
+        self.max_epochs = _integer(self.max_epochs, "max_epochs", 0)
+        self.seed = _integer(self.seed, "seed", 0)
         if self.target.d != self.d:
             raise ValueError(f"d = {self.d} but the target takes points with {self.target.d} coordinates")
-        if any(w < 1 for w in self.widths):
-            raise ValueError(f"hidden widths must be positive, got {tuple(self.widths)}")
         if self.lam != "auto" and not _finite_nonneg(self.lam):
             raise ValueError(f"lam must be 'auto' or a finite number >= 0, got {self.lam!r}")
         for name in ("lambda_scale", "noise_sd"):
             if not _finite_nonneg(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number >= 0, got {getattr(self, name)!r}")
-        if self.max_epochs < 0:
-            raise ValueError(f"max_epochs must be >= 0, got {self.max_epochs}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def architecture(self):

@@ -219,12 +219,22 @@ def _ref_path_norm_grads(weights, absw, v, out):
             u = absw[i].T @ u
 
 
+def monomial_factor_lists(d, gamma):
+    """The factor list of every monomial of build_mon(m, gamma, d), in its
+    output order: x_1 k_1 times, then x_2, ... (channel i is x_i)."""
+    from nnapprox import enumerate_multi_indices
+
+    return [[1 + axis for axis, count in enumerate(k) for _ in range(count)] for k in enumerate_multi_indices(d, gamma)]
+
+
 def parent_order_product_layers(m, variant, n_in, factor_lists):
-    """Oracle: constructions._product_layers with a level's channels in the
-    order (1, products..., carried...), so that each hidden layer of a level
-    is three runs (the constant, the Mult blocks, the carried channels).
-    Only the channel order differs, so its nets compute the same values and
-    path matrices bit for bit."""
+    """Oracle: the layers of build_multr and build_mon for these factor
+    lists, worked out on their own (the pairing DAG in the loop that writes
+    the matrices, each level stacked by parallel) with a level's channels in
+    the order (1, products..., carried...), so that each hidden layer of a
+    level is three runs (the constant, the Mult blocks, the carried
+    channels).  Only the channel order differs from the library's, so its
+    nets compute the same values and path matrices bit for bit."""
     from nnapprox import constructions as ctor
     from nnapprox.network import ABS, Network, parallel
 

@@ -11,6 +11,7 @@ from nnapprox import (
     BlockDiagonal,
     MissingCoefficientError,
     MonomialPolynomial,
+    Network,
     build_cheb_net,
     build_mult,
     build_power_series_net,
@@ -30,10 +31,9 @@ from nnapprox.approximators import (
     power_series_tail_bound,
     series_inv_two_minus_x,
 )
-from nnapprox import constructions as ctor
 from nnapprox.chebyshev import tensor_grid
 from nnapprox.constructions import count_monomials
-from conftest import dense_weights, parent_order_product_layers
+from conftest import dense_weights, monomial_factor_lists, parent_order_product_layers
 
 
 def _aug(x):
@@ -68,6 +68,23 @@ def test_builtin_target_rejects_wrong_column_count(name, d):
     # a flat vector is one coordinate per point
     if d == 1:
         assert np.array_equal(t.evaluate(np.array([0.1, 0.2])), t.evaluate(np.array([[0.1], [0.2]])))
+
+
+@pytest.mark.parametrize("d", [2.5, 0, -1, True, 2.0, None], ids=["2.5", "0", "-1", "true", "2.0", "none"])
+def test_target_refuses_d_that_is_not_an_integer_at_least_1(d):
+    # d = 2.5 failed only at evaluate, and d = 0 evaluated to 1 on points
+    # with no coordinates
+    with pytest.raises(ValueError, match="d must be an integer >= 1"):
+        AnalyticTarget("t", d, lambda p: np.sum(p, axis=1))
+    with pytest.raises(ValueError, match="d must be an integer >= 1"):
+        builtin_target("exp-sum", d)
+
+
+def test_target_takes_a_numpy_integer_d():
+    t = builtin_target("exp-sum", np.int64(2))
+    assert type(t.d) is int and t.d == 2
+    x = np.array([[0.1, 0.2], [0.5, 0.25]])
+    assert np.array_equal(t.evaluate(x), target_exp_sum(2).evaluate(x))
 
 
 def test_target_refuses_complex_values_and_keeps_real_bits():
@@ -315,7 +332,7 @@ def test_readme_figures_of_the_cheb_pipeline_nets(monkeypatch):
         "1x1 runs d1": 92,
         "wire bytes": (9991, 13731),
         "version 2 bytes": (42006, 70926),
-        "copied blocks": 63,
+        "copied blocks": 51,
     }
     readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
     for phrase in (
@@ -332,17 +349,20 @@ def test_readme_figures_of_the_cheb_pipeline_nets(monkeypatch):
 
 
 @pytest.mark.parametrize("d, eps", [(1, 2.0**-6), (2, 2.0**-3)], ids=["d1", "d2"])
-def test_cheb_net_channel_order_keeps_results_bit_identical(monkeypatch, rng, d, eps):
-    # against the parent channel order of parent_order_product_layers: the
-    # same outputs, path matrix, path norm and measured error bit for bit
-    net, cert = build_cheb_net(target_exp_sum(d), eps, "rescaled")
-    monkeypatch.setattr(ctor, "_product_layers", parent_order_product_layers)
-    ref, ref_cert = build_cheb_net(target_exp_sum(d), eps, "rescaled")
+def test_cheb_net_channel_order_keeps_results_bit_identical(rng, d, eps):
+    # against the monomial layers of parent_order_product_layers, on the
+    # parent channel order, ended by the same coefficient row: the same
+    # outputs, path matrix, path norm and measured error bit for bit
+    target = target_exp_sum(d)
+    net, cert = build_cheb_net(target, eps, "rescaled")
+    mon = parent_order_product_layers(cert["m"], "rescaled", d, monomial_factor_lists(d, cert["gamma"] + 1))
+    ref = Network(net.activation, [*mon, net.layers[-1]])
     x = _aug(rng.uniform(0.0, 1.0, (1000, d)))
     assert np.array_equal(evaluate(net, x), evaluate(ref, x))
     assert np.array_equal(path_matrix(net), path_matrix(ref))
     assert path_norm(net).hex() == path_norm(ref).hex() == cert["path_norm"].hex()
-    assert cert["measured_sup_error"].hex() == ref_cert["measured_sup_error"].hex()
+    grid = tensor_grid([np.linspace(0.0, 1.0, cert["grid"]["points_per_axis"])] * d)
+    assert cert["measured_sup_error"].hex() == sup_error(ref, grid, target.evaluate(grid)).hex()
     assert network_stats(net)["runs"] < network_stats(ref)["runs"]
 
 

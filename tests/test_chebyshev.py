@@ -104,6 +104,20 @@ def test_fit_refuses_complex_values_and_keeps_real_bits():
     assert np.array_equal(cheb_fit(lambda p: f(p).tolist(), (8,)).coeffs, want)
 
 
+@pytest.mark.parametrize("degrees", [(2.5,), (True,), (2, 2.0), (np.float64(3),), (-1,)],
+                         ids=["2.5", "true", "2.0 second", "numpy float", "-1"])
+def test_fit_refuses_degrees_that_are_not_integers_at_least_0(degrees):
+    # int(n) truncated them: (2.5,) fitted degree 2 and (True,) degree 1
+    with pytest.raises(ValueError, match="degree must be an integer >= 0"):
+        cheb_fit(_square, degrees)
+
+
+def test_fit_takes_numpy_integer_degrees():
+    got = cheb_fit(_square, (np.int64(2), np.int32(3)))
+    want = cheb_fit(_square, (2, 3))
+    assert got.degrees == (2, 3) and np.array_equal(got.coeffs, want.coeffs)
+
+
 def test_fit_exp_coefficients_decay_geometrically():
     s = cheb_fit(lambda p: np.exp(p[:, 0]), (20,))
     a = np.abs(s.coeffs)
@@ -356,8 +370,8 @@ REFUSALS = [
      "one interval per axis"),
     ("nan coefficient", lambda: ChebyshevSeries(np.array([1.0, np.nan])), ValueError, "must be finite"),
     ("inf coefficient", lambda: ChebyshevSeries(np.array([[1.0], [-np.inf]])), ValueError, "must be finite"),
-    ("negative degree", lambda: cheb_fit(_square, (-1,)), ValueError, "degrees must be nonnegative"),
-    ("one negative degree of two", lambda: cheb_fit(_square, (2, -2)), ValueError, "degrees must be nonnegative"),
+    ("negative degree", lambda: cheb_fit(_square, (-1,)), ValueError, "degree must be an integer >= 0"),
+    ("one negative degree of two", lambda: cheb_fit(_square, (2, -2)), ValueError, "degree must be an integer >= 0"),
 ]
 
 

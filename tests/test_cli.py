@@ -540,10 +540,10 @@ REFUSALS = [
      "malformed polynomial file"),
     ("approx power-series terms missing", ["approx", "power-series", "--series", "{no_terms}", "--eps", "0.5",
                                            "--delta", "0.5"], "malformed polynomial file"),
-    ("entropy empirical spec width 2.5", ["entropy", "empirical", "--spec", "{spec_p}"], "must be integers"),
-    ("entropy empirical spec n 4.5", ["entropy", "empirical", "--spec", "{spec_n}"], "must be integers"),
-    ("entropy empirical spec n 4.0", ["entropy", "empirical", "--spec", "{spec_n_float}"], "must be integers"),
-    ("entropy empirical spec L true", ["entropy", "empirical", "--spec", "{spec_l}"], "must be integers"),
+    ("entropy empirical spec width 2.5", ["entropy", "empirical", "--spec", "{spec_p}"], "must be an integer"),
+    ("entropy empirical spec n 4.5", ["entropy", "empirical", "--spec", "{spec_n}"], "must be an integer"),
+    ("entropy empirical spec n 4.0", ["entropy", "empirical", "--spec", "{spec_n_float}"], "must be an integer"),
+    ("entropy empirical spec L true", ["entropy", "empirical", "--spec", "{spec_l}"], "must be an integer"),
     ("entropy empirical spec eps true", ["entropy", "empirical", "--spec", "{spec_eps}"], "must be real numbers"),
     ("entropy empirical spec B true", ["entropy", "empirical", "--spec", "{spec_b}"], "must be real numbers"),
     ("entropy empirical spec r true", ["entropy", "empirical", "--spec", "{spec_r}"], "must be real numbers"),

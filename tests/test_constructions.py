@@ -23,6 +23,7 @@ from nnapprox import (
     mult_error_bound,
     multr_error_bound,
     network_stats,
+    network_to_json,
     parallel,
     path_matrix,
     path_norm,
@@ -30,14 +31,26 @@ from nnapprox import (
 )
 from nnapprox import constructions as ctor
 from nnapprox.chebyshev import monomial_values
-from conftest import dense_layer, dense_weights, fm_ref, mult_path_row, parent_order_product_layers, sq_path_row, tent, tent_iter
+from conftest import (
+    dense_layer,
+    dense_weights,
+    fm_ref,
+    monomial_factor_lists,
+    mult_path_row,
+    parent_order_product_layers,
+    sq_path_row,
+    tent,
+    tent_iter,
+)
 
 
 def pairing_level(m, k, variant):
-    """The pairing level (1, x_1..x_2k) -> (1, x_1 x_2, ..., x_{2k-1} x_{2k}),
-    made by the level builder of build_multr and build_mon."""
-    pairs = [(2 * l + 1, 2 * l + 2) for l in range(k)]
-    net = Network(ABS, ctor._level(ctor.build_mult(m, variant), 2 * k, pairs, []))
+    """The pairing level (1, x_1..x_2k) -> (1, x_1 x_2, ..., x_{2k-1} x_{2k}):
+    the layers that the writer of build_multr and build_mon makes for the
+    plan of the k pairs, without the final read-off."""
+    plan = ctor.plan_products(2 * k, [[2 * l + 1, 2 * l + 2] for l in range(k)])
+    layers, _ = ctor._product_layers(ctor.build_mult(m, variant), 2 * k, *plan)
+    net = Network(ABS, layers[:-1])
     assert len(net.layers) == 2 * m + 4
     assert net.out_dim == k + 1
     return net
@@ -335,24 +348,90 @@ def test_mon_layers_are_at_most_two_runs(variant, m, gamma, d):
     assert max(lay.runs[0][1] for lay in net.layers[1:-1]) > 1  # some level carries a channel
 
 
+# ---------------------------------------------------------------------------
+# the product plan
+
+
+def plan_channels(n_in, levels):
+    """Oracle: the factors of every channel of every level of a plan, one
+    sorted tuple per channel (the constant is ()), found by running the
+    plan on symbols instead of numbers."""
+    chans = [()] + [(i,) for i in range(1, n_in + 1)]
+    out = [chans]
+    for carries, pairs in levels:
+        chans = [()] + [chans[c] for c in carries] + [tuple(sorted(chans[i] + chans[j])) for i, j in pairs]
+        out.append(chans)
+    return out
+
+
+def plan_widths(m, n_in, levels, n_out):
+    """Oracle: the widths of a product net in closed form from its plan.  A
+    level with C carried channels and P products has 2m + 4 layers, of
+    widths 1 + C + wP for w = 3 (the triples), 6 (each Mult's copies of
+    its inputs), 9 (its three squaring chains, 2m times), 3 and 1."""
+    widths = [n_in + 1]
+    for carries, pairs in levels:
+        widths += [1 + len(carries) + w * len(pairs) for w in (3, 6, *[9] * (2 * m), 3, 1)]
+    return (*widths, n_out)
+
+
+def _check_plan(net, m, n_in, factor_lists):
+    """Assert that the plan of these factor lists is the built net's: its
+    widths, the factors each root multiplies, every channel read by the
+    next level or a root, and each level forming distinct products."""
+    levels, roots = ctor.plan_products(n_in, factor_lists)
+    assert net.widths == plan_widths(m, n_in, levels, len(roots))
+    assert net.depth == len(levels) * (2 * m + 4)
+    chans = plan_channels(n_in, levels)
+    assert [chans[-1][i] for i in roots] == [tuple(f) for f in factor_lists]
+    for prev, (carries, pairs), now in zip(chans, levels, chans[1:]):
+        assert set(carries) | {i for pair in pairs for i in pair} == set(range(1, len(prev)))
+        assert len(set(now[1 + len(carries) :])) == len(pairs)
+    assert set(range(1, len(chans[-1]))) <= set(roots)
+    return levels, roots
+
+
 @pytest.mark.parametrize("variant", [LITERAL, RESCALED], ids=["literal", "rescaled"])
-def test_channel_order_keeps_results_bit_identical(monkeypatch, rng, variant):
-    # the nets on the parent channel order (1, products..., carried...) of
-    # parent_order_product_layers: outputs, path matrices and path norms
-    # equal bit for bit, and every structure count but the runs
+@pytest.mark.parametrize("r", range(2, 10))
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_plan_is_the_multr_net(variant, r, m):
+    levels, roots = _check_plan(build_multr(m, r, variant), m, r, [list(range(1, r + 1))])
+    assert len(levels) == math.ceil(math.log2(r)) and roots == (1 + len(levels[-1][0]),)
+    if r == 2:  # one pair and nothing carried
+        assert levels == (((), ((1, 2),)),)
+    if r in (3, 5, 9):  # r = 2^k + 1: x_r is carried through every level but the last
+        assert [carries for carries, _ in levels] == [(r,)] + [(1,)] * (len(levels) - 2) + [()]
+
+
+@pytest.mark.parametrize("variant", [LITERAL, RESCALED], ids=["literal", "rescaled"])
+@pytest.mark.parametrize("gamma, d", [(2, 1), (2, 3), (3, 1), (3, 2), (4, 2), (5, 1), (4, 3), (6, 2), (3, 4)])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_plan_is_the_mon_net(variant, gamma, d, m):
+    net = build_mon(m, gamma, d, variant)
+    levels, roots = _check_plan(net, m, d, monomial_factor_lists(d, gamma))
+    assert len(levels) == math.ceil(math.log2(gamma - 1))
+    if gamma == 2:  # no level: one selection layer, (1, x_d, ..., x_1) in graded lexicographic order
+        assert (levels, roots) == ((), (0, *range(d, 0, -1)))
+        assert len(net.layers) == 1 and np.array_equal(dense_layer(net.layers[0]), np.eye(d + 1)[list(roots)])
+
+
+@pytest.mark.parametrize("variant", [LITERAL, RESCALED], ids=["literal", "rescaled"])
+def test_channel_order_keeps_results_bit_identical(rng, variant):
+    # against the nets of parent_order_product_layers, made on the parent
+    # channel order (1, products..., carried...) of the same factor lists:
+    # outputs, path matrices and path norms equal bit for bit, and every
+    # structure count but the runs
     builds = [
-        ("multr 3", lambda: build_multr(3, 3, variant), 3),
-        ("multr 5", lambda: build_multr(3, 5, variant), 5),
-        ("multr 7", lambda: build_multr(2, 7, variant), 7),
-        ("mon 1", lambda: build_mon(3, 7, 1, variant), 1),
-        ("mon 2", lambda: build_mon(2, 5, 2, variant), 2),
-        ("mon 3", lambda: build_mon(2, 4, 3, variant), 3),
+        ("multr 3", build_multr(3, 3, variant), 3, 3, [range(1, 4)]),
+        ("multr 5", build_multr(3, 5, variant), 3, 5, [range(1, 6)]),
+        ("multr 7", build_multr(2, 7, variant), 2, 7, [range(1, 8)]),
+        ("mon 1", build_mon(3, 7, 1, variant), 3, 1, monomial_factor_lists(1, 7)),
+        ("mon 2", build_mon(2, 5, 2, variant), 2, 2, monomial_factor_lists(2, 5)),
+        ("mon 3", build_mon(2, 4, 3, variant), 2, 3, monomial_factor_lists(3, 4)),
     ]
-    nets = [build() for _, build, _ in builds]
-    monkeypatch.setattr(ctor, "_product_layers", parent_order_product_layers)
     edge = MultVariant(variant).edge
-    for net, (label, build, d) in zip(nets, builds):
-        ref = build()
+    for label, net, m, d, factor_lists in builds:
+        ref = Network(ABS, parent_order_product_layers(m, variant, d, factor_lists))
         x = np.column_stack([np.ones(500), rng.uniform(0, edge, (500, d))])
         assert np.array_equal(evaluate(net, x), evaluate(ref, x)), label
         assert np.array_equal(path_matrix(net), path_matrix(ref)), label
@@ -646,9 +725,44 @@ def test_mon_computes_each_distinct_product_once(m, gamma, d, products):
         assert mults == distinct_products(d, gamma) == products
 
 
+NON_INTEGER_SIZES = [
+    ("build_sq m true", lambda: build_sq(True), "m must be an integer >= 1"),
+    ("build_sq m 2.5", lambda: build_sq(2.5), "m must be an integer >= 1"),
+    ("build_mult m 2.0", lambda: build_mult(2.0), "m must be an integer >= 1"),
+    ("build_multr r 3.0", lambda: build_multr(2, 3.0), "r must be an integer >= 2"),
+    ("build_multr r true", lambda: build_multr(2, True), "r must be an integer >= 2"),
+    ("build_multr m true", lambda: build_multr(True, 3), "m must be an integer >= 1"),
+    ("build_mon gamma 3.5", lambda: build_mon(2, 3.5, 1), "gamma must be an integer >= 2"),
+    ("build_mon d true", lambda: build_mon(2, 3, True), "d must be an integer >= 1"),
+    ("build_mon d 0", lambda: build_mon(2, 3, 0), "d must be an integer >= 1"),
+    ("enumerate d 2.0", lambda: enumerate_multi_indices(2.0, 3), "d must be an integer >= 1"),
+    ("enumerate gamma 0", lambda: enumerate_multi_indices(2, 0), "gamma must be an integer >= 1"),
+]
+
+
+@pytest.mark.parametrize("make, match", [r[1:] for r in NON_INTEGER_SIZES], ids=[r[0] for r in NON_INTEGER_SIZES])
+def test_builders_refuse_sizes_that_are_not_integers(make, match):
+    # build_sq(True) built build_sq(1), and build_sq(2.5) failed with a
+    # TypeError inside range()
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
+def test_builders_take_numpy_integer_sizes():
+    # numpy integers build the same nets, and meta records plain ints
+    pairs = [
+        (build_sq(np.int64(3)), build_sq(3)),
+        (build_mult(np.int32(2)), build_mult(2)),
+        (build_multr(np.int64(2), np.int64(5)), build_multr(2, 5)),
+        (build_mon(np.int64(2), np.int64(4), np.int64(2)), build_mon(2, 4, 2)),
+    ]
+    for got, want in pairs:
+        assert network_to_json(got) == network_to_json(want)
+
+
 REFUSALS = [
-    ("build_mult m 0", lambda: build_mult(0), ValueError, "m must be a positive integer"),
-    ("build_mult m -1 literal", lambda: build_mult(-1, LITERAL), ValueError, "m must be a positive integer"),
+    ("build_mult m 0", lambda: build_mult(0), ValueError, "m must be an integer >= 1"),
+    ("build_mult m -1 literal", lambda: build_mult(-1, LITERAL), ValueError, "m must be an integer >= 1"),
 ]
 
 

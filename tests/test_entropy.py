@@ -71,7 +71,7 @@ def test_spec_refuses_non_integer_counts(bad):
     # numpy integers are integers
     base = {"eps": 0.5, "L": np.int64(1), "p": np.array([2, 3, 1]), "B": 1.0, "r": 1.0, "n": np.int32(4)}
     assert EntropyBoundSpec(**base).p == (2, 3, 1)
-    with pytest.raises(ValueError, match="must be integers"):
+    with pytest.raises(ValueError, match="must be an integer"):
         EntropyBoundSpec(**{**base, **bad})
 
 
@@ -471,7 +471,7 @@ def test_trials_not_a_positive_integer_is_value_error_before_any_draw(rng, trial
 
 REFUSALS = [
     ("a width below 1", lambda: EntropyBoundSpec(eps=0.5, L=1, p=(2, 0, 1), B=1.0, r=1.0, n=4),
-     ValueError, "widths must be positive"),
+     ValueError, r"p\[1\] must be an integer >= 1"),
     ("1-d points for a net of 2 inputs",
      lambda: empirical_covering(lambda: Network(ABS, [np.ones((1, 2))]), np.zeros(5), 0.1, 3, 2.0),
      ShapeMismatchError, "expects input of length 2, got 1"),

@@ -13,12 +13,14 @@ from nnapprox import (
     BlockDiagonal,
     Network,
     NetworkError,
+    MonomialPolynomial,
     ShapeMismatchError,
     build_cheb_net,
     build_mon,
     build_mult,
     build_multr,
     build_sq,
+    cheb_fit,
     compose,
     evaluate,
     general_activation,
@@ -675,6 +677,23 @@ def test_complex_input_is_refused_and_real_input_keeps_its_bits(rng):
         assert np.array_equal(evaluate(sq, real), evaluate(sq, np.array(real, dtype=np.float64)))
     assert np.array_equal(evaluate(sq, x.tolist()), want)
     assert np.array_equal(with_ones(x[:, 1].tolist()), x)
+
+
+COMPLEX_REFUSALS = [
+    ("evaluate", lambda: evaluate(build_sq(2), [[1.0, 0.5j]]), "input must be real"),
+    ("with_ones", lambda: with_ones([0.25 + 0.5j]), "points must be real"),
+    ("cheb_fit values", lambda: cheb_fit(lambda p: p[:, 0] + 1j, (2,)), "target values must be real"),
+    ("target points", lambda: target_exp_sum(1).evaluate([0.5j]), "points must be real"),
+    ("polynomial points", lambda: MonomialPolynomial(1, {(1,): 1.0}).evaluate([0.5j]), "points must be real"),
+]
+
+
+@pytest.mark.parametrize("make, match", [r[1:] for r in COMPLEX_REFUSALS], ids=[r[0] for r in COMPLEX_REFUSALS])
+def test_one_complex_check_names_what_it_refuses(make, match):
+    # network._real serves the network and the Chebyshev routes alike: a
+    # NetworkError, which is a ValueError, naming the refused argument
+    with pytest.raises(NetworkError, match=match):
+        make()
 
 
 TWO_INPUTS = Network(ABS, [np.ones((1, 2))])
