@@ -30,7 +30,7 @@ from .constructions import (
     mon_depth_bound,
     mon_width_bound,
 )
-from .network import Network, _integer, _real, path_norm
+from .network import Network, _integer, _number, _real, path_norm
 from .verify import sup_error
 
 
@@ -42,9 +42,9 @@ class MissingCoefficientError(ValueError):
 class AnalyticTarget:
     """A function on [0,1]^d with whatever analyticity data the caller declares.
 
-    fn maps an (n, d) array to an (n,) array; rho is the declared ellipse
-    parameter and is carried as metadata only.  A d that is not an integer
-    >= 1 is a ValueError.
+    fn maps an (n, d) array to an (n,) array; rho, None or a finite number
+    > 1, is the declared ellipse parameter and is carried as metadata only.
+    d is an integer >= 1.
     """
 
     name: str
@@ -54,6 +54,8 @@ class AnalyticTarget:
 
     def __post_init__(self):
         self.d = _integer(self.d, "d", 1)
+        if self.rho is not None:
+            self.rho = _number(self.rho, "rho", 1, math.inf, True, True)
 
     def evaluate(self, x):
         return _real(self.fn(_points(x, self.d)), "target values")
@@ -85,7 +87,7 @@ def builtin_target(name, d=1):
     if name not in BUILTIN_TARGETS:
         raise ValueError(f"unknown builtin target {name!r} (have {sorted(BUILTIN_TARGETS)})")
     target = BUILTIN_TARGETS[name](d)
-    if target.d != d:
+    if _integer(d, "d", 0) != target.d:
         raise ValueError(f"builtin target {name!r} has d={target.d}; got d={d}")
     return target
 
@@ -100,17 +102,15 @@ BUILTIN_SERIES = {"inv2mx": (series_inv_two_minus_x, 1, 1.0)}
 
 def _coefficient_row(coeff, d, gamma):
     """coeff(k) for the multi-indices k of total degree <= gamma, in the
-    order of build_mon(m, gamma + 1, d)'s outputs."""
+    order of build_mon(m, gamma + 1, d)'s outputs; a coeff(k) that raises or
+    is not a finite real number is a MissingCoefficientError naming k."""
     indices = enumerate_multi_indices(d, gamma + 1)
     row = np.empty(len(indices))
     for j, k in enumerate(indices):
         try:
-            c = coeff(k)
+            row[j] = _number(coeff(k), "coefficient", -math.inf, math.inf, True, True)
         except Exception as e:
             raise MissingCoefficientError(f"no coefficient for {k}: {e}") from e
-        if c is None or not np.isfinite(c):
-            raise MissingCoefficientError(f"no finite coefficient for {k}")
-        row[j] = c
     return row
 
 
@@ -147,10 +147,10 @@ def build_power_series_net(series, eps, delta, variant, d=None, F=None):
 
     `series` is a MonomialPolynomial (absent terms are zero; a `d` other
     than its own is refused) or a callable from multi-index tuples to
-    coefficients, which needs `d`.  Returns (network, certificate).
+    coefficients, which needs `d`.  eps and delta lie in (0, 1) and a given
+    F is a finite number >= 0.  Returns (network, certificate).
     """
-    if not (0.0 < eps < 1.0 and 0.0 < delta < 1.0):
-        raise ValueError("eps and delta must lie in (0, 1)")
+    eps, delta = _number(eps, "eps", 0, 1, True, True), _number(delta, "delta", 0, 1, True, True)
     variant = MultVariant(variant)
     coeff, l1 = series, 0.0
     if isinstance(series, MonomialPolynomial):
@@ -165,13 +165,12 @@ def build_power_series_net(series, eps, delta, variant, d=None, F=None):
     if F is None:
         with np.errstate(over="ignore"):  # an infinite sum is rejected below
             F = max(float(np.sum(np.abs(row))), l1)
+    else:
+        F = _number(F, "F", 0, math.inf, high_open=True)
     claimed_error = (2.0 if variant is LITERAL else 6.0) * F * eps / delta**2
     bound = power_series_path_bound(d, F, gamma, variant)
-    if not (F >= 0.0 and math.isfinite(claimed_error) and math.isfinite(bound)):
-        raise ValueError(
-            f"F = {F} must be finite and >= 0 and give a finite claimed error ({claimed_error}) "
-            f"and path-norm bound ({bound})"
-        )
+    if not (math.isfinite(claimed_error) and math.isfinite(bound)):
+        raise ValueError(f"F = {F} must give a finite claimed error ({claimed_error}) and path-norm bound ({bound})")
     net, shared = _polynomial_net("power-series-net", d, gamma, m, variant, row, F=F)
     assert shared["path_norm"] <= bound or F == 0.0
     cert = {
@@ -191,10 +190,9 @@ MEASURE_GRID = 513  # build_cheb_net's error grid: round(513^(1/d)) >= 2 points 
 
 
 def build_cheb_net(target, eps, variant):
-    """Network approximating an analytic target on [0,1]^d via its Chebyshev
-    truncation; returns (network, certificate) with the measured sup error."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
+    """Network approximating an analytic target on [0,1]^d, eps in (0, 1), via its
+    Chebyshev truncation; returns (network, certificate) with the measured sup error."""
+    eps = _number(eps, "eps", 0, 1, True, True)
     variant = MultVariant(variant)
     d = target.d
     gamma = m = max(1, math.ceil(math.log2(1.0 / eps)))

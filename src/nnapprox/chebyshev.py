@@ -15,18 +15,18 @@ affine map.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import _integer, _real
+from .network import _integer, _number, _real
 
 
 def cheb_poly_coeffs(n):
     """Monomial coefficients of T_n: column n of _cheb_monomial_matrix on
     [-1, 1], its zeros made +0.0.  Degrees above 60 are rejected there."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n = _integer(n, "n", 0)
     return _cheb_monomial_matrix(n + 1, -1.0, 1.0)[:, n] + 0.0
 
 
@@ -63,11 +63,11 @@ def _points(x, d):
 def _intervals(domain, d):
     """Per-axis (lo, hi) floats, [-1, 1] on every axis when domain is None."""
     domain = ((-1, 1),) * d if domain is None else domain
-    domain = tuple((float(lo), float(hi)) for lo, hi in domain)
+    domain = tuple(tuple(_number(v, "domain endpoint", -math.inf, math.inf, True, True) for v in ab) for ab in domain)
     if len(domain) != d:
         raise ValueError("domain must give one interval per axis")
-    if any(lo == hi or not np.isfinite([lo, hi]).all() for lo, hi in domain):
-        raise ValueError(f"domain intervals need finite, distinct endpoints, got {domain}")
+    if any(lo == hi for lo, hi in domain):
+        raise ValueError(f"domain intervals need distinct endpoints, got {domain}")
     return domain
 
 
@@ -144,20 +144,21 @@ def cheb_fit(fn, degrees, domain=None):
 
 @dataclass
 class MonomialPolynomial:
-    """Finite polynomial sum_k c_k x^k keyed by multi-index tuples."""
+    """Finite polynomial sum_k c_k x^k keyed by multi-index tuples of d >= 1
+    integers >= 0, with finite real coefficients; nothing is truncated."""
 
     d: int
     terms: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        self.d = _integer(self.d, "d", 1)
         clean = {}
         for k, c in self.terms.items():
-            k = tuple(int(i) for i in k)
-            if len(k) != self.d or any(i < 0 for i in k):
+            name = f"multi-index {k!r}"
+            k = tuple(_integer(i, f"entry of {name}", 0) for i in k)
+            if len(k) != self.d:
                 raise ValueError(f"bad multi-index {k} for d={self.d}")
-            c = float(c)
-            if not np.isfinite(c):
-                raise ValueError(f"non-finite coefficient at {k}")
+            c = _number(c, f"coefficient at {name}", -math.inf, math.inf, True, True)
             if c != 0.0:
                 clean[k] = c
         self.terms = clean

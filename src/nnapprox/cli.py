@@ -307,8 +307,7 @@ def _polynomial_unless_builtin(name, builtins):
         raise click.UsageError(f"unknown {name!r}: not a builtin {sorted(builtins)} and not a file")
     raw = _read_json(name)
     try:
-        terms = {tuple(k): float(c) for k, c in raw["terms"]}
-        return MonomialPolynomial(int(raw["d"]), terms)
+        return MonomialPolynomial(raw["d"], {tuple(k): c for k, c in raw["terms"]})
     except (KeyError, TypeError, ValueError) as e:
         raise click.UsageError(f"malformed polynomial file {name}: {e}")
 

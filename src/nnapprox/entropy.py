@@ -22,14 +22,13 @@ check is one-sided.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels
-from .network import ABS, NetworkError, ShapeMismatchError, _integer, _layout, _network_from_vector, _real, _views
+from .network import ABS, NetworkError, ShapeMismatchError, _integer, _layout, _network_from_vector, _number, _real, _views
 
 
 class SamplerViolation(ValueError):
@@ -39,8 +38,8 @@ class SamplerViolation(ValueError):
 @dataclass(frozen=True)
 class EntropyBoundSpec:
     """Parameters (eps, L, p, B, r, n) of one bound evaluation; L >= 0,
-    n >= 1 and the widths p >= 1 are integers, and eps, B and r real
-    numbers, none of them a bool."""
+    n >= 1 and the widths p >= 1 are integers, and eps > 0, B >= 0 and
+    r > 0 finite real numbers, stored as floats."""
 
     eps: float
     L: int
@@ -53,12 +52,10 @@ class EntropyBoundSpec:
         object.__setattr__(self, "L", _integer(self.L, "L", 0))
         object.__setattr__(self, "n", _integer(self.n, "n", 1))
         object.__setattr__(self, "p", tuple(_integer(w, f"p[{i}]", 1) for i, w in enumerate(self.p)))
-        if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in (self.eps, self.B, self.r)):
-            raise ValueError(f"eps, B and r must be real numbers, got eps={self.eps!r} B={self.B!r} r={self.r!r}")
+        for name, low_open in (("eps", True), ("B", False), ("r", True)):
+            object.__setattr__(self, name, _number(getattr(self, name), name, 0, math.inf, low_open, True))
         if len(self.p) != self.L + 2:
             raise ValueError(f"width vector needs L+2={self.L + 2} entries, got {len(self.p)}")
-        if not all(math.isfinite(v) and v > 0 for v in (self.eps, self.B, self.r)):
-            raise ValueError("eps, B, r must be finite and positive")
         _ceil_term(self.B, self.r, self.eps)
 
     @property
@@ -104,19 +101,18 @@ def sample_network(widths, cap, activation=ABS, rng=None):
     theta (network._views), theta is rescaled in place when it is over the
     cap, and network._network_from_vector takes it over as it is, so the
     draw is not copied and the network is built once.  The draw size and
-    the view shapes come from network._layout.  A cap that is NaN or < 0
+    the view shapes come from network._layout; the |W| chain runs on views
+    of one |theta|.  A cap that is not a number >= 0 (network._number)
     raises ValueError and bad widths raise NetworkError, both before the
     draw; cap 0 gives the zero network and cap inf no rescaling."""
-    if not cap >= 0.0:
-        raise ValueError(f"cap must be a number >= 0, got {cap!r}")
+    cap = _number(cap, "cap", 0)
     shapes, size, _ = _layout(tuple(widths))
     rng = np.random.default_rng(rng)
     theta = rng.uniform(-1.0, 1.0, size)
-    views = _views(theta, shapes)
     # |W0| @ I is |W0| exactly, so the product starts there
-    pm = np.abs(views[0])
-    for w in views[1:]:
-        pm = np.abs(w) @ pm
+    pm, *rest = _views(np.abs(theta), shapes)
+    for w in rest:
+        pm = w @ pm
     pn = float(pm.sum())
     if pn > cap:
         theta *= (cap / pn) ** (1.0 / len(shapes))
@@ -186,14 +182,12 @@ def empirical_covering(sampler, points, eps, trials, path_norm_cap):
     been drawn.  A network of the wrong input dimension raises
     ShapeMismatchError and complex or non-finite points raise NetworkError,
     as in evaluate; trials that is not an integer >= 1, an eps that is not a
-    finite number > 0, or a cap that is NaN or < 0 (inf is allowed), raises
-    ValueError before any sample is drawn, and non-finite outputs make
-    greedy_cover raise it."""
+    finite number > 0, or a cap that is not a number >= 0 (inf is allowed),
+    raises ValueError before any sample is drawn, and non-finite outputs
+    make greedy_cover raise it."""
     trials = _integer(trials, "trials", 1)
-    if not 0.0 < eps < np.inf:
-        raise ValueError(f"eps must be a finite number > 0, got {eps!r}")
-    if not path_norm_cap >= 0.0:
-        raise ValueError(f"path_norm_cap must be a number >= 0, got {path_norm_cap!r}")
+    eps = _number(eps, "eps", 0, math.inf, True, True)
+    path_norm_cap = _number(path_norm_cap, "path_norm_cap", 0)
     points = _real(points, "points")
     if points.ndim == 1:
         points = points[:, None]

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import numbers
 import operator
 
@@ -287,6 +288,23 @@ def _integer(value, name, low):
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
+
+
+def _number(value, name, low=-math.inf, high=math.inf, low_open=False, high_open=False):
+    """value as a float if it is a real number (numpy numbers count) in the
+    interval from low to high, each end open or closed, so +-inf passes only
+    at a closed infinite end; a bool, a str, None, a complex, NaN or a value
+    outside is a ValueError naming `name`."""
+    x = value
+    if type(x) is not float:  # a float skips the slow Real check: sample_network reads its cap per draw
+        try:
+            x = float(x) if not isinstance(x, bool) and isinstance(x, numbers.Real) else math.nan
+        except OverflowError:  # an int beyond float range
+            x = math.nan
+    if not ((low < x if low_open else low <= x) and (x < high if high_open else x <= high)):
+        interval = f"{'(' if low_open else '['}{low:g}, {high:g}{')' if high_open else ']'}"
+        raise ValueError(f"{name} must be a real number in {interval}, got {value!r}")
+    return x
 
 
 def evaluate(net, x):

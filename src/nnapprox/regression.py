@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .network import ABS, _integer, _layout, _network_from_vector, _real, _views, evaluate, path_norm, with_ones
+from .network import ABS, _integer, _layout, _network_from_vector, _number, _real, _views, evaluate, path_norm, with_ones
 
 
 LEARNING_RATE = 0.25  # first trial step of the line search
@@ -48,24 +48,15 @@ class RegressionConfig:
         self.seed = _integer(self.seed, "seed", 0)
         if self.target.d != self.d:
             raise ValueError(f"d = {self.d} but the target takes points with {self.target.d} coordinates")
-        if self.lam != "auto" and not _finite_nonneg(self.lam):
-            raise ValueError(f"lam must be 'auto' or a finite number >= 0, got {self.lam!r}")
-        for name in ("lambda_scale", "noise_sd"):
-            if not _finite_nonneg(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number >= 0, got {getattr(self, name)!r}")
+        if self.lam != "auto":
+            self.lam = _number(self.lam, "lam", 0, math.inf, high_open=True)
+        self.lambda_scale = _number(self.lambda_scale, "lambda_scale", 0, math.inf, high_open=True)
+        self.noise_sd = _number(self.noise_sd, "noise_sd", 0, math.inf, high_open=True)
 
     @property
     def architecture(self):
         """Full width vector including the augmented input and scalar output."""
         return (self.d + 1,) + tuple(self.widths) + (1,)
-
-
-def _finite_nonneg(value):
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        return False
-    return math.isfinite(value) and value >= 0
 
 
 class Dataset(NamedTuple):
@@ -94,8 +85,7 @@ class FitReport:
 
 def lambda_auto(n, p, c=1.0):
     """c * log2(n)^3 * sqrt(sum_i log2 p_i) / sqrt(n) over hidden widths."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    n, c = _integer(n, "n", 2), _number(c, "c", 0, math.inf, high_open=True)
     hidden = tuple(p)[1:-1]
     if any(w < 1 for w in hidden):
         raise ValueError("widths must be positive")
@@ -108,7 +98,7 @@ def _lambda(config, widths):
     configured number."""
     if config.lam == "auto":
         return lambda_auto(config.n, widths, config.lambda_scale)
-    return float(config.lam)
+    return config.lam
 
 
 def generate_data(config):

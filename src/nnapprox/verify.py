@@ -39,7 +39,7 @@ import numpy as np
 from . import _kernels
 from . import constructions as ctor
 from .chebyshev import monomial_values, tensor_grid
-from .network import evaluate, with_ones
+from .network import _number, evaluate, with_ones
 
 
 @dataclass
@@ -101,9 +101,7 @@ def _sweep(net, blocks, grid, bound, t0):
     """The report of net against the (points, truth) blocks, with the claims
     of net.meta."""
     meta = net.meta
-    claimed = meta["claimed_error_bound"] if bound is None else float(bound)
-    if not (math.isfinite(claimed) and claimed >= 0.0):
-        raise ValueError(f"bound must be a finite number >= 0, got {bound!r}")
+    claimed = meta["claimed_error_bound"] if bound is None else _number(bound, "bound", 0, math.inf, high_open=True)
     measured = _sup(net, blocks)
     return VerificationReport(
         construction=meta["construction"],
@@ -136,8 +134,7 @@ def _mult_blocks(n, literal):
 
 
 def verify_mult(m, variant, step=0.005, bound=None):
-    if not 0.0 < step <= 1.0:
-        raise ValueError(f"step must lie in (0, 1], got {step!r}")
+    step = _number(step, "step", 0, 1, low_open=True)
     t0 = time.perf_counter()
     variant = ctor.MultVariant(variant)
     n = int(round(1.0 / step))

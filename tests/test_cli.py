@@ -544,9 +544,9 @@ REFUSALS = [
     ("entropy empirical spec n 4.5", ["entropy", "empirical", "--spec", "{spec_n}"], "must be an integer"),
     ("entropy empirical spec n 4.0", ["entropy", "empirical", "--spec", "{spec_n_float}"], "must be an integer"),
     ("entropy empirical spec L true", ["entropy", "empirical", "--spec", "{spec_l}"], "must be an integer"),
-    ("entropy empirical spec eps true", ["entropy", "empirical", "--spec", "{spec_eps}"], "must be real numbers"),
-    ("entropy empirical spec B true", ["entropy", "empirical", "--spec", "{spec_b}"], "must be real numbers"),
-    ("entropy empirical spec r true", ["entropy", "empirical", "--spec", "{spec_r}"], "must be real numbers"),
+    ("entropy empirical spec eps true", ["entropy", "empirical", "--spec", "{spec_eps}"], "must be a real number in"),
+    ("entropy empirical spec B true", ["entropy", "empirical", "--spec", "{spec_b}"], "must be a real number in"),
+    ("entropy empirical spec r true", ["entropy", "empirical", "--spec", "{spec_r}"], "must be a real number in"),
 ]
 
 

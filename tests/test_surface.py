@@ -47,3 +47,15 @@ def test_user_api_is_exported_and_documented():
     readme = (ROOT / "README.md").read_text()
     assert USER_API <= _exported()
     assert all(f"`{name}" in readme for name in USER_API)
+
+
+def test_only_network_imports_numbers():
+    # every scalar check goes through network._number or network._integer
+    importers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import) and any(alias.name == "numbers" for alias in node.names):
+                importers.add(path.name)
+            elif isinstance(node, ast.ImportFrom) and node.module == "numbers":
+                importers.add(path.name)
+    assert importers == {"network.py"}
