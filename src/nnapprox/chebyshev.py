@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import _integer, _number, _real
+from .network import _finite, _integer, _number, _real
 
 
 def cheb_poly_coeffs(n):
@@ -87,9 +87,7 @@ class ChebyshevSeries:
     domain: tuple = None
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=np.float64)
-        if not np.all(np.isfinite(self.coeffs)):
-            raise ValueError("series coefficients must be finite")
+        self.coeffs = _finite(self.coeffs, "series coefficients")
         self.domain = _intervals(self.domain, self.coeffs.ndim)
 
     @property

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .network import ABS, NetworkError, ShapeMismatchError, _integer, _layout, _network_from_vector, _number, _real, _views
+from .network import ABS, BlockDiagonal, ShapeMismatchError, _finite, _integer, _layout, _network_from_vector, _number, _views
 
 
 class SamplerViolation(ValueError):
@@ -132,20 +132,16 @@ CHUNK_TRIALS = 64
 CHUNK_VALUES = 8192
 
 
-_Layer = NamedTuple("_Layer", [("runs", tuple), ("shape", tuple)])
-
-
 def _stacks(nets):
     """nets grouped by activation and runs (block shape and count), in order
     of first appearance: (activation, trial indices, layers) per group, each
-    layer a _Layer for _kernels.eval_chain.  A layer that is one block in
-    every network is one run of the s blocks stacked as an (s, r, c) array;
-    any other layer lists each network's runs in turn.  A network built
-    from a vector carries its key in _key, set from network._layout when it
-    was built; for any other network the key is read from its runs, not the
-    expanded blocks property, which would build a tuple per layer per
-    network.  The two keys are equal for the same runs, so such networks
-    share a group."""
+    layer one BlockDiagonal.  A layer that is one block in every network is
+    one run of the s blocks stacked as an (s, r, c) array; any other layer
+    lists each network's runs in turn.  A network built from a vector
+    carries its key in _key, set from network._layout; for any other
+    network the key is read from its runs, not the expanded blocks
+    property, which would build a tuple per layer per network.  The two
+    keys are equal for the same runs, so such networks share a group."""
     groups = {}
     for t, net in enumerate(nets):
         key = net._key
@@ -157,12 +153,12 @@ def _stacks(nets):
 
 
 def _stack(lays):
-    """The layers lays, one per network, as one block-diagonal _Layer."""
+    """The layers lays, one per network, as one block-diagonal layer."""
     s, (r, c), runs = len(lays), lays[0].shape, lays[0].runs
     if len(runs) == 1 and runs[0][1] == 1:
         # np.array makes the same (s, r, c) stack as np.stack, in less time
-        return _Layer(((np.array([lay.runs[0][0] for lay in lays]), s),), (s * r, s * c))
-    return _Layer(tuple(run for lay in lays for run in lay.runs), (s * r, s * c))
+        return BlockDiagonal._of_runs(((np.array([lay.runs[0][0] for lay in lays]), s),), (s * r, s * c))
+    return BlockDiagonal._of_runs(tuple(run for lay in lays for run in lay.runs), (s * r, s * c))
 
 
 def empirical_covering(sampler, points, eps, trials, path_norm_cap):
@@ -188,13 +184,11 @@ def empirical_covering(sampler, points, eps, trials, path_norm_cap):
     trials = _integer(trials, "trials", 1)
     eps = _number(eps, "eps", 0, math.inf, True, True)
     path_norm_cap = _number(path_norm_cap, "path_norm_cap", 0)
-    points = _real(points, "points")
+    points = _finite(points, "points")
     if points.ndim == 1:
         points = points[:, None]
     if points.ndim != 2:
         raise ShapeMismatchError(f"points must be a vector or a batch, got ndim={points.ndim}")
-    if not np.isfinite(points).all():
-        raise NetworkError("input has non-finite entries")
     n, d = points.shape
     vectors = np.empty((trials, n))
     chunk = max(1, min(CHUNK_TRIALS, CHUNK_VALUES // max(n, 1)))

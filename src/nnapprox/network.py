@@ -7,29 +7,23 @@ construction that needs a constant feeds it as an input coordinate.  W_i has
 shape (p_{i+1}, p_i) and acts by left multiplication on column vectors, so
 the width vector is p = (p_0, ..., p_{L+1}) and depth L counts activations.
 
-Every layer is a BlockDiagonal: its diagonal blocks, in order (a plain
-matrix is a single block), stored as runs of copies of one block.  A layer
-made from other layers reuses their checked, read-only blocks instead of
-copying them.  A network given as one flat parameter vector, as the entropy
-sampler draws it and the fit holds it, takes that vector over: it is
-checked once, made read-only, and its layers are views of it
-(_network_from_vector, which copies only a vector that is not C-contiguous
-float64).  The shapes, size and runs of a width vector are worked out once
-(_layout), and a network built from a vector carries its stacking key, its
-activation and runs, in _key, so the entropy oracle need not rebuild it per
-network.  The builders stack layers side by side, the paper's
-parallelisation (build_mult through parallel(), the product writer of
-build_multr and build_mon by splicing one multiplication net's layers for
-every product, so each of its blocks is one run per layer), and chain
-them into one Network where the paper composes (no builder calls
-compose()), so those networks never materialize their mostly-zero dense
-form.  Evaluation and the entropy oracle's stacked
-samples (the chain of W with the activation's in-place map between
-layers), the path norm (the |W| chain at (1, ..., 1)) and the path matrix
-(the |W| chain on the identity) run on the runs through
-_kernels.eval_chain, one matrix product per run; the JSON wire format
-(version 3) stores the runs of each layer, so a decoded network is the
-same chain of runs.
+Every layer is a BlockDiagonal: its diagonal blocks stored as runs of
+copies of one checked, read-only block, so a layer made from other layers
+copies nothing.  A network given as one flat parameter vector (the entropy
+sampler's draw, the fit's theta) takes it over, its layers views of it
+(_network_from_vector; _layout works out a width vector's shapes once).
+The builders stack layers side by side where the paper parallelises and
+chain them where it composes, so their networks never materialize the
+mostly-zero dense form.  Evaluation, the entropy oracle's stacked samples,
+the path norm (the |W| chain at (1, ..., 1)) and the path matrix (the |W|
+chain on the identity) run on the runs through _kernels.eval_chain, one
+matrix product per run; the JSON wire format (version 3) stores the runs of
+each layer, so a decoded network is the same chain of runs.
+
+One contract reads what callers hand in: an array (weights, inputs, points,
+data, coefficients) through _real, which refuses complex, str and None
+entries, or _finite, which refuses NaN and +-inf too; a scalar through
+_number or _integer.  Each raises a ValueError naming the parameter.
 
 network_stats(net) is the one structural report: depth, widths, blocks,
 stored and nonzero entries and l1 norms, per layer and in total.
@@ -105,17 +99,16 @@ class BlockDiagonal:
     """A block-diagonal matrix stored as runs (block, count): count copies of
     one read-only block, one after the other along the diagonal.
 
-    BlockDiagonal(items) is the one way a layer is made from matrices and
-    layers.  An item that is a matrix is copied, checked and frozen into a
-    run of one; an item that is a BlockDiagonal contributes its runs as they
-    are, since their blocks are already checked and read-only, and a run
-    whose block is the previous run's (the same array object) joins it.  So
-    stacking and splicing layers copies nothing, and the copies parallel()
-    stacks of one network are one run, stored, multiplied and serialized
-    once.  The one other way is _network_from_vector's: a read-only view of
-    a parameter vector that was checked as a whole becomes a run of one as
-    it is (_of_block).  blocks is the expanded tuple, one entry
-    per copy.
+    BlockDiagonal(items) makes a layer from matrices and layers.  A matrix
+    is copied, checked and frozen into a run of one (_matrix); a
+    BlockDiagonal gives its runs as they are, and a run whose block is the
+    previous run's (the same array object) joins it.  So stacking and
+    splicing layers copies nothing, and the copies parallel() stacks of one
+    network are one run, stored, multiplied and serialized once.
+    _of_runs(runs, shape) takes checked, read-only runs as they are: a
+    vector network's views, a decoded layer's runs, and the entropy
+    oracle's stacked layers, whose run (b, k) holds k blocks as b of shape
+    (k, r, c).  blocks is a network layer's expanded tuple, one entry per copy.
     """
 
     __slots__ = ("runs", "shape")
@@ -131,12 +124,7 @@ class BlockDiagonal:
                     else:
                         runs.append((b, k))
             else:
-                item = np.array(item, dtype=np.float64, order="C")
-                if item.ndim != 2 or item.size == 0:
-                    raise NetworkError(f"block of shape {item.shape} is not a matrix")
-                if not np.isfinite(item).all():
-                    raise NetworkError("matrix entries must be finite")
-                item.setflags(write=False)
+                item = _matrix(item)
                 runs.append((item, 1))
             rows += item.shape[0]
             cols += item.shape[1]
@@ -146,17 +134,26 @@ class BlockDiagonal:
         self.shape = (rows, cols)
 
     @classmethod
-    def _of_block(cls, block):
-        """The layer that is block alone, a finite, read-only float64
-        matrix, which is not copied or checked again."""
+    def _of_runs(cls, runs, shape):
+        """The layer of these runs and shape, not copied or checked again."""
         lay = cls.__new__(cls)
-        lay.runs = ((block, 1),)
-        lay.shape = block.shape
+        lay.runs = runs
+        lay.shape = shape
         return lay
 
     @property
     def blocks(self):
         return tuple(b for b, k in self.runs for _ in range(k))
+
+
+def _matrix(item):
+    """item as a new read-only C-ordered matrix of finite reals (_finite);
+    an item that is not a non-empty matrix is a NetworkError."""
+    b = np.array(_finite(item, "matrix"), order="C")
+    if b.ndim != 2 or b.size == 0:
+        raise NetworkError(f"block of shape {b.shape} is not a matrix")
+    b.setflags(write=False)
+    return b
 
 
 # ---------------------------------------------------------------------------
@@ -255,30 +252,44 @@ def _network_from_vector(activation, theta, widths, meta=None):
     """The network of these widths whose matrices W0, ..., WL are, in order,
     the row-major ranges of the flat parameter vector theta, which it takes
     over: theta is copied only when it is not C-contiguous float64
-    (np.asarray with order "C"), its length and finiteness are checked once, and
-    it is made read-only and sliced once into the layers, so the caller
-    writes to it no more.  _key is (activation, runs key of _layout), the
-    key entropy._stacks groups the network by."""
+    (np.asarray with order "C"), its entries (_finite) and length are
+    checked once, and it is made read-only and sliced once into the layers,
+    so the caller writes to it no more.  _key is (activation, runs key of
+    _layout), the key entropy._stacks groups the network by."""
     shapes, size, runs = _layout(tuple(widths))
-    flat = np.asarray(theta, dtype=np.float64, order="C")
+    flat = np.asarray(_finite(theta, "weight vector"), order="C")
     if flat.shape != (size,):
         raise NetworkError(f"a vector of shape {flat.shape} is not the weights of widths {tuple(widths)}")
-    if not np.isfinite(flat).all():
-        raise NetworkError("matrix entries must be finite")
     # views of a read-only array are read-only: one flag set for all layers
     flat.setflags(write=False)
-    net = Network(activation, [BlockDiagonal._of_block(w) for w in _views(flat, shapes)], meta)
+    net = Network(activation, [BlockDiagonal._of_runs(((w, 1),), w.shape) for w in _views(flat, shapes)], meta)
     net._key = (activation, runs)
     return net
 
 
 def _real(x, what):
-    """x as a float64 array; complex x is a NetworkError (a ValueError)
-    naming `what`, since the cast would silently drop its imaginary part."""
-    x = np.asarray(x)
-    if x.dtype.kind == "c":
-        raise NetworkError(f"{what} must be real, got complex values")
-    return np.asarray(x, dtype=np.float64)
+    """x as a float64 array: a float64 ndarray as it is, a bool, int or float
+    array cast.  Complex entries (a cast drops the imaginary part), str, None
+    (a cast reads it as NaN) or other objects, or a ragged nesting, are a
+    NetworkError (a ValueError) naming what."""
+    if type(x) is np.ndarray and x.dtype == np.float64:
+        return x
+    try:
+        x = np.asarray(x)
+    except ValueError as e:
+        raise NetworkError(f"{what} is not an array of real numbers: {e}") from None
+    if x.dtype.kind not in "biuf":
+        got = "complex values" if x.dtype.kind == "c" else f"{x.dtype.type.__name__} entries"
+        raise NetworkError(f"{what} must be real, got {got}")
+    return x.astype(np.float64, copy=False)
+
+
+def _finite(x, what):
+    """x as _real reads it; a NaN or +-inf entry is a NetworkError naming what."""
+    x = _real(x, what)
+    if not np.logical_and.reduce(np.isfinite(x), axis=None):
+        raise NetworkError(f"{what} has non-finite entries")
+    return x
 
 
 def _integer(value, name, low):
@@ -308,8 +319,8 @@ def _number(value, name, low=-math.inf, high=math.inf, low_open=False, high_open
 
 
 def evaluate(net, x):
-    """Evaluate net on a vector of length p0 or a batch of shape (n, p0)."""
-    x = _real(x, "input")
+    """Evaluate net on a vector of length p0 or a batch of shape (n, p0) (_finite)."""
+    x = _finite(x, "input")
     single = x.ndim == 1
     batch = x[None, :] if single else x
     if batch.ndim != 2:
@@ -318,8 +329,6 @@ def evaluate(net, x):
         raise ShapeMismatchError(
             f"layer 0 expects input of length {net.in_dim}, got {batch.shape[1]}"
         )
-    if not np.all(np.isfinite(batch)):
-        raise NetworkError("input has non-finite entries")
     out = _kernels.eval_chain(net.layers, batch.T, net.activation.inplace)
     return out[:, 0] if single else out.T
 
@@ -472,7 +481,7 @@ def network_to_dict(net):
 
 
 def _decode_layer(runs):
-    items = []
+    out = []
     rows = cols = 0
     for run in runs:
         if not isinstance(run, list) or len(run) != 2:
@@ -480,13 +489,15 @@ def _decode_layer(runs):
         count, block = run
         if type(count) is not int or count < 1:
             raise NetworkError(f"a run count must be a positive integer, got {count!r:.60}")
-        one = BlockDiagonal([block])
-        rows += count * one.shape[0]
-        cols += count * one.shape[1]
+        block = _matrix(block)
+        rows += count * block.shape[0]
+        cols += count * block.shape[1]
         if max(rows, cols) > MAX_DECODED_WIDTH:
             raise NetworkError(f"a layer wider than {MAX_DECODED_WIDTH} is not read")
-        items += [one] * count
-    return BlockDiagonal(items)
+        out.append((block, count))
+    if not out:
+        raise NetworkError("a layer needs at least one block")
+    return BlockDiagonal._of_runs(tuple(out), (rows, cols))
 
 
 def network_from_dict(d):

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .network import ABS, _integer, _layout, _network_from_vector, _number, _real, _views, evaluate, path_norm, with_ones
+from .network import ABS, _finite, _integer, _layout, _network_from_vector, _number, _views, evaluate, path_norm, with_ones
 
 
 LEARNING_RATE = 0.25  # first trial step of the line search
@@ -84,12 +84,9 @@ class FitReport:
 
 
 def lambda_auto(n, p, c=1.0):
-    """c * log2(n)^3 * sqrt(sum_i log2 p_i) / sqrt(n) over hidden widths."""
+    """c * log2(n)^3 * sqrt(sum_i log2 p_i) / sqrt(n) over hidden widths p_i, integers >= 1."""
     n, c = _integer(n, "n", 2), _number(c, "c", 0, math.inf, high_open=True)
-    hidden = tuple(p)[1:-1]
-    if any(w < 1 for w in hidden):
-        raise ValueError("widths must be positive")
-    s = sum(math.log2(w) for w in hidden)
+    s = sum(math.log2(_integer(w, f"p[{i}]", 1)) for i, w in enumerate(tuple(p)[1:-1], 1))
     return c * math.log2(n) ** 3 * math.sqrt(s) / math.sqrt(n)
 
 
@@ -204,12 +201,10 @@ def _params(shapes, size):
 def _checked_data(config, dataset):
     """(X, Y) of the dataset as float64, after checking that both are real,
     X is (n, d), Y is (n,) and both are finite."""
-    x, y = _real(dataset.X, "X"), _real(dataset.Y, "Y")
+    x, y = _finite(dataset.X, "X"), _finite(dataset.Y, "Y")
     for name, a, shape in (("X", x, (config.n, config.d)), ("Y", y, (config.n,))):
         if a.shape != shape:
             raise ValueError(f"{name} has shape {a.shape}, but n = {config.n} and d = {config.d} need {shape}")
-        if not np.isfinite(a).all():
-            raise ValueError(f"{name} has entries that are not finite")
     return x, y
 
 

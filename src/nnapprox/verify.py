@@ -39,7 +39,7 @@ import numpy as np
 from . import _kernels
 from . import constructions as ctor
 from .chebyshev import monomial_values, tensor_grid
-from .network import _number, evaluate, with_ones
+from .network import _number, _real, evaluate, with_ones
 
 
 @dataclass
@@ -90,8 +90,9 @@ def _sup(net, blocks):
 
 def sup_error(net, points, truth):
     """max |net(1, x) - truth| over the points x (shape (n, d), or (n,) for
-    d = 1), truth of shape (n,) or (n, outputs), swept one block at a time."""
-    truth = np.asarray(truth)
+    d = 1), truth real (_real) of shape (n,) or (n, outputs), swept one block
+    at a time."""
+    truth = _real(truth, "truth")
     if len(truth) != len(points):
         raise ValueError(f"truth has {len(truth)} rows for {len(points)} points")
     return _sup(net, zip(_slices(points), _slices(truth)))

@@ -1,10 +1,14 @@
-"""The scalar contract: every real-valued parameter of the package reads its
-value through network._number, every count through network._integer.
+"""The input contracts: every real-valued parameter of the package reads its
+value through network._number, every count through network._integer, and
+every array through network._finite or network._real.
 
 A bool, a string, a complex number, NaN, a value outside the parameter's
 interval, or None where None does not ask for a default, is a ValueError
 naming the parameter; ints, floats and numpy numbers in range are accepted,
-and inf only where the interval is closed at infinity (the path-norm caps)."""
+and inf only where the interval is closed at infinity (the path-norm caps).
+An array with a complex, string or None entry is a ValueError naming the
+parameter, and so is one with a NaN or +-inf entry where the values must be
+finite; bool, int, float32 and float64 arrays read as float64."""
 
 import json
 import math
@@ -15,24 +19,34 @@ import pytest
 from click.testing import CliRunner
 
 from nnapprox import (
+    ABS,
     AnalyticTarget,
     ChebyshevSeries,
+    Dataset,
     EntropyBoundSpec,
     MissingCoefficientError,
     MonomialPolynomial,
+    Network,
+    NetworkError,
     RegressionConfig,
     build_cheb_net,
     build_power_series_net,
+    build_sq,
     builtin_target,
+    cheb_fit,
     empirical_covering,
+    evaluate,
+    fit,
+    network_from_json,
+    network_to_json,
     sample_network,
     target_exp_sum,
 )
 from nnapprox.approximators import series_inv_two_minus_x
 from nnapprox.cli import main
-from nnapprox.network import _number
+from nnapprox.network import _network_from_vector, _number, with_ones
 from nnapprox.regression import lambda_auto
-from nnapprox.verify import verify_mult, verify_sq
+from nnapprox.verify import sup_error, verify_mult, verify_sq
 
 
 def _spec(**kw):
@@ -140,6 +154,14 @@ def test_lambda_auto_reads_n_as_an_integer():
             lambda_auto(n, (2, 3, 1))
 
 
+@pytest.mark.parametrize("w", [2.5, True, "3", 0, None], ids=["2.5", "true", "str", "0", "none"])
+def test_lambda_auto_reads_hidden_widths_as_integers(w):
+    # a width of 2.5 gave 31.04, True gave 0.0 and "3" raised TypeError
+    with pytest.raises(ValueError, match=re.escape("p[2] must be an integer >= 1")):
+        lambda_auto(64, (2, 3, w, 1))
+    assert lambda_auto(64, (2, np.int64(3), 1)) == lambda_auto(64, (2, 3, 1))
+
+
 @pytest.mark.parametrize("d", [0, 1.0, True, 2.5, None], ids=["0", "1.0", "true", "2.5", "none"])
 def test_polynomial_d_is_an_integer_at_least_1(d):
     # d = 0 was accepted
@@ -188,3 +210,106 @@ def test_a_coefficient_that_is_not_a_finite_real_is_a_missing_coefficient(c):
 
     with pytest.raises(MissingCoefficientError, match=re.escape("no coefficient for (1,): coefficient must be")):
         build_power_series_net(coeff, eps=0.5, delta=0.5, variant="rescaled", d=1, F=1.0)
+
+
+def _fitted(x, y):
+    config = RegressionConfig(n=4, d=1, target=target_exp_sum(1), max_epochs=2)
+    net, report = fit(config, Dataset(x, y))
+    return network_to_json(net), report
+
+
+def _cover_of(points):
+    rng = np.random.default_rng(0)
+    return empirical_covering(lambda: sample_network((1, 2, 1), 1.0, rng=rng), points, 0.25, 8, 1.0)
+
+
+_X4 = [[0.0], [1.0], [1.0], [0.0]]
+_Y4 = [1.0, 0.0, 1.0, 1.0]
+FINITE = "has non-finite entries"
+# (id, parameter name, call with the array, an accepted array of 0/1 entries,
+# the error a NaN or +-inf entry raises: FINITE after the name, another
+# message, or None where a non-finite value is read as it is)
+ARRAYS = [
+    ("Network matrix", "matrix", lambda v: evaluate(Network(ABS, [v]), [1.0, 0.5]), [[1.0, 0.0], [0.0, 1.0]], FINITE),
+    ("vector weights", "weight vector",
+     lambda v: evaluate(_network_from_vector(ABS, v, (2, 2, 1)), [1.0, 0.5]), [1.0, 0.0, 0.0, 1.0, 1.0, 1.0], FINITE),
+    ("evaluate input", "input", lambda v: evaluate(build_sq(2), v), [[1.0, 0.0], [1.0, 1.0]], FINITE),
+    ("covering points", "points", _cover_of, [[0.0], [1.0], [1.0]], FINITE),
+    ("fit X", "X", lambda v: _fitted(v, _Y4), _X4, FINITE),
+    ("fit Y", "Y", lambda v: _fitted(_X4, v), _Y4, FINITE),
+    ("series coefficients", "series coefficients", lambda v: ChebyshevSeries(v).coeffs, [[1.0, 0.0], [0.0, 1.0]],
+     FINITE),
+    # a NaN truth gives a NaN error, and cheb_fit names the node of a non-finite value
+    ("sup_error truth", "truth", lambda v: sup_error(build_sq(2), [0.0, 1.0], v), [0.0, 1.0], None),
+    ("cheb_fit values", "target values", lambda v: cheb_fit(lambda p: v, (1,)).coeffs, [1.0, 0.0],
+     "target returned a non-finite value at node"),
+    ("with_ones points", "points", with_ones, [[0.0], [1.0]], None),
+    ("target points", "points", lambda v: target_exp_sum(2).evaluate(v), [[0.0, 1.0], [1.0, 1.0]], None),
+    ("target values", "target values",
+     lambda v: AnalyticTarget("t", 1, lambda p: v).evaluate([0.0, 1.0]), [1.0, 0.0], None),
+]
+ARRAY_IDS = [a[0] for a in ARRAYS]
+
+
+def _with_first(good, bad):
+    """good, a nested list, with its first entry replaced by bad."""
+    if isinstance(good[0], list):
+        return [_with_first(good[0], bad), *good[1:]]
+    return [bad, *good[1:]]
+
+
+def _same(a, b):
+    """Whether two results are equal bit for bit: arrays in dtype, shape and
+    bytes, tuples entry by entry, anything else by ==."""
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return a == b
+
+
+@pytest.mark.parametrize("name, call, good, nonfinite", [a[1:] for a in ARRAYS], ids=ARRAY_IDS)
+def test_every_array_parameter_refuses_what_is_not_real(name, call, good, nonfinite):
+    for bad in (0.5j, "a", None):
+        with pytest.raises(NetworkError, match="^" + re.escape(name) + " must be real, got "):
+            call(_with_first(good, bad))
+    with pytest.raises(NetworkError, match="^" + re.escape(name) + " must be real, got complex values$"):
+        call(np.asarray(good, dtype=complex))
+    for bad in (math.nan, math.inf, -math.inf):
+        if nonfinite is None:
+            call(_with_first(good, bad))
+        else:
+            full = f"^{re.escape(name)} {nonfinite}$" if nonfinite == FINITE else re.escape(nonfinite)
+            with pytest.raises(ValueError, match=full):
+                call(_with_first(good, bad))
+
+
+@pytest.mark.parametrize("name, call, good", [a[1:4] for a in ARRAYS], ids=ARRAY_IDS)
+def test_every_array_parameter_reads_bool_int_and_float_arrays_as_float64(name, call, good):
+    want = call(np.array(good, dtype=np.float64))
+    for dtype in (bool, np.int64, np.int8, np.float32):
+        assert _same(call(np.array(good, dtype=dtype)), want), dtype
+    assert _same(call(good), want)
+
+
+def test_a_nonfinite_truth_gives_a_nonfinite_error():
+    sq = build_sq(2)
+    assert math.isnan(sup_error(sq, [0.0, 1.0], [math.nan, 1.0]))
+    assert sup_error(sq, [0.0, 1.0], [math.inf, 1.0]) == math.inf
+
+
+@pytest.mark.parametrize("block", [[["a", 1.0]], [[None, 1.0]], [[1.0], [1.0, 2.0]]], ids=["str", "none", "ragged"])
+def test_a_decoded_block_is_read_as_a_matrix(block):
+    # a string entry raised numpy's unnamed "could not convert string to float"
+    wire = json.dumps({"format": 3, "activation": "abs", "layers": [[[1, block]]]})
+    with pytest.raises(NetworkError, match="^matrix "):
+        network_from_json(wire)
+
+
+def test_complex_weights_are_refused_not_cut_to_their_real_parts():
+    # Network(ABS, [[[1+1j, 2.0]]]) evaluated to 3.0 at (1, 1) and wrote [[1.0, 2.0]] to JSON
+    for weights in ([[1 + 1j, 2.0]], np.array([[1.0, 2.0]], dtype=complex)):
+        with pytest.raises(NetworkError, match="^matrix must be real, got complex values$"):
+            Network(ABS, [weights])
+    with pytest.raises(NetworkError, match="^series coefficients must be real, got complex values$"):
+        ChebyshevSeries([0.5j, 1.0])

@@ -617,9 +617,9 @@ def test_network_from_vector_copies_other_vectors_once(rng, make):
         (np.zeros((2, 3)), (2, 3), "not the weights"),  # not flat
         (np.float64(0.0), (1, 1), "not the weights"),  # a scalar, not a vector of one
         (np.zeros(0), (0, 3), "not the weights"),  # no entries for a zero width
-        (np.array([0.0, np.nan, 0.0]), (1, 3), "must be finite"),
-        (np.array([0.0, 0.0, np.inf, 0.0]), (2, 1, 2), "must be finite"),
-        (np.array([-np.inf, 0.0]), (1, 1, 1), "must be finite"),
+        (np.array([0.0, np.nan, 0.0]), (1, 3), "weight vector has non-finite entries"),
+        (np.array([0.0, 0.0, np.inf, 0.0]), (2, 1, 2), "weight vector has non-finite entries"),
+        (np.array([-np.inf, 0.0]), (1, 1, 1), "weight vector has non-finite entries"),
     ],
     ids=["short", "long", "matrix", "scalar", "zero-width", "nan", "inf", "-inf"],
 )

@@ -53,8 +53,8 @@ def test_lambda_auto_rejects_tiny_n():
 
 
 REFUSALS = [
-    ("lambda_auto hidden width 0", lambda: lambda_auto(64, (2, 0, 1)), ValueError, "widths must be positive"),
-    ("lambda_auto hidden width -3", lambda: lambda_auto(64, (2, 4, -3, 1)), ValueError, "widths must be positive"),
+    ("lambda_auto hidden width 0", lambda: lambda_auto(64, (2, 0, 1)), ValueError, r"p\[1\] must be an integer >= 1"),
+    ("lambda_auto hidden width -3", lambda: lambda_auto(64, (2, 4, -3, 1)), ValueError, r"p\[2\] must be an integer >= 1"),
 ]
 
 
@@ -220,8 +220,8 @@ def _nan_at(a, i):
 @pytest.mark.parametrize(
     "make,match",
     [
-        (lambda x, y: (_nan_at(x, (3, 0)), y), "X has entries that are not finite"),
-        (lambda x, y: (x, _nan_at(y, 5)), "Y has entries that are not finite"),
+        (lambda x, y: (_nan_at(x, (3, 0)), y), "X has non-finite entries"),
+        (lambda x, y: (x, _nan_at(y, 5)), "Y has non-finite entries"),
         (lambda x, y: (x, y[:10]), r"Y has shape \(10,\)"),
         (lambda x, y: (np.column_stack([x, x]), y), r"X has shape \(64, 2\)"),
         (lambda x, y: (x, y[:, None]), r"Y has shape \(64, 1\)"),

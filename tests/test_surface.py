@@ -59,3 +59,15 @@ def test_only_network_imports_numbers():
             elif isinstance(node, ast.ImportFrom) and node.module == "numbers":
                 importers.add(path.name)
     assert importers == {"network.py"}
+
+
+def test_only_the_array_contract_and_two_own_checks_call_isfinite():
+    # every caller-facing array is checked by network._finite; cheb_fit names
+    # the node of a non-finite value, and _kernels cannot import network
+    users = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr == "isfinite" and getattr(node.value, "id", "") == "np":
+                    users.add((path.name, getattr(top, "name", None)))
+    assert users == {("network.py", "_finite"), ("chebyshev.py", "cheb_fit"), ("_kernels.py", "greedy_cover")}
