@@ -70,32 +70,32 @@ def _parse_csv(s, kind):
         raise click.BadParameter(f"{s!r} is not a comma-separated list of {kind.__name__}s")
 
 
-def _entropy_spec(raw, source):
-    """EntropyBoundSpec from a dict with eps/L/p/B/r/n; bad values are usage errors."""
+def _entropy_spec(raw, path):
+    """EntropyBoundSpec from the eps/L/p/B/r/n of spec file path; a bad one is a usage error."""
     try:
-        return ent.EntropyBoundSpec(
-            eps=raw["eps"], L=raw["L"], p=tuple(raw["p"]), B=raw["B"], r=raw["r"], n=raw["n"]
-        )
+        return ent.EntropyBoundSpec(eps=raw["eps"], L=raw["L"], p=tuple(raw["p"]), B=raw["B"], r=raw["r"], n=raw["n"])
     except (KeyError, TypeError, ValueError) as e:
-        raise click.UsageError(f"bad {source}: {e!r}")
+        raise click.UsageError(f"bad spec file {path}: {e!r}")
 
 
 VARIANT_OPTION = click.option(
     "--variant", type=click.Choice([v.value for v in ctor.MultVariant]), default="rescaled", show_default=True
 )
-OUT_OPTION = click.option("--out", type=click.Path(), default=None, help="write the JSON output here, not to stdout")
-NET_OUT_OPTION = click.option("--net-out", type=click.Path(), default=None, help="also write the network JSON here")
-M_OPTION = click.option("--m", type=click.IntRange(min=1), required=True)
-UNIT_OPEN = click.FloatRange(0.0, 1.0, min_open=True, max_open=True)
-CHEB_D = click.IntRange(1, 3)  # the dimensions cheb_fit supports
+# a directory where a file belongs is a usage error, before any work
+IN_FILE = click.Path(exists=True, dir_okay=False)
+OUT_FILE = click.Path(dir_okay=False)
+OUT_OPTION = click.option("--out", type=OUT_FILE, metavar="PATH", help="write the JSON output here, not to stdout")
+NET_OUT_OPTION = click.option("--net-out", type=OUT_FILE, metavar="PATH", help="also write the network JSON here")
+M_OPTION = click.option("--m", type=int, required=True)
 
 
 class _Main(click.Group):
     """The command group under which a library ValueError is a usage error.
 
-    Every argument check of the package raises ValueError (NetworkError is
-    one), so bad input exits 2 with one line; any other exception is a bug
-    and keeps its traceback.
+    Options are plain ints and floats: the library checks every value, and
+    each of its checks raises ValueError (NetworkError is one), so bad input
+    exits 2 with the library's one-line message.  Any other exception is a
+    bug and keeps its traceback.
     """
 
     def invoke(self, ctx):
@@ -136,7 +136,7 @@ def build_mult_cmd(m, variant, out):
 
 @build.command("multr")
 @M_OPTION
-@click.option("--r", type=click.IntRange(min=2), required=True)
+@click.option("--r", type=int, required=True)
 @VARIANT_OPTION
 @OUT_OPTION
 def build_multr_cmd(m, r, variant, out):
@@ -145,8 +145,8 @@ def build_multr_cmd(m, r, variant, out):
 
 @build.command("mon")
 @M_OPTION
-@click.option("--gamma", type=click.IntRange(min=2), required=True)
-@click.option("--d", type=click.IntRange(min=1), required=True)
+@click.option("--gamma", type=int, required=True)
+@click.option("--d", type=int, required=True)
 @VARIANT_OPTION
 @OUT_OPTION
 def build_mon_cmd(m, gamma, d, variant, out):
@@ -158,7 +158,7 @@ def build_mon_cmd(m, gamma, d, variant, out):
 
 
 @main.command("eval")
-@click.argument("net_json", type=click.Path(exists=True))
+@click.argument("net_json", type=IN_FILE)
 @click.option("--input", "input_", required=True, help="comma-separated coordinates")
 @OUT_OPTION
 def eval_cmd(net_json, input_, out):
@@ -168,7 +168,7 @@ def eval_cmd(net_json, input_, out):
 
 
 @main.command("path-norm")
-@click.argument("net_json", type=click.Path(exists=True))
+@click.argument("net_json", type=IN_FILE)
 @OUT_OPTION
 def path_norm_cmd(net_json, out):
     net = network_from_dict(_read_json(net_json))
@@ -197,39 +197,37 @@ VERIFY_READS = {"sq": {"grid"}, "mult": {"variant", "step"}, "multr": {"r", "var
 @main.command("verify")
 @click.argument("construction", type=click.Choice(list(VERIFY_READS)))
 @M_OPTION
-@click.option("--r", type=click.IntRange(min=2), default=None, help="factors (multr)")
-@click.option("--gamma", type=click.IntRange(min=2), default=None, help="degree (mon)")
-@click.option("--d", type=click.IntRange(min=1), default=None, help="variables (mon)")
+@click.option("--r", type=int, help="factors (multr)")
+@click.option("--gamma", type=int, help="degree (mon)")
+@click.option("--d", type=int, help="variables (mon)")
 @VARIANT_OPTION
-@click.option("--grid", type=click.IntRange(min=1), default=None,
-              help="points (sq) or points per axis (mon)")
-@click.option("--step", type=click.FloatRange(0.0, 1.0, min_open=True), default=0.005,
-              help="grid step (mult)")
-@click.option("--samples", type=click.IntRange(min=1), default=100000,
-              help="random samples (multr)")
-@click.option("--seed", type=click.IntRange(min=0), default=0, help="sample seed (multr)")
-@click.option("--bound", type=float, default=None, help="override the claimed bound")
+@click.option("--grid", type=int, help="points (sq) or points per axis (mon)")
+@click.option("--step", type=float, help="grid step (mult)")
+@click.option("--samples", type=int, help="random samples (multr)")
+@click.option("--seed", type=int, help="sample seed (multr)")
+@click.option("--bound", type=float, help="override the claimed bound")
 @OUT_OPTION
-def verify_cmd(construction, m, r, gamma, d, variant, grid, step, samples, seed, bound, out):
+def verify_cmd(construction, m, r, gamma, d, variant, bound, out, **sweep):
     """Sweep a construction against its claimed error bound; exit 1 on failure."""
     # an option the construction does not read is refused when given, not ignored
     for name in sorted(set().union(*VERIFY_READS.values()) - VERIFY_READS[construction]):
         if click.get_current_context().get_parameter_source(name) is ParameterSource.COMMANDLINE:
             raise click.UsageError(f"verify {construction} does not read --{name}")
-    # --grid is passed on only when given, so the default sizes live in verify.py
-    size = {} if grid is None else {"n_points" if construction == "sq" else "grid_points": grid}
+    # a sweep option not given is not passed on: its default lives in verify.py
+    names = {"grid": "n_points" if construction == "sq" else "grid_points", "samples": "n_samples"}
+    given = {names.get(k, k): v for k, v in sweep.items() if v is not None}
     if construction == "sq":
-        rep = ver.verify_sq(m, bound=bound, **size)
+        rep = ver.verify_sq(m, bound=bound, **given)
     elif construction == "mult":
-        rep = ver.verify_mult(m, variant, step=step, bound=bound)
+        rep = ver.verify_mult(m, variant, bound=bound, **given)
     elif construction == "multr":
         if r is None:
             raise click.UsageError("multr needs --r")
-        rep = ver.verify_multr(m, r, variant, n_samples=samples, seed=seed, bound=bound)
+        rep = ver.verify_multr(m, r, variant, bound=bound, **given)
     else:
         if gamma is None or d is None:
             raise click.UsageError("mon needs --gamma and --d")
-        rep = ver.verify_mon(m, gamma, d, variant, bound=bound, **size)
+        rep = ver.verify_mon(m, gamma, d, variant, bound=bound, **given)
     _emit(rep.to_dict(), out)
     if not rep.passed:
         sys.exit(1)
@@ -253,25 +251,23 @@ def entropy_group():
 @click.option("--n", type=int, required=True)
 @OUT_OPTION
 def entropy_bound_cmd(eps, l_, p, b_, r, n, out):
-    spec = _entropy_spec(dict(eps=eps, L=l_, p=_parse_csv(p, int), B=b_, r=r, n=n), "entropy spec")
+    spec = ent.EntropyBoundSpec(eps=eps, L=l_, p=tuple(_parse_csv(p, int)), B=b_, r=r, n=n)
     _emit({"spec": spec.to_dict(), "network_bound": ent.network_bound(spec)}, out)
 
 
 @entropy_group.command("empirical")
-@click.option("--spec", "spec_path", type=click.Path(exists=True), required=True)
-@click.option("--trials", type=click.IntRange(min=1), default=5000, show_default=True)
-@click.option("--seed", type=click.IntRange(min=0), default=0)
+@click.option("--spec", "spec_path", type=IN_FILE, required=True)
+@click.option("--trials", type=int, default=5000, show_default=True)
+@click.option("--seed", type=int, default=0)
 @OUT_OPTION
 def entropy_empirical_cmd(spec_path, trials, seed, out):
     """Greedy-cover a sampled class; spec JSON holds eps/L/p/B/r/n[/activation]."""
     raw = _read_json(spec_path)
-    spec = _entropy_spec(raw, f"spec file {spec_path}")
+    spec = _entropy_spec(raw, spec_path)
     act_name = raw.get("activation", "abs")
     if not isinstance(act_name, str) or act_name not in ACTIVATIONS:
         raise click.UsageError(f"unknown activation {act_name!r}")
-    cover, bound, _ = ent.empirical_vs_bound(
-        spec, activation=ACTIVATIONS[act_name], trials=trials, seed=seed
-    )
+    cover, bound, _ = ent.empirical_vs_bound(spec, activation=ACTIVATIONS[act_name], trials=trials, seed=seed)
     _emit(
         {
             "spec": spec.to_dict(),
@@ -315,8 +311,8 @@ def _polynomial_unless_builtin(name, builtins):
 @approx_group.command("power-series")
 @click.option("--series", "series_name", default="inv2mx", show_default=True,
               help="builtin name or a polynomial JSON file")
-@click.option("--eps", type=UNIT_OPEN, required=True)
-@click.option("--delta", type=UNIT_OPEN, required=True)
+@click.option("--eps", type=float, required=True)
+@click.option("--delta", type=float, required=True)
 @VARIANT_OPTION
 @NET_OUT_OPTION
 @OUT_OPTION
@@ -335,9 +331,8 @@ def approx_power_series_cmd(series_name, eps, delta, variant, net_out, out):
 @approx_group.command("cheb")
 @click.option("--target", "target_name", default="inv2mx", show_default=True,
               help="builtin name or a polynomial JSON file")
-@click.option("--d", type=CHEB_D, default=None,
-              help="dimension of a builtin target [default: 1]; a polynomial file has its own")
-@click.option("--eps", type=UNIT_OPEN, required=True)
+@click.option("--d", type=int, help="dimension of a builtin target [default: 1]; a polynomial file has its own")
+@click.option("--eps", type=float, required=True)
 @VARIANT_OPTION
 @NET_OUT_OPTION
 @OUT_OPTION
@@ -372,8 +367,8 @@ def cheb_coeffs_cmd(n, out):
 
 @cheb_group.command("fit")
 @click.option("--target", "target_name", default="inv2mx", show_default=True)
-@click.option("--d", type=CHEB_D, default=1, show_default=True)
-@click.option("--degree", type=click.IntRange(min=0), required=True)
+@click.option("--d", type=int, default=1, show_default=True)
+@click.option("--degree", type=int, required=True)
 @OUT_OPTION
 def cheb_fit_cmd(target_name, d, degree, out):
     target = builtin_target(target_name, d)
@@ -395,14 +390,14 @@ def cheb_fit_cmd(target_name, d, degree, out):
 
 @main.command("regress")
 @click.option("--target", "target_name", default="inv2mx", show_default=True)
-@click.option("--d", type=click.IntRange(min=1), default=1, show_default=True)
-@click.option("--n", type=click.IntRange(min=2), default=256, show_default=True)
+@click.option("--d", type=int, default=1, show_default=True)
+@click.option("--n", type=int, default=256, show_default=True)
 @click.option("--noise", type=float, default=0.1, show_default=True)
 @click.option("--arch", default="8,8", show_default=True, help="hidden widths")
 @click.option("--lambda", "lam", default="auto", show_default=True)
 @click.option("--lambda-scale", type=float, default=1.0, show_default=True)
 @click.option("--epochs", type=int, default=2000, show_default=True)
-@click.option("--seed", type=click.IntRange(min=0), default=0)
+@click.option("--seed", type=int, default=0)
 @NET_OUT_OPTION
 @OUT_OPTION
 def regress_cmd(target_name, d, n, noise, arch, lam, lambda_scale, epochs, seed, net_out, out):

@@ -220,7 +220,7 @@ def empirical_covering(sampler, points, eps, trials, path_norm_cap):
 
 def empirical_vs_bound(spec, activation=ABS, trials=5000, seed=0):
     """Run the oracle for one spec; returns (CoverResult, bound, points)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     points = rng.uniform(-spec.r, spec.r, size=(spec.n, spec.d))
     sampler = lambda: sample_network(spec.p, spec.B, activation, rng)
     cover = empirical_covering(sampler, points, spec.eps, trials, path_norm_cap=spec.B)

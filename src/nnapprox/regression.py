@@ -273,17 +273,13 @@ def fit(config, dataset):
 
     # the network takes cur.flat over; nothing writes to cur from here on
     net = _network_from_vector(ABS, cur.flat, arch, meta={"construction": "fitted", "widths": list(arch)})
-    hold_rng = np.random.default_rng(config.seed + 1)
-    xh = hold_rng.uniform(0.0, 1.0, size=(HOLDOUT_POINTS, config.d))
-    pred = evaluate(net, with_ones(xh))[:, 0]
-    holdout = float(np.mean((pred - config.target.evaluate(xh)) ** 2))
     terms = oracle_rhs(config, net)
     report = FitReport(
         objective=obj,
         risk=risk,
         penalty=lam * pn,
         path_norm=pn,
-        holdout_mse=holdout,
+        holdout_mse=_uniform_mse(net, config, config.seed + 1, HOLDOUT_POINTS),
         lambda_used=lam,
         oracle_rhs=terms.rhs,
         oracle_mc_error=terms.mc_error,
@@ -293,6 +289,12 @@ def fit(config, dataset):
         converged=converged,
     )
     return net, report
+
+
+def _uniform_mse(net, config, seed, n_points):
+    """Mean of (net(1, x) - f0(x))^2 over n_points uniform x in [0,1]^d drawn with seed."""
+    x = np.random.default_rng(seed).uniform(0.0, 1.0, size=(n_points, config.d))
+    return float(np.mean((evaluate(net, with_ones(x))[:, 0] - config.target.evaluate(x)) ** 2))
 
 
 class OracleTerms(NamedTuple):
@@ -319,10 +321,7 @@ def oracle_rhs(config, candidate):
     represents the class containing it; lambda is that class's penalty
     weight and C is ORACLE_C."""
     n = config.n
-    rng = np.random.default_rng(config.seed + 2)
-    xm = rng.uniform(0.0, 1.0, size=(ORACLE_MC_POINTS, config.d))
-    pred = evaluate(candidate, with_ones(xm))[:, 0]
-    mc = float(np.mean((pred - config.target.evaluate(xm)) ** 2))
+    mc = _uniform_mse(candidate, config, config.seed + 2, ORACLE_MC_POINTS)
     hidden = candidate.widths[1:-1]
     remainder = ORACLE_C * sum(hidden) * math.log2(n) ** 3 / n
     return OracleTerms(mc, _lambda(config, candidate.widths) * path_norm(candidate), remainder)

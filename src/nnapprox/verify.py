@@ -39,7 +39,7 @@ import numpy as np
 from . import _kernels
 from . import constructions as ctor
 from .chebyshev import monomial_values, tensor_grid
-from .network import _number, _real, evaluate, with_ones
+from .network import _integer, _number, _real, evaluate, with_ones
 
 
 @dataclass
@@ -90,9 +90,12 @@ def _sup(net, blocks):
 
 def sup_error(net, points, truth):
     """max |net(1, x) - truth| over the points x (shape (n, d), or (n,) for
-    d = 1), truth real (_real) of shape (n,) or (n, outputs), swept one block
-    at a time."""
-    truth = _real(truth, "truth")
+    d = 1), truth of shape (n,) or (n, outputs), both real (_real), swept one
+    block at a time."""
+    points, truth = _real(points, "points"), _real(truth, "truth")
+    for what, a in (("points", points), ("truth", truth)):
+        if a.ndim == 0:
+            raise ValueError(f"{what} must be an array with one row per point, got the scalar {a.item()!r}")
     if len(truth) != len(points):
         raise ValueError(f"truth has {len(truth)} rows for {len(points)} points")
     return _sup(net, zip(_slices(points), _slices(truth)))
@@ -116,6 +119,7 @@ def _sweep(net, blocks, grid, bound, t0):
 
 
 def verify_sq(m, n_points=10000, bound=None):
+    n_points = _integer(n_points, "n_points", 0)
     t0 = time.perf_counter()
     x = np.linspace(0.0, 1.0, n_points)
     blocks = ((b, b * b) for b in _slices(x))
@@ -145,6 +149,7 @@ def verify_mult(m, variant, step=0.005, bound=None):
 
 
 def verify_multr(m, r, variant, n_samples=100000, seed=0, bound=None):
+    n_samples, seed = _integer(n_samples, "n_samples", 0), _integer(seed, "seed", 0)
     t0 = time.perf_counter()
     variant = ctor.MultVariant(variant)
     net = ctor.build_multr(m, r, variant)
@@ -156,6 +161,7 @@ def verify_multr(m, r, variant, n_samples=100000, seed=0, bound=None):
 
 
 def verify_mon(m, gamma, d, variant, grid_points=51, bound=None):
+    grid_points = _integer(grid_points, "grid_points", 0)
     t0 = time.perf_counter()
     variant = ctor.MultVariant(variant)
     net = ctor.build_mon(m, gamma, d, variant)

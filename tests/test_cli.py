@@ -343,6 +343,13 @@ BAD_INPUTS = [
      ["approx", "power-series", "--eps", "0.5", "--delta", "1e-6"]),
     ("build mon more monomials than a network may output",
      ["build", "mon", "--m", "2", "--gamma", "10000", "--d", "3"]),
+    ("eval network file a directory", ["eval", "{dir}", "--input", "1,0.5"]),
+    ("path-norm network file a directory", ["path-norm", "{dir}"]),
+    ("entropy empirical spec a directory", ["entropy", "empirical", "--spec", "{dir}"]),
+    ("build sq out a directory", ["build", "sq", "--m", "2", "--out", "{dir}"]),
+    ("approx cheb out a directory", ["approx", "cheb", "--eps", "0.5", "--out", "{dir}"]),
+    ("approx cheb net-out a directory", ["approx", "cheb", "--eps", "0.5", "--net-out", "{dir}"]),
+    ("regress net-out a directory", ["regress", "--n", "16", "--epochs", "1", "--net-out", "{dir}"]),
 ]
 
 # every option of verify that a construction does not read, given with a
@@ -547,6 +554,10 @@ REFUSALS = [
     ("entropy empirical spec eps true", ["entropy", "empirical", "--spec", "{spec_eps}"], "must be a real number in"),
     ("entropy empirical spec B true", ["entropy", "empirical", "--spec", "{spec_b}"], "must be a real number in"),
     ("entropy empirical spec r true", ["entropy", "empirical", "--spec", "{spec_r}"], "must be a real number in"),
+    # the library's own message, since no option restates its domain
+    ("build sq m 0", ["build", "sq", "--m", "0"], "Error: m must be an integer >= 1, got 0"),
+    ("approx cheb eps 1.5", ["approx", "cheb", "--eps", "1.5"], "Error: eps must be a real number in (0, 1), got 1.5"),
+    ("verify sq grid -1", ["verify", "sq", "--m", "2", "--grid", "-1"], "Error: n_points must be an integer >= 0, got -1"),
 ]
 
 
@@ -600,3 +611,22 @@ def test_verify_mult_reports_the_step_it_swept(runner):
     # --step 0.7 sweeps {0, 1}^2, so its report reads step 1.0
     rep = json.loads(runner.invoke(main, ["verify", "mult", "--m", "3", "--step", "0.7"]).output)
     assert rep["grid"]["step"] == 1.0
+
+
+def test_verify_defaults_are_the_verifiers_own(runner, monkeypatch):
+    # an option not given is not passed on, so each sweep takes verify.py's
+    # defaults, and the report shows them
+    import inspect
+
+    from nnapprox import verify as ver
+
+    rep = json.loads(runner.invoke(main, ["verify", "mult", "--m", "3"]).output)
+    assert rep["grid"]["step"] == inspect.signature(ver.verify_mult).parameters["step"].default == 0.005
+    calls = []
+    for name in ("verify_sq", "verify_mult", "verify_multr", "verify_mon"):
+        monkeypatch.setattr(ver, name, lambda *a, **kw: calls.append(kw) or ver.VerificationReport(
+            "x", {}, {}, 0.0, 1.0, True, 0.0))
+    for args in (["sq", "--m", "2"], ["mult", "--m", "2"], ["multr", "--m", "2", "--r", "2"],
+                 ["mon", "--m", "2", "--gamma", "2", "--d", "1"]):
+        assert runner.invoke(main, ["verify", *args]).exit_code == 0
+    assert calls == [{"bound": None}] * 4

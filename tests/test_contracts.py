@@ -35,6 +35,7 @@ from nnapprox import (
     builtin_target,
     cheb_fit,
     empirical_covering,
+    empirical_vs_bound,
     evaluate,
     fit,
     network_from_json,
@@ -46,7 +47,7 @@ from nnapprox.approximators import series_inv_two_minus_x
 from nnapprox.cli import main
 from nnapprox.network import _network_from_vector, _number, with_ones
 from nnapprox.regression import lambda_auto
-from nnapprox.verify import sup_error, verify_mult, verify_sq
+from nnapprox.verify import sup_error, verify_mon, verify_mult, verify_multr, verify_sq
 
 
 def _spec(**kw):
@@ -241,6 +242,8 @@ ARRAYS = [
      FINITE),
     # a NaN truth gives a NaN error, and cheb_fit names the node of a non-finite value
     ("sup_error truth", "truth", lambda v: sup_error(build_sq(2), [0.0, 1.0], v), [0.0, 1.0], None),
+    ("sup_error points", "points", lambda v: sup_error(build_sq(2), v, [0.0, 1.0]), [0.0, 1.0],
+     "input has non-finite entries"),
     ("cheb_fit values", "target values", lambda v: cheb_fit(lambda p: v, (1,)).coeffs, [1.0, 0.0],
      "target returned a non-finite value at node"),
     ("with_ones points", "points", with_ones, [[0.0], [1.0]], None),
@@ -313,3 +316,33 @@ def test_complex_weights_are_refused_not_cut_to_their_real_parts():
             Network(ABS, [weights])
     with pytest.raises(NetworkError, match="^series coefficients must be real, got complex values$"):
         ChebyshevSeries([0.5j, 1.0])
+
+
+# (id, parameter name, call with the value): the sweep sizes and the seeds,
+# counts >= 0 that only the CLI's option ranges had checked.  A size of 0 is
+# an empty sweep (tests/test_verify.py)
+COUNTS = [
+    ("verify_sq n_points", "n_points", lambda v: verify_sq(2, n_points=v)),
+    ("verify_mon grid_points", "grid_points", lambda v: verify_mon(2, 2, 1, "rescaled", grid_points=v)),
+    ("verify_multr n_samples", "n_samples", lambda v: verify_multr(2, 2, "rescaled", n_samples=v)),
+    ("verify_multr seed", "seed", lambda v: verify_multr(2, 2, "rescaled", n_samples=8, seed=v)),
+    ("empirical_vs_bound seed", "seed", lambda v: empirical_vs_bound(_spec(), trials=1, seed=v)),
+]
+
+
+@pytest.mark.parametrize("name, call", [c[1:] for c in COUNTS], ids=[c[0] for c in COUNTS])
+def test_every_sweep_size_and_seed_is_an_integer_at_least_0(name, call):
+    # n_points=True swept the single point 0 and passed, 2.5 raised TypeError,
+    # and seed=-1 raised numpy's unnamed "expected non-negative integer"
+    for value in (True, 2.5, 3.0, -1, "3", None):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be an integer >= 0, got {re.escape(repr(value))}$"):
+            call(value)
+    call(np.int64(3))
+
+
+def test_a_sweep_reports_its_sizes_as_ints():
+    assert verify_sq(2, n_points=np.int64(3)).grid["points"] == 3
+    rep = verify_multr(2, 2, "rescaled", n_samples=np.int64(8), seed=np.int64(1))
+    assert rep.grid == {"samples": 8, "seed": 1, "domain": rep.grid["domain"]}
+    assert all(type(rep.grid[k]) is int for k in ("samples", "seed"))
+    json.dumps(verify_mon(2, 2, 1, "rescaled", grid_points=np.int64(3)).to_dict())

@@ -11,6 +11,10 @@ name is its whole job.
 import ast
 from pathlib import Path
 
+import click
+
+from nnapprox.cli import main
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "nnapprox"
 
@@ -71,3 +75,20 @@ def test_only_the_array_contract_and_two_own_checks_call_isfinite():
                 if isinstance(node, ast.Attribute) and node.attr == "isfinite" and getattr(node.value, "id", "") == "np":
                     users.add((path.name, getattr(top, "name", None)))
     assert users == {("network.py", "_finite"), ("chebyshev.py", "cheb_fit"), ("_kernels.py", "greedy_cover")}
+
+
+def _parameters(command, path=()):
+    """(command path, parameter) for every parameter beneath command."""
+    for param in command.params:
+        yield " ".join(path), param
+    for name, sub in getattr(command, "commands", {}).items():
+        yield from _parameters(sub, (*path, name))
+
+
+def test_no_cli_option_restates_a_library_domain():
+    # the library checks every value; an option range would be a second copy
+    # of the check, with its own message.  Choice and Path are allowed
+    params = list(_parameters(main))
+    assert len(params) > 50
+    ranged = [(path, p.name) for path, p in params if isinstance(p.type, (click.IntRange, click.FloatRange))]
+    assert not ranged, f"options with a click range: {ranged}"

@@ -252,3 +252,11 @@ def test_sup_error_wants_one_truth_row_per_point(rows):
     pts = np.zeros((3 * B, 2))
     with pytest.raises(ValueError, match="rows for"):
         ver.sup_error(ctor.build_mult(3, RESCALED), pts, np.zeros(rows))
+
+
+@pytest.mark.parametrize("points, truth, what", [([0.5], 0.25, "truth"), (0.5, [0.25], "points"), (0.5, 0.25, "points")],
+                         ids=["scalar truth", "scalar points", "both scalars"])
+def test_sup_error_refuses_a_scalar(points, truth, what):
+    # each raised TypeError "len() of unsized object", which the CLI does not map
+    with pytest.raises(ValueError, match=f"^{what} must be an array with one row per point, got the scalar "):
+        ver.sup_error(ctor.build_sq(2), points, truth)
